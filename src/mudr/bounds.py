@@ -129,31 +129,30 @@ def est_outer_rate(lb: LinkBudget) -> float:
     return total
 
 
+def _log_form_rate(lb: LinkBudget, m: int, bandwidth_hz: float, kappa: float) -> float:
+    """Estimation rate of target ``m`` in bits/s for a radar on bandwidth bw
+    with waveform integration kappa: bw log2(1 + sigma_proc^2 gamma^2 bw
+    kappa a^2 P_radar / (k_B T_temp)) raised to delta/kappa."""
+    snr = (
+        lb.sigma_tau_proc_sq[m]
+        * lb.gamma_sq
+        * bandwidth_hz
+        * kappa
+        * lb.a_sq[m]
+        * lb.radar_power_w
+        / lb.kt_w_per_hz
+    )
+    return bandwidth_hz * (lb.duty_factor / kappa) * math.log2(1.0 + snr)
+
+
 def est_outer_rate_log_form(lb: LinkBudget) -> float:
     """Algebraically equivalent closed form of :func:`est_outer_rate`.
 
-    B log2(1 + sigma_proc^2 gamma^2 B (TB) a^2 P_radar / (k_B T_temp))
-    raised to delta/(TB), summed over targets. Kept separate so the two
-    printed forms can be cross-checked.
+    The log form over the full band B with integration TB, summed over
+    targets. Kept separate so the two printed forms can be cross-checked.
     """
-    kt = lb.kt_w_per_hz
-    total = 0.0
-    for m in range(lb.n_targets):
-        snr = (
-            lb.sigma_tau_proc_sq[m]
-            * lb.gamma_sq
-            * lb.bandwidth_hz
-            * lb.time_bandwidth
-            * lb.a_sq[m]
-            * lb.radar_power_w
-            / kt
-        )
-        total += (
-            lb.bandwidth_hz
-            * (lb.duty_factor / lb.time_bandwidth)
-            * math.log2(1.0 + snr)
-        )
-    return total
+    b, tb = lb.bandwidth_hz, lb.time_bandwidth
+    return sum(_log_form_rate(lb, m, b, tb) for m in range(lb.n_targets))
 
 
 def int_plus_noise_variance(lb: LinkBudget, bandwidth_hz: float) -> float:
@@ -206,39 +205,35 @@ def _require_single_target(lb: LinkBudget, what: str) -> None:
 
 def interpolated_inner(lb: LinkBudget) -> RateCurve:
     """Straight-line inner bound between the comms-alone point and the
-    full-cancellation vertex."""
-    _require_single_target(lb, "interpolated inner bound")
-    return RateCurve(
-        label="interpolated",
-        points=(
-            RatePoint(0.0, comms_outer_rate(lb)),
-            RatePoint(est_outer_rate(lb), sic_comms_rate(lb)),
-        ),
-    )
+    full-cancellation vertex: the "interpolated" curve of :func:`rate_region`
+    on the vertex-only grid [0], which evaluates no waterfill point."""
+    return rate_region(lb, [0.0])[2]
 
 
 def rate_region(lb: LinkBudget, alpha_grid: Sequence[float]) -> list[RateCurve]:
-    """All displayed curves for one scenario.
+    """All displayed curves for one scenario, from one pass over the grid.
 
     Returns, in order: "outer" (rectangle edges), "sic" (horizontal line
     at the post-cancellation comms rate), "interpolated", "waterfill"
     (self-consistent subband-split points over ``alpha_grid``), and
-    "hull" (upper convex hull of the two inner curves). A grid value of
-    exactly 0 maps to the analytic limit of the waterfill point, which is
-    the cancellation vertex.
+    "hull" (upper convex hull of the two inner curves). Leading grid
+    values of exactly 0 map to the analytic limit of the waterfill point,
+    which is the cancellation vertex; the rest go to
+    :func:`mudr.waterfill.waterfill_points`. The "waterfill" curve is a
+    :class:`mudr.waterfill.WaterfillCurve`, so it also carries every
+    evaluated split, self-consistent or not.
     """
     from . import waterfill
 
-    grid = [float(a) for a in alpha_grid]
-    if any(not 0.0 <= a < 1.0 for a in grid):
-        raise ValueError("alpha grid values must lie in [0, 1)")
-    if any(b < a for a, b in zip(grid, grid[1:])):
-        raise ValueError("alpha grid must be sorted ascending")
     _require_single_target(lb, "rate region")
+    grid = list(alpha_grid)
+    n_zero = next((i for i, a in enumerate(grid) if a != 0.0), len(grid))
+    grid_points = tuple(waterfill.waterfill_points(lb, grid[n_zero:]))
 
     r_est_max = est_outer_rate(lb)
     r_com_max = comms_outer_rate(lb)
     r_com_sic = sic_comms_rate(lb)
+    vertex = RatePoint(r_est_max, r_com_sic)
 
     outer = RateCurve(
         label="outer",
@@ -248,23 +243,17 @@ def rate_region(lb: LinkBudget, alpha_grid: Sequence[float]) -> list[RateCurve]:
             RatePoint(r_est_max, 0.0),
         ),
     )
-    sic = RateCurve(
-        label="sic",
-        points=(RatePoint(0.0, r_com_sic), RatePoint(r_est_max, r_com_sic)),
+    sic = RateCurve(label="sic", points=(RatePoint(0.0, r_com_sic), vertex))
+    interpolated = RateCurve(
+        label="interpolated", points=(RatePoint(0.0, r_com_max), vertex)
     )
-    interpolated = interpolated_inner(lb)
 
-    wf_points: list[RatePoint] = []
-    for a in grid:
-        if a == 0.0:
-            wf_points.append(RatePoint(r_est_max, r_com_sic))
-        else:
-            p = waterfill.waterfill_point(lb, a)
-            if p.self_consistent:
-                wf_points.append(RatePoint(p.r_est, p.r_com_com + p.r_com_mix))
+    wf_points = (vertex,) * n_zero + tuple(
+        RatePoint(p.r_est, p.r_com_total) for p in grid_points if p.self_consistent
+    )
     if not wf_points:
         raise ValueError("no self-consistent waterfill point on the given grid")
-    wf = RateCurve(label="waterfill", points=tuple(wf_points))
+    wf = waterfill.WaterfillCurve("waterfill", wf_points, grid_points)
 
-    hull = waterfill.upper_convex_hull(list(interpolated.points) + wf_points)
+    hull = waterfill.upper_convex_hull(interpolated.points + wf_points)
     return [outer, sic, interpolated, wf, hull]

@@ -13,17 +13,19 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 from . import __version__, bounds, mcsim, waterfill
 from .emit import (
     atomic_write_text,
+    csv_text,
     fmt_float,
     render_curves_svg,
-    write_csv,
     write_manifest,
 )
-from .mcsim import ExperimentPreconditionError, McReport, WaveformSpec
+from .mcsim import ExperimentPreconditionError, WaveformSpec
 from .scenario import (
     Scenario,
     ScenarioError,
@@ -93,98 +95,66 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _out_dir(arg: str | None) -> Path:
-    out = Path(arg if arg is not None else os.environ.get("MUDR_OUT", "."))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+@dataclass(frozen=True)
+class Outcome:
+    """What a command computed: output name -> text in write order, the
+    manifest fields, and for ``validate`` a line to print once all is
+    written and whether the check passed."""
+
+    files: dict[str, str]
+    parameters: dict
+    seed: int | None = None
+    summary: str | None = None
+    passed: bool = True
 
 
-def _region_rows(scenario: Scenario, alpha_points: int):
-    """Curves for plotting plus CSV rows (waterfill rows keep every grid
-    point, flagged by self-consistency)."""
+def _region_curves(scenario: Scenario, alpha_points: int) -> list[bounds.RateCurve]:
     lb = derive_link_budget(scenario)
-    grid = waterfill.default_alpha_grid(alpha_points)
-    curves = bounds.rate_region(lb, grid)
-    wf_all = waterfill.waterfill_points(lb, grid)
+    return bounds.rate_region(lb, waterfill.default_alpha_grid(alpha_points))
 
-    rows: list[list[str]] = []
+
+def _region_rows(curves: list[bounds.RateCurve]) -> Iterator[list[str]]:
+    """CSV rows per curve point; waterfill rows keep every grid point,
+    flagged by self-consistency."""
     for curve in curves:
-        if curve.label == "waterfill":
-            for p in wf_all:
-                rows.append(
-                    [
-                        "waterfill",
-                        fmt_float(p.split.alpha),
-                        fmt_float(p.r_est),
-                        fmt_float(p.r_com_total),
-                        "true" if p.self_consistent else "false",
-                    ]
-                )
+        if isinstance(curve, waterfill.WaterfillCurve):
+            for p in curve.grid_points:
+                flag = "true" if p.self_consistent else "false"
+                yield ["waterfill", fmt_float(p.split.alpha), fmt_float(p.r_est),
+                       fmt_float(p.r_com_total), flag]
         else:
             for pt in curve.points:
-                rows.append(
-                    [
-                        curve.label,
-                        "nan",
-                        fmt_float(pt.r_est),
-                        fmt_float(pt.r_com),
-                        "true",
-                    ]
-                )
-    return curves, rows
+                r_est, r_com = fmt_float(pt.r_est), fmt_float(pt.r_com)
+                yield [curve.label, "nan", r_est, r_com, "true"]
 
 
-def _write_region_files(out: Path, prefix: str, curves, rows) -> list[str]:
-    csv_name = f"{prefix}.csv"
-    svg_name = f"{prefix}.svg"
-    write_csv(out / csv_name, REGION_CSV_HEADER, rows)
+def _region_files(prefix: str, curves: list[bounds.RateCurve]) -> dict[str, str]:
     svg = render_curves_svg(
         [(c.label, [(p.r_est, p.r_com) for p in c.points]) for c in curves],
         x_label="estimation rate (bits/s)",
         y_label="communications rate (bits/s)",
     )
-    atomic_write_text(out / svg_name, svg)
-    return [csv_name, svg_name]
+    return {
+        f"{prefix}.csv": csv_text(REGION_CSV_HEADER, _region_rows(curves)),
+        f"{prefix}.svg": svg,
+    }
 
 
-def cmd_region(args: argparse.Namespace) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-        if args.alpha_points < 1:
-            raise ValueError("--alpha-points must be at least 1")
-        curves, rows = _region_rows(scenario, args.alpha_points)
-    except (ScenarioError, ValueError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        out = _out_dir(args.out)
-        outputs = _write_region_files(out, "region", curves, rows)
-        outputs.append("manifest.json")
-        write_manifest(
-            out / "manifest.json",
-            command="region",
-            scenario_path=str(args.scenario),
-            parameters={"alpha_points": args.alpha_points},
-            outputs=outputs,
-            tool_version=__version__,
-            seed=None,
-        )
-    except OSError as exc:
-        print(f"write error: {exc}", file=sys.stderr)
-        return 3
-    return 0
+def cmd_region(args: argparse.Namespace) -> Outcome:
+    scenario = load_scenario(args.scenario)
+    if args.alpha_points < 1:
+        raise ValueError("--alpha-points must be at least 1")
+    curves = _region_curves(scenario, args.alpha_points)
+    return Outcome(
+        files=_region_files("region", curves),
+        parameters={"alpha_points": args.alpha_points},
+    )
 
 
-def cmd_pentagon(args: argparse.Namespace) -> int:
-    try:
-        if not (math.isfinite(args.snr1_db) and math.isfinite(args.snr2_db)):
-            raise ValueError("SNRs must be finite dB values")
-        region = bounds.ma_pentagon(
-            db_to_linear(args.snr1_db), db_to_linear(args.snr2_db)
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def cmd_pentagon(args: argparse.Namespace) -> Outcome:
+    if not (math.isfinite(args.snr1_db) and math.isfinite(args.snr2_db)):
+        raise ValueError("SNRs must be finite dB values")
+    region = bounds.ma_pentagon(db_to_linear(args.snr1_db), db_to_linear(args.snr2_db))
 
     va, vb = region.vertex_a, region.vertex_b
     boundary = [
@@ -208,148 +178,127 @@ def cmd_pentagon(args: argparse.Namespace) -> int:
         for x, y in pts:
             rows.append([label, fmt_float(x), fmt_float(y)])
 
-    try:
-        out = _out_dir(args.out)
-        write_csv(out / "pentagon.csv", ("label", "r1_bits", "r2_bits"), rows)
-        svg = render_curves_svg(
-            [("boundary", boundary)] + lines,
-            x_label="user 1 rate (bits/use)",
-            y_label="user 2 rate (bits/use)",
-        )
-        atomic_write_text(out / "pentagon.svg", svg)
-        write_manifest(
-            out / "manifest.json",
-            command="pentagon",
-            scenario_path=None,
-            parameters={"snr1_db": args.snr1_db, "snr2_db": args.snr2_db},
-            outputs=["pentagon.csv", "pentagon.svg", "manifest.json"],
-            tool_version=__version__,
-            seed=None,
-        )
-    except OSError as exc:
-        print(f"write error: {exc}", file=sys.stderr)
-        return 3
-    return 0
+    svg = render_curves_svg(
+        [("boundary", boundary)] + lines,
+        x_label="user 1 rate (bits/use)",
+        y_label="user 2 rate (bits/use)",
+    )
+    return Outcome(
+        files={
+            "pentagon.csv": csv_text(("label", "r1_bits", "r2_bits"), rows),
+            "pentagon.svg": svg,
+        },
+        parameters={"snr1_db": args.snr1_db, "snr2_db": args.snr2_db},
+    )
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_validate(args: argparse.Namespace) -> Outcome:
     seed = args.seed
     if seed is None:
         seed = 0
         print("no --seed given; using seed 0")
-    try:
-        scenario = load_scenario(args.scenario)
-        lb = derive_link_budget(scenario)
-        spec = WaveformSpec()
-        if args.experiment == "crb":
-            report = mcsim.crb_experiment(lb, spec, args.trials, seed)
-        elif args.experiment == "residual":
-            report = mcsim.residual_experiment(lb, spec, args.trials, seed)
-        else:
-            report = mcsim.gamma_experiment(spec, args.trials, seed)
-    except ExperimentPreconditionError as exc:
-        print(f"precondition not met: {exc}", file=sys.stderr)
-        return 2
-    except (ScenarioError, ValueError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        out = _out_dir(args.out)
-        report_name = f"validate_{args.experiment}.json"
-        _write_report(out / report_name, report)
-        write_manifest(
-            out / "manifest.json",
-            command="validate",
-            scenario_path=str(args.scenario),
-            parameters={"experiment": args.experiment, "trials": args.trials},
-            outputs=[report_name, "manifest.json"],
-            tool_version=__version__,
-            seed=seed,
-        )
-    except OSError as exc:
-        print(f"write error: {exc}", file=sys.stderr)
-        return 3
+    scenario = load_scenario(args.scenario)
+    lb = derive_link_budget(scenario)
+    spec = WaveformSpec()
+    if args.experiment == "crb":
+        report = mcsim.crb_experiment(lb, spec, args.trials, seed)
+    elif args.experiment == "residual":
+        report = mcsim.residual_experiment(lb, spec, args.trials, seed)
+    else:
+        report = mcsim.gamma_experiment(spec, args.trials, seed)
+
     status = "pass" if report.passed else "FAIL"
-    print(
-        f"{args.experiment}: empirical={report.empirical!r} "
-        f"analytic={report.analytic!r} rel_error={report.rel_error:.4g} "
-        f"tolerance={report.tolerance} -> {status}"
+    report_json = json.dumps(report.to_json_dict(), indent=2) + "\n"
+    return Outcome(
+        files={f"validate_{args.experiment}.json": report_json},
+        parameters={"experiment": args.experiment, "trials": args.trials},
+        seed=seed,
+        summary=(
+            f"{args.experiment}: empirical={report.empirical!r} "
+            f"analytic={report.analytic!r} rel_error={report.rel_error:.4g} "
+            f"tolerance={report.tolerance} -> {status}"
+        ),
+        passed=report.passed,
     )
-    return 0 if report.passed else 1
 
 
-def _write_report(path: Path, report: McReport) -> None:
-    atomic_write_text(path, json.dumps(report.to_json_dict(), indent=2) + "\n")
+def cmd_sweep(args: argparse.Namespace) -> Outcome:
+    scenario = load_scenario(args.scenario)
+    values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+    if not values:
+        raise ValueError("--values must contain at least one number")
+    variants = [replace_scenario_field(scenario, args.vary, v) for v in values]
+
+    files: dict[str, str] = {}
+    summary_rows = []
+    for i, (value, variant) in enumerate(zip(values, variants)):
+        try:
+            curves = _region_curves(variant, args.alpha_points)
+        except ScenarioError as exc:
+            msg = f"sweep field '{args.vary}' = {value!r}: {exc}"
+            raise ScenarioError(msg) from None
+        files.update(_region_files(f"sweep_{i:03d}_region", curves))
+        # outer's corner is (est_outer_rate, comms_outer_rate); sic is flat
+        corner, sic = curves[0].points[1], curves[1].points[0]
+        row = (value, corner.r_est, corner.r_com, sic.r_com)
+        summary_rows.append([fmt_float(x) for x in row])
+    files["sweep_summary.csv"] = csv_text(
+        ("value", "est_outer_rate_bps", "comms_outer_rate_bps", "sic_comms_rate_bps"),
+        summary_rows,
+    )
+    return Outcome(
+        files=files,
+        parameters={
+            "vary": args.vary,
+            "values": values,
+            "alpha_points": args.alpha_points,
+        },
+    )
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-        values = [float(v) for v in args.values.split(",") if v.strip() != ""]
-        if not values:
-            raise ValueError("--values must contain at least one number")
-        variants = [
-            replace_scenario_field(scenario, args.vary, v) for v in values
-        ]
-        results = []
-        for value, variant in zip(values, variants):
-            lb = derive_link_budget(variant)
-            curves, rows = _region_rows(variant, args.alpha_points)
-            results.append((value, lb, curves, rows))
-    except (ScenarioError, ValueError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        out = _out_dir(args.out)
-        outputs = []
-        summary_rows = []
-        for i, (value, lb, curves, rows) in enumerate(results):
-            outputs.extend(_write_region_files(out, f"sweep_{i:03d}_region", curves, rows))
-            summary_rows.append(
-                [
-                    fmt_float(value),
-                    fmt_float(bounds.est_outer_rate(lb)),
-                    fmt_float(bounds.comms_outer_rate(lb)),
-                    fmt_float(bounds.sic_comms_rate(lb)),
-                ]
-            )
-        write_csv(
-            out / "sweep_summary.csv",
-            ("value", "est_outer_rate_bps", "comms_outer_rate_bps", "sic_comms_rate_bps"),
-            summary_rows,
-        )
-        outputs.append("sweep_summary.csv")
-        outputs.append("manifest.json")
-        write_manifest(
-            out / "manifest.json",
-            command="sweep",
-            scenario_path=str(args.scenario),
-            parameters={
-                "vary": args.vary,
-                "values": values,
-                "alpha_points": args.alpha_points,
-            },
-            outputs=outputs,
-            tool_version=__version__,
-            seed=None,
-        )
-    except OSError as exc:
-        print(f"write error: {exc}", file=sys.stderr)
-        return 3
-    return 0
+COMMANDS = {
+    "region": cmd_region,
+    "pentagon": cmd_pentagon,
+    "validate": cmd_validate,
+    "sweep": cmd_sweep,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "region": cmd_region,
-        "pentagon": cmd_pentagon,
-        "validate": cmd_validate,
-        "sweep": cmd_sweep,
-    }
-    return handlers[args.command](args)
+    """Run one command: map its errors to exit codes, write its files, and
+    write the manifest last."""
+    args = build_parser().parse_args(argv)
+    try:
+        outcome = COMMANDS[args.command](args)
+    except ExperimentPreconditionError as exc:
+        print(f"precondition not met: {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, FileNotFoundError) as exc:  # includes ScenarioError
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+    try:
+        out = Path(
+            args.out if args.out is not None else os.environ.get("MUDR_OUT", ".")
+        )
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in outcome.files.items():
+            atomic_write_text(out / name, text)
+        write_manifest(
+            out / "manifest.json",
+            command=args.command,
+            scenario_path=getattr(args, "scenario", None),
+            parameters=outcome.parameters,
+            outputs=[*outcome.files, "manifest.json"],
+            tool_version=__version__,
+            seed=outcome.seed,
+        )
+    except OSError as exc:
+        print(f"write error: {exc}", file=sys.stderr)
+        return 3
+    if outcome.summary is not None:
+        print(outcome.summary)
+    return 0 if outcome.passed else 1
 
 
 def entry() -> None:

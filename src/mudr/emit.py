@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 import os
+import secrets
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 from xml.sax.saxutils import escape
 
 CurvePoints = Sequence[tuple[float, float]]
@@ -33,15 +34,24 @@ def fmt_float(x: float) -> str:
 
 
 def atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    """Write ``text`` through a uniquely named temp file in the same
+    directory, then rename it over ``path``; the temp file is removed if
+    the write fails. The file gets the umask default mode."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    fh = open(tmp, "x")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
+def csv_text(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(row) for row in rows)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def write_manifest(

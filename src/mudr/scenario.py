@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from importlib import resources
 from pathlib import Path
+from typing import Callable
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 # 2019 SI exact value, J/K
@@ -172,7 +173,8 @@ def derive_link_budget(s: Scenario) -> LinkBudget:
     """Derive the link budget from a validated scenario.
 
     Per target: a^2 = G_radar^2 lambda^2 sigma_rcs / ((4 pi)^3 r^4).
-    Comms path: b^2 = G_comms^2 lambda^2 / (4 pi r_comms)^2.
+    Comms path: b^2 = G_comms^2 lambda^2 / (4 pi r_comms)^2. A gain that
+    underflows to zero is rejected, naming the fields it depends on.
     """
     lam = SPEED_OF_LIGHT_M_S / s.center_freq_hz
     a_sq = tuple(
@@ -186,6 +188,14 @@ def derive_link_budget(s: Scenario) -> LinkBudget:
     sigma_tau_proc_sq = tuple(
         (2.0 * t.process_range_std_m / SPEED_OF_LIGHT_M_S) ** 2 for t in s.targets
     )
+    gains = [("comms path gain b^2", b_sq, "comms.antenna_gain_dbi, comms.range_m")]
+    for i, a in enumerate(a_sq):
+        where = f"targets[{i}].range_m, targets[{i}].cross_section_m2"
+        gains.append((f"target {i} gain a^2", a, f"radar.antenna_gain_dbi, {where}"))
+    for name, gain, depends_on in gains:
+        if not gain > 0:
+            raise ScenarioError(f"{name} underflows to {gain}; check the fields "
+                                f"{depends_on} and center_freq_hz")
     return LinkBudget(
         a_sq=a_sq,
         b_sq=b_sq,
@@ -208,9 +218,49 @@ def _require(obj: dict, key: str, context: str) -> object:
 
 def _number(obj: dict, key: str, context: str = "") -> float:
     value = _require(obj, key, context)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not isinstance(value, float):  # JSON integers are parsed as floats
         raise ScenarioError(f"field '{context}{key}' must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ScenarioError(f"field '{context}{key}' must be finite, got {value!r}")
     return float(value)
+
+
+def _linear(
+    obj: dict, key: str, context: str, convert: Callable[[float], float]
+) -> float:
+    """A dB-valued field converted to a finite, positive linear value."""
+    db = _number(obj, key, context)
+    try:
+        value = convert(db)
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise ScenarioError(
+            f"field '{context}{key}' = {db!r} is out of range in linear units"
+        )
+    return value
+
+
+# The keys each object of a scenario file may hold.
+_TOP_KEYS = {"bandwidth_hz", "center_freq_hz", "temperature_k", "comms", "radar",
+             "targets", "spectral_shape"}
+_COMMS_KEYS = {"range_m", "power_dbm", "antenna_gain_dbi"}
+_RADAR_KEYS = {"power_w", "antenna_gain_dbi", "duty_factor", "time_bandwidth"}
+_TARGET_KEYS = {"range_m", "cross_section_m2", "process_range_std_m"}
+
+
+def _object(value: object, keys: set[str], context: str) -> dict:
+    """``value`` as a JSON object holding no key outside ``keys``; ``context``
+    is its field path with a trailing dot, or "" at the top level."""
+    if not isinstance(value, dict):
+        raise ScenarioError(f"field '{context.rstrip('.')}' must be an object")
+    for key in value:
+        if key not in keys:
+            valid = ", ".join(sorted(keys))
+            raise ScenarioError(
+                f"unknown field '{context}{key}'; valid fields: {valid}"
+            )
+    return value
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -228,22 +278,20 @@ def load_scenario(path: str | Path) -> Scenario:
           "spectral_shape": "flat"
         }
 
-    dB-valued fields are converted to linear at load time.
+    dB-valued fields are converted to linear at load time. Unknown keys,
+    non-numbers and non-finite numbers are rejected with their field path.
     """
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        # an integer beyond the float range parses as inf
+        raw = json.loads(path.read_text(), parse_int=float)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"could not parse {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioError(f"scenario file {path} must contain a JSON object")
-
-    comms = _require(raw, "comms", "")
-    radar = _require(raw, "radar", "")
-    if not isinstance(comms, dict):
-        raise ScenarioError("field 'comms' must be an object")
-    if not isinstance(radar, dict):
-        raise ScenarioError("field 'radar' must be an object")
+    _object(raw, _TOP_KEYS, "")
+    comms = _object(_require(raw, "comms", ""), _COMMS_KEYS, "comms.")
+    radar = _object(_require(raw, "radar", ""), _RADAR_KEYS, "radar.")
 
     shape_name = _require(raw, "spectral_shape", "")
     try:
@@ -257,29 +305,32 @@ def load_scenario(path: str | Path) -> Scenario:
     targets_raw = _require(raw, "targets", "")
     if not isinstance(targets_raw, list) or len(targets_raw) == 0:
         raise ScenarioError("field 'targets' must be a nonempty list")
-    targets = tuple(
-        Target(
-            range_m=_number(t, "range_m", f"targets[{i}]."),
-            cross_section_m2=_number(t, "cross_section_m2", f"targets[{i}]."),
-            process_range_std_m=_number(t, "process_range_std_m", f"targets[{i}]."),
+    targets = []
+    for i, raw_target in enumerate(targets_raw):
+        context = f"targets[{i}]."
+        t = _object(raw_target, _TARGET_KEYS, context)
+        targets.append(
+            Target(
+                range_m=_number(t, "range_m", context),
+                cross_section_m2=_number(t, "cross_section_m2", context),
+                process_range_std_m=_number(t, "process_range_std_m", context),
+            )
         )
-        for i, t in enumerate(targets_raw)
-    )
 
     return Scenario(
         bandwidth_hz=_number(raw, "bandwidth_hz"),
         center_freq_hz=_number(raw, "center_freq_hz"),
         temperature_k=_number(raw, "temperature_k"),
         comms_range_m=_number(comms, "range_m", "comms."),
-        comms_power_w=dbm_to_watts(_number(comms, "power_dbm", "comms.")),
-        comms_antenna_gain_lin=db_to_linear(
-            _number(comms, "antenna_gain_dbi", "comms.")
+        comms_power_w=_linear(comms, "power_dbm", "comms.", dbm_to_watts),
+        comms_antenna_gain_lin=_linear(
+            comms, "antenna_gain_dbi", "comms.", db_to_linear
         ),
         radar_power_w=_number(radar, "power_w", "radar."),
-        radar_antenna_gain_lin=db_to_linear(
-            _number(radar, "antenna_gain_dbi", "radar.")
+        radar_antenna_gain_lin=_linear(
+            radar, "antenna_gain_dbi", "radar.", db_to_linear
         ),
-        targets=targets,
+        targets=tuple(targets),
         time_bandwidth=_number(radar, "time_bandwidth", "radar."),
         duty_factor=_number(radar, "duty_factor", "radar."),
         spectral_shape=shape,
@@ -295,25 +346,17 @@ def replace_scenario_field(s: Scenario, field: str, value: float) -> Scenario:
     """Return a copy of ``s`` with one numeric field replaced.
 
     Target fields (range_m, cross_section_m2, process_range_std_m) are
-    applied to every target. Raises ScenarioError for unknown fields.
+    applied to every target. Raises ScenarioError for unknown fields and
+    non-finite values.
     """
-    scenario_fields = {
-        "bandwidth_hz",
-        "center_freq_hz",
-        "temperature_k",
-        "comms_range_m",
-        "comms_power_w",
-        "comms_antenna_gain_lin",
-        "radar_power_w",
-        "radar_antenna_gain_lin",
-        "time_bandwidth",
-        "duty_factor",
-    }
-    target_fields = {"range_m", "cross_section_m2", "process_range_std_m"}
-    if field in scenario_fields:
-        return replace(s, **{field: value})
+    scenario_fields = {f.name for f in fields(Scenario)} - {"targets", "spectral_shape"}
+    target_fields = {f.name for f in fields(Target)}
+    if field not in scenario_fields | target_fields:
+        valid = ", ".join(sorted(scenario_fields | target_fields))
+        raise ScenarioError(f"unknown sweep field '{field}'; valid fields: {valid}")
+    if not math.isfinite(value):
+        raise ScenarioError(f"sweep field '{field}' must be finite, got {value}")
     if field in target_fields:
         new_targets = tuple(replace(t, **{field: value}) for t in s.targets)
         return replace(s, targets=new_targets)
-    valid = ", ".join(sorted(scenario_fields | target_fields))
-    raise ScenarioError(f"unknown sweep field '{field}'; valid fields: {valid}")
+    return replace(s, **{field: value})

@@ -27,6 +27,7 @@ from typing import Sequence
 from .bounds import (
     RateCurve,
     RatePoint,
+    _log_form_rate,
     _require_single_target,
     int_plus_noise_variance,
 )
@@ -35,11 +36,13 @@ from .scenario import LinkBudget
 
 @dataclass(frozen=True)
 class SubbandSplit:
-    """Water-filling state for one bandwidth fraction ``alpha``."""
+    """Water-filling state for one bandwidth fraction ``alpha``;
+    ``sigma_mix_w`` is the interference plus noise over the mixed subband."""
 
     alpha: float
     b_com_hz: float
     b_mix_hz: float
+    sigma_mix_w: float
     mu_com: float
     mu_mix: float
     nu: float
@@ -66,19 +69,33 @@ class WaterfillPoint:
         return self.r_com_com + self.r_com_mix
 
 
+@dataclass(frozen=True)
+class WaterfillCurve(RateCurve):
+    """Waterfill curve of the self-consistent splits; ``grid_points`` keeps
+    every evaluated split in grid order, so dropped ones can be reported."""
+
+    grid_points: tuple[WaterfillPoint, ...]
+
+
+def _subbands(lb: LinkBudget, alpha: float) -> tuple[float, ...]:
+    """(b_com, b_mix, sigma_mix, mu_com, mu_mix) for one split."""
+    _require_single_target(lb, "subband split")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
+    b_com = alpha * lb.bandwidth_hz
+    b_mix = lb.bandwidth_hz - b_com
+    sigma_mix = int_plus_noise_variance(lb, b_mix)
+    mu_com = lb.b_sq / (lb.kt_w_per_hz * b_com)
+    return b_com, b_mix, sigma_mix, mu_com, lb.b_sq / sigma_mix
+
+
 def subband_channels(lb: LinkBudget, alpha: float) -> tuple[float, float]:
     """Effective channel gains (mu_com, mu_mix) in 1/W.
 
     mu_com sees thermal noise over the clean subband; mu_mix sees the
     residual radar interference plus thermal noise over the mixed subband.
     """
-    _require_single_target(lb, "subband split")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
-    b_com = alpha * lb.bandwidth_hz
-    b_mix = lb.bandwidth_hz - b_com
-    mu_com = lb.b_sq / (lb.kt_w_per_hz * b_com)
-    mu_mix = lb.b_sq / int_plus_noise_variance(lb, b_mix)
+    _, _, _, mu_com, mu_mix = _subbands(lb, alpha)
     return mu_com, mu_mix
 
 
@@ -97,10 +114,8 @@ def power_split(lb: LinkBudget, alpha: float) -> SubbandSplit:
     budget to rounding. beta is clamped to [0, 1] against floating-point
     spill near the threshold, with a diagnostic flag.
     """
-    mu_com, mu_mix = subband_channels(lb, alpha)
+    b_com, b_mix, sigma_mix, mu_com, mu_mix = _subbands(lb, alpha)
     p = lb.comms_power_w
-    b_com = alpha * lb.bandwidth_hz
-    b_mix = lb.bandwidth_hz - b_com
 
     clamped = False
     if p >= dual_use_threshold_w(alpha, mu_com, mu_mix):
@@ -119,6 +134,7 @@ def power_split(lb: LinkBudget, alpha: float) -> SubbandSplit:
         alpha=alpha,
         b_com_hz=b_com,
         b_mix_hz=b_mix,
+        sigma_mix_w=sigma_mix,
         mu_com=mu_com,
         mu_mix=mu_mix,
         nu=nu,
@@ -143,26 +159,14 @@ def waterfill_point(
     if not kappa > 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
     split = power_split(lb, alpha)
-    kt = lb.kt_w_per_hz
 
-    arg_com = split.p_com_com_w * lb.b_sq / (kt * split.b_com_hz)
+    arg_com = split.p_com_com_w * lb.b_sq / (lb.kt_w_per_hz * split.b_com_hz)
     r_com_com = split.b_com_hz * math.log2(1.0 + arg_com)
 
-    sigma_int = int_plus_noise_variance(lb, split.b_mix_hz)
     r_com_mix = split.b_mix_hz * math.log2(
-        1.0 + lb.b_sq * split.p_com_mix_w / sigma_int
+        1.0 + lb.b_sq * split.p_com_mix_w / split.sigma_mix_w
     )
-
-    snr_radar = (
-        lb.sigma_tau_proc_sq[0]
-        * lb.gamma_sq
-        * split.b_mix_hz
-        * kappa
-        * lb.a_sq[0]
-        * lb.radar_power_w
-        / kt
-    )
-    r_est = split.b_mix_hz * (lb.duty_factor / kappa) * math.log2(1.0 + snr_radar)
+    r_est = _log_form_rate(lb, 0, split.b_mix_hz, kappa)
 
     # pulse duration kappa/B_mix must not exceed T_pri = TB/(delta B)
     self_consistent = kappa * lb.duty_factor <= lb.time_bandwidth * (1.0 - alpha)

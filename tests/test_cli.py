@@ -1,13 +1,18 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import tempfile
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from mudr import cli, mcsim
+from mudr import bounds, cli, mcsim, scenario as sc, waterfill
 from mudr.scenario import bundled_scenario_path
 
 SVG_NS = {"svg": "http://www.w3.org/2000/svg"}
@@ -87,10 +92,18 @@ def test_region_quiet_radar_collapses_to_axis(tmp_path):
 
 
 def test_region_invalid_scenario_exit_2(tmp_path, capsys):
-    scenario = write_variant(tmp_path, "bad.json", **{"radar.duty_factor": 0})
-    rc = run("region", "--scenario", scenario, "--out", tmp_path / "out")
-    assert rc == 2
-    assert "duty_factor" in capsys.readouterr().err
+    cases = [
+        ("radar.duty_factor", 0, "duty_factor"),
+        ("targets.0.process_range_std_m", math.nan, "targets[0].process_range_std_m"),
+        ("bandwidth_hz", math.inf, "bandwidth_hz"),
+        ("radar.power_w", -math.inf, "radar.power_w"),
+        ("radar.powr_w", 5, "radar.powr_w"),  # unknown key
+    ]
+    for i, (field, value, named) in enumerate(cases):
+        scenario = write_variant(tmp_path, f"bad{i}.json", **{field: value})
+        rc = run("region", "--scenario", scenario, "--out", tmp_path / "out")
+        assert rc == 2
+        assert named in capsys.readouterr().err
 
 
 def test_region_missing_file_exit_2(tmp_path):
@@ -269,6 +282,18 @@ def test_sweep_unknown_field_exit_2(tmp_path, capsys):
              "--values", "1", "--out", tmp_path)
     assert rc == 2
     assert "valid fields" in capsys.readouterr().err
+    for value in ("inf", "nan", "-inf"):
+        rc = run("sweep", "--scenario", bundled_scenario_path(), "--vary",
+                 "radar_power_w", "--values", f"100,{value}", "--out", tmp_path)
+        assert rc == 2
+        assert "radar_power_w" in capsys.readouterr().err
+    # a link gain that underflows to zero names the varied field
+    for field, value in (("radar_antenna_gain_lin", "1e-200"),
+                         ("cross_section_m2", "1e-320")):
+        rc = run("sweep", "--scenario", bundled_scenario_path(), "--vary", field,
+                 "--values", value, "--alpha-points", 5, "--out", tmp_path)
+        assert rc == 2
+        assert f"sweep field '{field}'" in capsys.readouterr().err
 
 
 # --- determinism and env var -------------------------------------------------------
@@ -293,3 +318,116 @@ def test_byte_identical_reruns(tmp_path):
         payload = (a / name).read_bytes()
         assert payload == (b / name).read_bytes()
         assert b"\r" not in payload  # LF line endings only
+
+
+# --- computed once ------------------------------------------------------------------
+
+
+def count_calls(monkeypatch, module, name, *aliases):
+    """Count calls of ``module.name``, patched under every module that looks
+    it up by that name."""
+    original = getattr(module, name)
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    for mod in (module, *aliases):
+        monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_region_evaluates_each_grid_point_once(tmp_path, monkeypatch):
+    points = count_calls(monkeypatch, waterfill, "waterfill_point")
+    variances = count_calls(monkeypatch, bounds, "int_plus_noise_variance", waterfill)
+    rc = run("region", "--scenario", bundled_scenario_path(), "--alpha-points", 50,
+             "--out", tmp_path)
+    assert rc == 0
+    assert points[0] == 50
+    assert variances[0] <= 51  # one per grid point plus the sic rate
+
+
+def test_sweep_derives_each_link_budget_once(tmp_path, monkeypatch):
+    budgets = count_calls(monkeypatch, sc, "derive_link_budget", cli)
+    rc = run("sweep", "--scenario", bundled_scenario_path(), "--vary",
+             "radar_power_w", "--values", "100,1000", "--alpha-points", 10,
+             "--out", tmp_path)
+    assert rc == 0
+    assert budgets[0] == 2
+
+
+# --- random scenario fields ---------------------------------------------------------
+
+# Paths into the bundled scenario: every leaf and every container.
+SCENARIO_PATHS = [
+    ("bandwidth_hz",),
+    ("center_freq_hz",),
+    ("temperature_k",),
+    ("spectral_shape",),
+    ("comms",),
+    ("comms", "range_m"),
+    ("comms", "power_dbm"),
+    ("comms", "antenna_gain_dbi"),
+    ("radar",),
+    ("radar", "power_w"),
+    ("radar", "antenna_gain_dbi"),
+    ("radar", "duty_factor"),
+    ("radar", "time_bandwidth"),
+    ("targets",),
+    ("targets", 0),
+    ("targets", 0, "range_m"),
+    ("targets", 0, "cross_section_m2"),
+    ("targets", 0, "process_range_std_m"),
+]
+OBJECT_PATHS = [(), ("comms",), ("radar",), ("targets", 0)]
+
+json_values = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.floats(max_value=0.0, exclude_max=True),
+    st.integers(max_value=-1),
+    st.text(max_size=8),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+)
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """The bundled scenario with one field replaced by a random JSON value
+    or one unknown key added; returns (scenario, name the error must carry)."""
+    raw = json.loads(bundled_scenario_path().read_text())
+
+    def parent_of(path):
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        return node
+
+    if draw(st.booleans()):
+        path = draw(st.sampled_from(SCENARIO_PATHS))
+        value = draw(json_values)
+    else:  # an unknown key
+        obj = draw(st.sampled_from(OBJECT_PATHS))
+        known = parent_of(obj + ("",))
+        key = draw(st.text(min_size=1, max_size=8).filter(lambda k: k not in known))
+        path = obj + (key,)
+        value = 1.0
+    parent_of(path)[path[-1]] = value
+    name = next(k for k in reversed(path) if isinstance(k, str))
+    return raw, name
+
+
+@given(mutated_scenarios())
+def test_region_random_field_values_exit_0_or_named_2(case):
+    raw, name = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(raw))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = run("region", "--scenario", path, "--alpha-points", 5,
+                     "--out", Path(tmp) / "out")
+    assert rc == 0 or (rc == 2 and name in err.getvalue()), (rc, err.getvalue())

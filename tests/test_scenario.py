@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -166,6 +167,90 @@ def test_replace_scenario_field_unknown():
     s = sc.load_scenario(sc.bundled_scenario_path())
     with pytest.raises(sc.ScenarioError, match="valid fields"):
         sc.replace_scenario_field(s, "warp_factor", 9.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_replace_scenario_field_non_finite(table2_scenario, value):
+    with pytest.raises(sc.ScenarioError, match="radar_power_w"):
+        sc.replace_scenario_field(table2_scenario, "radar_power_w", value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [math.nan, math.inf, -math.inf, pytest.param(10**400, id="int_beyond_float")],
+)
+@pytest.mark.parametrize(
+    "keys, path",
+    [
+        (("bandwidth_hz",), "bandwidth_hz"),
+        (("comms", "power_dbm"), "comms.power_dbm"),
+        (("radar", "time_bandwidth"), "radar.time_bandwidth"),
+        (("targets", 0, "process_range_std_m"), "targets[0].process_range_std_m"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_non_finite_number_rejected(tmp_path, keys, path, value):
+    def mutate(raw):
+        *parents, leaf = keys
+        for key in parents:
+            raw = raw[key]
+        raw[leaf] = value
+
+    with pytest.raises(sc.ScenarioError, match=re.escape(path)):
+        sc.load_scenario(_write_scenario(tmp_path, mutate))
+
+
+@pytest.mark.parametrize(
+    "keys, path",
+    [
+        (("radar", "powr_w"), "radar.powr_w"),
+        (("comms", "gain"), "comms.gain"),
+        (("targets", 0, "rcs"), "targets[0].rcs"),
+        (("notes",), "'notes'"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_unknown_key_rejected(tmp_path, keys, path):
+    def mutate(raw):
+        *parents, leaf = keys
+        for key in parents:
+            raw = raw[key]
+        raw[leaf] = 5
+
+    with pytest.raises(sc.ScenarioError, match=re.escape(path)):
+        sc.load_scenario(_write_scenario(tmp_path, mutate))
+
+
+def test_target_must_be_object(tmp_path):
+    path = _write_scenario(tmp_path, lambda r: r.update(targets=[5]))
+    with pytest.raises(sc.ScenarioError, match=re.escape("targets[0]")):
+        sc.load_scenario(path)
+
+
+@pytest.mark.parametrize("db", [1e6, -1e6])
+def test_db_field_out_of_linear_range(tmp_path, db):
+    path = _write_scenario(tmp_path, lambda r: r["comms"].update(power_dbm=db))
+    with pytest.raises(sc.ScenarioError, match="comms.power_dbm"):
+        sc.load_scenario(path)
+
+
+@pytest.mark.parametrize(
+    ("section", "key", "value", "field"),
+    [
+        ("comms", "antenna_gain_dbi", -2000, "comms.antenna_gain_dbi"),
+        ("radar", "antenna_gain_dbi", -2000, "radar.antenna_gain_dbi"),
+        (0, "cross_section_m2", 1e-320, "targets[0].cross_section_m2"),
+    ],
+)
+def test_gain_underflow_named(tmp_path, section, key, value, field):
+    def mutate(raw):
+        obj = raw["targets"][section] if section == 0 else raw[section]
+        obj[key] = value
+
+    path = _write_scenario(tmp_path, mutate)
+    with pytest.raises(sc.ScenarioError) as err:
+        sc.derive_link_budget(sc.load_scenario(path))
+    assert field in str(err.value)
 
 
 def test_gamma_sq_flat_value():
