@@ -252,7 +252,8 @@ def rate_region(lb: LinkBudget, alpha_grid: Sequence[float]) -> list[RateCurve]:
         RatePoint(p.r_est, p.r_com_total) for p in grid_points if p.self_consistent
     )
     if not wf_points:
-        raise ValueError("no self-consistent waterfill point on the given grid")
+        raise ValueError("no self-consistent waterfill point on the given grid; "
+                         "a split alpha needs duty_factor <= 1 - alpha")
     wf = waterfill.WaterfillCurve("waterfill", wf_points, grid_points)
 
     hull = waterfill.upper_convex_hull(interpolated.points + wf_points)

@@ -28,7 +28,6 @@ from .emit import (
 from .mcsim import ExperimentPreconditionError, WaveformSpec
 from .scenario import (
     Scenario,
-    ScenarioError,
     db_to_linear,
     derive_link_budget,
     load_scenario,
@@ -141,10 +140,7 @@ def _region_files(prefix: str, curves: list[bounds.RateCurve]) -> dict[str, str]
 
 
 def cmd_region(args: argparse.Namespace) -> Outcome:
-    scenario = load_scenario(args.scenario)
-    if args.alpha_points < 1:
-        raise ValueError("--alpha-points must be at least 1")
-    curves = _region_curves(scenario, args.alpha_points)
+    curves = _region_curves(load_scenario(args.scenario), args.alpha_points)
     return Outcome(
         files=_region_files("region", curves),
         parameters={"alpha_points": args.alpha_points},
@@ -232,11 +228,7 @@ def cmd_sweep(args: argparse.Namespace) -> Outcome:
     files: dict[str, str] = {}
     summary_rows = []
     for i, (value, variant) in enumerate(zip(values, variants)):
-        try:
-            curves = _region_curves(variant, args.alpha_points)
-        except ScenarioError as exc:
-            msg = f"sweep field '{args.vary}' = {value!r}: {exc}"
-            raise ScenarioError(msg) from None
+        curves = _region_curves(variant, args.alpha_points)
         files.update(_region_files(f"sweep_{i:03d}_region", curves))
         # outer's corner is (est_outer_rate, comms_outer_rate); sic is flat
         corner, sic = curves[0].points[1], curves[1].points[0]
@@ -269,6 +261,9 @@ def main(argv: list[str] | None = None) -> int:
     write the manifest last."""
     args = build_parser().parse_args(argv)
     try:
+        for flag in ("alpha_points", "trials"):
+            if getattr(args, flag, 1) < 1:
+                raise ValueError(f"--{flag.replace('_', '-')} must be at least 1")
         outcome = COMMANDS[args.command](args)
     except ExperimentPreconditionError as exc:
         print(f"precondition not met: {exc}", file=sys.stderr)

@@ -1,6 +1,6 @@
 """Seeded Monte Carlo checks of the two analytic variance claims.
 
-Two desk-scale experiments back the closed-form bounds:
+Three seeded experiments back the closed-form bounds:
 
 * ``crb_experiment`` runs repeated matched-filter delay estimations on a
   band-limited Gaussian waveform and compares the empirical squared error
@@ -9,15 +9,19 @@ Two desk-scale experiments back the closed-form bounds:
   from the waveform at the true (jittered) delay, exactly, and compares
   the measured residual power against the derivative-approximation
   formula behind the interference-plus-noise variance.
+* ``gamma_experiment`` measures the waveform's spectral-shape constant.
 
-Waveforms are synthesized in the frequency domain: independent complex
-Gaussian coefficients on the in-band bins give time samples that are
-Gaussian with a flat band-limited spectrum. Fractional delays are applied
-as frequency-domain phase ramps, which is exact for these (circular)
-band-limited signals, so discretization never competes with the variances
-under test. Receiver noise for the delay experiment is added to the
-frequency-domain coefficients; for white Gaussian noise this is exactly
-equivalent to adding it per time sample.
+The kernels work on the in-band DFT coefficients of an n-sample waveform:
+independent complex Gaussian coefficients on the in-band bins give
+Gaussian time samples with a flat band-limited spectrum, set to unit
+sample variance by Parseval (mean |s|^2 = sum |c|^2 / n^2). Fractional
+delays are phase ramps on the coefficients, exact for these (circular)
+band-limited signals, so discretization never competes with the
+variances under test. Delay-trial receiver noise is drawn on every bin,
+exactly as white noise per time sample; only its in-band part reaches
+the matched filter, whose output is the one inverse FFT of a delay
+trial. Residual power and the spectral-shape constant are sums over the
+in-band coefficients.
 
 Each trial draws from its own generator seeded by (seed, trial index), so
 results do not depend on execution order, and per-trial statistics are
@@ -45,8 +49,6 @@ class WaveformSpec:
 
     n_samples: int = 2048
     oversample: int = 8
-    spectral_shape: SpectralShape = SpectralShape.FLAT
-    unit_variance: bool = True
 
     def __post_init__(self) -> None:
         if self.n_samples <= 0 or self.oversample <= 0:
@@ -111,48 +113,53 @@ def _signed_bins(n: int) -> np.ndarray:
     return ((np.arange(n) + n // 2) % n) - n // 2
 
 
-def _band_mask(n: int, oversample: int) -> np.ndarray:
-    nb = n // oversample
+def _band_bins(spec: WaveformSpec) -> tuple[np.ndarray, np.ndarray]:
+    """DFT indices of the in-band bins in FFT order, and their frequencies
+    in cycles per sample."""
+    n, nb = spec.n_samples, spec.n_band_bins
     signed = _signed_bins(n)
-    half = nb // 2
-    return (signed >= -half) & (signed < nb - half)
+    band = np.flatnonzero((signed >= -(nb // 2)) & (signed < nb - nb // 2))
+    return band, signed[band] / n
 
 
-def _waveform_freq(spec: WaveformSpec, rng: np.random.Generator) -> np.ndarray:
-    """Frequency-domain coefficients of one waveform realization."""
-    if spec.spectral_shape is not SpectralShape.FLAT:
-        raise ValueError(f"unsupported spectral shape {spec.spectral_shape}")
-    n = spec.n_samples
-    mask = _band_mask(n, spec.oversample)
-    k = int(mask.sum())
-    coeffs = np.zeros(n, dtype=complex)
-    coeffs[mask] = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / math.sqrt(2)
-    if spec.unit_variance:
-        s = np.fft.ifft(coeffs)
-        scale = math.sqrt(float(np.mean(np.abs(s) ** 2)))
-        if scale > 0:
-            coeffs /= scale
-    return coeffs
+def _waveform_freq(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """The k in-band DFT coefficients of one unit-variance n-sample waveform."""
+    coeffs = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / math.sqrt(2)
+    # Parseval: the time samples' mean square is sum |c|^2 / n^2
+    return coeffs / (math.sqrt(float(np.sum(np.abs(coeffs) ** 2))) / n)
 
 
 def generate_waveform(spec: WaveformSpec, seed: int) -> np.ndarray:
-    """Complex time samples of one flat-spectrum band-limited waveform.
+    """Complex time samples of one flat-spectrum band-limited waveform with
+    unit sample variance; deterministic in ``seed``."""
+    band, _ = _band_bins(spec)
+    coeffs = np.zeros(spec.n_samples, dtype=complex)
+    coeffs[band] = _waveform_freq(np.random.default_rng(seed), len(coeffs), len(band))
+    return np.fft.ifft(coeffs)
 
-    Deterministic in ``seed``; unit sample variance when the waveform
-    spec asks for it.
-    """
-    rng = np.random.default_rng(seed)
-    return np.fft.ifft(_waveform_freq(spec, rng))
+
+def _gamma_sq(f: np.ndarray, power: np.ndarray) -> float:
+    """(2 pi B_rms)^2 / B^2 of a power spectrum at frequencies ``f`` in units of B."""
+    return (2.0 * math.pi) ** 2 * float(np.sum(f**2 * power) / np.sum(power))
 
 
 def measured_gamma_sq(samples: np.ndarray, oversample: int) -> float:
     """Spectral-shape constant (2 pi B_rms)^2 / B^2 from a periodogram."""
     n = len(samples)
-    power = np.abs(np.fft.fft(samples)) ** 2
     # frequency in units of B: the occupied band spans [-1/2, 1/2)
     f = _signed_bins(n) / n * oversample
-    b_rms_sq = float(np.sum(f**2 * power) / np.sum(power))
-    return (2.0 * math.pi) ** 2 * b_rms_sq
+    return _gamma_sq(f, np.abs(np.fft.fft(samples)) ** 2)
+
+
+def _parabolic_peak(corr: np.ndarray, lo: int, hi: int) -> float:
+    """Signed lag in samples of the ``|corr|`` peak inside [lo, hi), refined
+    to sub-sample precision with a three-point parabolic fit."""
+    mag = np.abs(corr[np.arange(lo - 1, hi + 1) % len(corr)])
+    i = int(np.argmax(mag[1:-1])) + 1
+    y0, y1, y2 = mag[i - 1], mag[i], mag[i + 1]
+    denom = y0 - 2.0 * y1 + y2
+    offset = min(0.5, max(-0.5, 0.5 * (y0 - y2) / denom)) if denom < 0 else 0.0
+    return lo - 1 + i + offset
 
 
 def matched_filter_delay(
@@ -173,21 +180,8 @@ def matched_filter_delay(
     lo, hi = search_window
     if hi <= lo:
         raise ValueError(f"empty search window [{lo}, {hi})")
-    n = len(observed)
     corr = np.fft.ifft(np.fft.fft(observed) * np.conj(np.fft.fft(reference)))
-    mag = np.abs(corr)
-    candidates = np.arange(lo, hi)
-    peak_lag = int(candidates[np.argmax(mag[candidates % n])])
-    y0 = mag[(peak_lag - 1) % n]
-    y1 = mag[peak_lag % n]
-    y2 = mag[(peak_lag + 1) % n]
-    denom = y0 - 2.0 * y1 + y2
-    if denom < 0:
-        offset = 0.5 * (y0 - y2) / denom
-        offset = min(0.5, max(-0.5, offset))
-    else:
-        offset = 0.0
-    return (peak_lag + offset) / sample_rate_hz
+    return _parabolic_peak(corr, lo, hi) / sample_rate_hz
 
 
 def integrated_snr(lb: LinkBudget, target_idx: int = 0) -> float:
@@ -205,7 +199,8 @@ def delay_error_trials(
     Each trial draws a fresh waveform (known at the receiver), a uniform
     sub-sample true delay around a fixed center, and frequency-domain
     noise scaled so the matched-filter output SNR equals the scenario's
-    integrated SNR.
+    integrated SNR. The matched-filter output is the inverse FFT of the
+    in-band cross-spectrum of observation and reference.
     """
     n = spec.n_samples
     fs = spec.oversample * lb.bandwidth_hz
@@ -217,23 +212,21 @@ def delay_error_trials(
     # matched-filter model.
     noise_var = 2.0 * n / isnr
     freq_noise_scale = math.sqrt(n * noise_var / 2.0)
-    f_norm = _signed_bins(n) / n
+    band, f_band = _band_bins(spec)
     center = n // 4
-    window = (center - 2 * spec.oversample, center + 2 * spec.oversample + 1)
+    lo, hi = center - 2 * spec.oversample, center + 2 * spec.oversample + 1
 
+    cross = np.zeros(n, dtype=complex)  # zero off the band on every trial
     errors = np.empty(trials)
     for t in range(trials):
         rng = _trial_rng(seed, t)
-        coeffs = _waveform_freq(spec, rng)
+        coeffs = _waveform_freq(rng, n, len(band))
         true_lag = center + rng.uniform(-0.5, 0.5)
-        ramp = np.exp(-2j * np.pi * f_norm * true_lag)
-        noise_f = freq_noise_scale * (
-            rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        )
-        observed = np.fft.ifft(coeffs * ramp + noise_f)
-        reference = np.fft.ifft(coeffs)
-        est_s = matched_filter_delay(observed, reference, window, fs)
-        errors[t] = est_s - true_lag / fs
+        ramp = np.exp(-2j * np.pi * f_band * true_lag)
+        noise_f = rng.standard_normal(n) + 1j * rng.standard_normal(n)  # every bin
+        observed = coeffs * ramp + freq_noise_scale * noise_f[band]
+        cross[band] = observed * np.conj(coeffs)
+        errors[t] = _parabolic_peak(np.fft.ifft(cross), lo, hi) / fs - true_lag / fs
     return errors
 
 
@@ -269,22 +262,22 @@ def residual_power_trials(
 ) -> np.ndarray:
     """Per-trial received residual power a^2 P_radar |s(t-tau) - s(t-tau_pre)|^2.
 
-    The shift by the drawn process jitter is applied exactly via a
-    frequency-domain phase ramp; no derivative approximation enters.
+    The shift by the drawn process jitter is applied exactly as a phase
+    ramp on the in-band coefficients; no derivative approximation enters.
     """
     n = spec.n_samples
     fs = spec.oversample * lb.bandwidth_hz
     sigma_tau = math.sqrt(lb.sigma_tau_proc_sq[0])
     scale = lb.a_sq[0] * lb.radar_power_w
-    f_norm = _signed_bins(n) / n
+    _, f_band = _band_bins(spec)
 
     powers = np.empty(trials)
     for t in range(trials):
         rng = _trial_rng(seed, t)
-        coeffs = _waveform_freq(spec, rng)
+        coeffs = _waveform_freq(rng, n, len(f_band))
         jitter_lag = rng.normal(0.0, sigma_tau) * fs
-        diff = np.fft.ifft(coeffs * (np.exp(-2j * np.pi * f_norm * jitter_lag) - 1.0))
-        powers[t] = scale * float(np.mean(np.abs(diff) ** 2))
+        diff = coeffs * (np.exp(-2j * np.pi * f_band * jitter_lag) - 1.0)
+        powers[t] = scale * (float(np.sum(np.abs(diff) ** 2)) / n**2)
     return powers
 
 
@@ -315,15 +308,21 @@ def residual_experiment(
     return _report("residual", trials, seed, empirical, analytic, tolerance=0.10)
 
 
+def gamma_sq_trials(spec: WaveformSpec, trials: int, seed: int) -> np.ndarray:
+    """Per-trial spectral-shape constant of one waveform realization."""
+    _, f_band = _band_bins(spec)
+    f = f_band * spec.oversample  # in units of B
+    measured = np.empty(trials)
+    for t in range(trials):
+        coeffs = _waveform_freq(_trial_rng(seed, t), spec.n_samples, len(f))
+        measured[t] = _gamma_sq(f, np.abs(coeffs) ** 2)
+    return measured
+
+
 def gamma_experiment(spec: WaveformSpec, trials: int, seed: int) -> McReport:
     """Measured spectral-shape constant vs (2 pi)^2 / 12 for a flat band."""
     if trials <= 0:
         raise ValueError("trials must be positive")
-    measured = np.empty(trials)
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
-        samples = np.fft.ifft(_waveform_freq(spec, rng))
-        measured[t] = measured_gamma_sq(samples, spec.oversample)
-    empirical = float(np.mean(measured))
+    empirical = float(np.mean(gamma_sq_trials(spec, trials, seed)))
     analytic = GAMMA_SQ[SpectralShape.FLAT]
     return _report("gamma", trials, seed, empirical, analytic, tolerance=0.05)

@@ -42,6 +42,40 @@ class SpectralShape(Enum):
 #: (2 pi B_rms)^2 = GAMMA_SQ[shape] * B^2 for a unit-variance waveform.
 GAMMA_SQ = {SpectralShape.FLAT: (2.0 * math.pi) ** 2 / 12.0}
 
+#: Valid closed range of every numeric Scenario and Target field in SI units,
+#: with the scenario-file field it is read from. Inside these ranges every
+#: link gain is positive and every rate formula finite, whatever the
+#: combination of values.
+FIELD_RANGES: dict[str, tuple[float, float, str]] = {
+    "bandwidth_hz": (1.0, 1e12, "bandwidth_hz"),
+    "center_freq_hz": (1e3, 1e15, "center_freq_hz"),
+    "temperature_k": (1e-3, 1e6, "temperature_k"),
+    "comms_range_m": (1e-3, 1e9, "comms.range_m"),
+    "comms_power_w": (1e-15, 1e9, "comms.power_dbm"),
+    "comms_antenna_gain_lin": (1e-10, 1e10, "comms.antenna_gain_dbi"),
+    "radar_power_w": (1e-15, 1e9, "radar.power_w"),
+    "radar_antenna_gain_lin": (1e-10, 1e10, "radar.antenna_gain_dbi"),
+    "time_bandwidth": (1.0, 1e12, "radar.time_bandwidth"),
+    "duty_factor": (1e-9, 1.0, "radar.duty_factor"),
+    "range_m": (1e-3, 1e12, "range_m"),
+    "cross_section_m2": (1e-12, 1e12, "cross_section_m2"),
+    "process_range_std_m": (0.0, 1e9, "process_range_std_m"),
+}
+
+
+def _check_ranges(obj: object) -> None:
+    """Reject the first field of ``obj`` outside its :data:`FIELD_RANGES` range."""
+    for f in fields(obj):
+        if f.name not in FIELD_RANGES:
+            continue
+        lo, hi, source = FIELD_RANGES[f.name]
+        value = getattr(obj, f.name)
+        if not lo <= value <= hi:
+            name = f.name if source == f.name else f"{f.name} (scenario field {source})"
+            raise ScenarioError(
+                f"{name} = {value!r} is outside its valid range [{lo:g}, {hi:g}]"
+            )
+
 
 @dataclass(frozen=True)
 class Target:
@@ -52,12 +86,7 @@ class Target:
     process_range_std_m: float
 
     def __post_init__(self) -> None:
-        if not self.range_m > 0:
-            raise ScenarioError("target range_m must be positive")
-        if not self.cross_section_m2 > 0:
-            raise ScenarioError("target cross_section_m2 must be positive")
-        if self.process_range_std_m < 0:
-            raise ScenarioError("target process_range_std_m must be nonnegative")
+        _check_ranges(self)
 
 
 @dataclass(frozen=True)
@@ -82,27 +111,7 @@ class Scenario:
     spectral_shape: SpectralShape = SpectralShape.FLAT
 
     def __post_init__(self) -> None:
-        positive = {
-            "bandwidth_hz": self.bandwidth_hz,
-            "center_freq_hz": self.center_freq_hz,
-            "temperature_k": self.temperature_k,
-            "comms_range_m": self.comms_range_m,
-            "comms_power_w": self.comms_power_w,
-            "comms_antenna_gain_lin": self.comms_antenna_gain_lin,
-            "radar_power_w": self.radar_power_w,
-            "radar_antenna_gain_lin": self.radar_antenna_gain_lin,
-        }
-        for name, value in positive.items():
-            if not value > 0:
-                raise ScenarioError(f"{name} must be positive, got {value}")
-        if not 0 < self.duty_factor <= 1:
-            raise ScenarioError(
-                f"duty_factor must lie in (0, 1], got {self.duty_factor}"
-            )
-        if not self.time_bandwidth >= 1:
-            raise ScenarioError(
-                f"time_bandwidth must be >= 1, got {self.time_bandwidth}"
-            )
+        _check_ranges(self)
         if len(self.targets) == 0:
             raise ScenarioError("targets must be a nonempty list")
         object.__setattr__(self, "targets", tuple(self.targets))
@@ -173,8 +182,8 @@ def derive_link_budget(s: Scenario) -> LinkBudget:
     """Derive the link budget from a validated scenario.
 
     Per target: a^2 = G_radar^2 lambda^2 sigma_rcs / ((4 pi)^3 r^4).
-    Comms path: b^2 = G_comms^2 lambda^2 / (4 pi r_comms)^2. A gain that
-    underflows to zero is rejected, naming the fields it depends on.
+    Comms path: b^2 = G_comms^2 lambda^2 / (4 pi r_comms)^2. Both are
+    positive and finite for any scenario inside :data:`FIELD_RANGES`.
     """
     lam = SPEED_OF_LIGHT_M_S / s.center_freq_hz
     a_sq = tuple(
@@ -188,14 +197,6 @@ def derive_link_budget(s: Scenario) -> LinkBudget:
     sigma_tau_proc_sq = tuple(
         (2.0 * t.process_range_std_m / SPEED_OF_LIGHT_M_S) ** 2 for t in s.targets
     )
-    gains = [("comms path gain b^2", b_sq, "comms.antenna_gain_dbi, comms.range_m")]
-    for i, a in enumerate(a_sq):
-        where = f"targets[{i}].range_m, targets[{i}].cross_section_m2"
-        gains.append((f"target {i} gain a^2", a, f"radar.antenna_gain_dbi, {where}"))
-    for name, gain, depends_on in gains:
-        if not gain > 0:
-            raise ScenarioError(f"{name} underflows to {gain}; check the fields "
-                                f"{depends_on} and center_freq_hz")
     return LinkBudget(
         a_sq=a_sq,
         b_sq=b_sq,
@@ -228,17 +229,12 @@ def _number(obj: dict, key: str, context: str = "") -> float:
 def _linear(
     obj: dict, key: str, context: str, convert: Callable[[float], float]
 ) -> float:
-    """A dB-valued field converted to a finite, positive linear value."""
+    """A dB-valued field in linear units; inf where the conversion overflows."""
     db = _number(obj, key, context)
     try:
-        value = convert(db)
+        return convert(db)
     except OverflowError:
-        value = math.inf
-    if not 0.0 < value < math.inf:
-        raise ScenarioError(
-            f"field '{context}{key}' = {db!r} is out of range in linear units"
-        )
-    return value
+        return math.inf
 
 
 # The keys each object of a scenario file may hold.
@@ -279,7 +275,8 @@ def load_scenario(path: str | Path) -> Scenario:
         }
 
     dB-valued fields are converted to linear at load time. Unknown keys,
-    non-numbers and non-finite numbers are rejected with their field path.
+    non-numbers, non-finite numbers and values outside
+    :data:`FIELD_RANGES` are rejected with their field path.
     """
     path = Path(path)
     try:
@@ -309,13 +306,11 @@ def load_scenario(path: str | Path) -> Scenario:
     for i, raw_target in enumerate(targets_raw):
         context = f"targets[{i}]."
         t = _object(raw_target, _TARGET_KEYS, context)
-        targets.append(
-            Target(
-                range_m=_number(t, "range_m", context),
-                cross_section_m2=_number(t, "cross_section_m2", context),
-                process_range_std_m=_number(t, "process_range_std_m", context),
-            )
-        )
+        values = {f.name: _number(t, f.name, context) for f in fields(Target)}
+        try:
+            targets.append(Target(**values))
+        except ScenarioError as exc:
+            raise ScenarioError(f"{context}{exc}") from None
 
     return Scenario(
         bandwidth_hz=_number(raw, "bandwidth_hz"),
@@ -346,17 +341,18 @@ def replace_scenario_field(s: Scenario, field: str, value: float) -> Scenario:
     """Return a copy of ``s`` with one numeric field replaced.
 
     Target fields (range_m, cross_section_m2, process_range_std_m) are
-    applied to every target. Raises ScenarioError for unknown fields and
-    non-finite values.
+    applied to every target. Raises ScenarioError naming ``field`` for an
+    unknown field or a value outside :data:`FIELD_RANGES`.
     """
     scenario_fields = {f.name for f in fields(Scenario)} - {"targets", "spectral_shape"}
     target_fields = {f.name for f in fields(Target)}
     if field not in scenario_fields | target_fields:
         valid = ", ".join(sorted(scenario_fields | target_fields))
         raise ScenarioError(f"unknown sweep field '{field}'; valid fields: {valid}")
-    if not math.isfinite(value):
-        raise ScenarioError(f"sweep field '{field}' must be finite, got {value}")
-    if field in target_fields:
-        new_targets = tuple(replace(t, **{field: value}) for t in s.targets)
-        return replace(s, targets=new_targets)
-    return replace(s, **{field: value})
+    try:
+        if field in target_fields:
+            new_targets = tuple(replace(t, **{field: value}) for t in s.targets)
+            return replace(s, targets=new_targets)
+        return replace(s, **{field: value})
+    except ScenarioError as exc:
+        raise ScenarioError(f"sweep field '{field}' = {value!r}: {exc}") from None

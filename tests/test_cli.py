@@ -98,12 +98,27 @@ def test_region_invalid_scenario_exit_2(tmp_path, capsys):
         ("bandwidth_hz", math.inf, "bandwidth_hz"),
         ("radar.power_w", -math.inf, "radar.power_w"),
         ("radar.powr_w", 5, "radar.powr_w"),  # unknown key
+        # finite but outside the field's valid range
+        ("bandwidth_hz", 1e200, "bandwidth_hz"),
+        ("bandwidth_hz", 1e-300, "bandwidth_hz"),
+        ("center_freq_hz", 1e-300, "center_freq_hz"),
+        ("comms.range_m", 1e200, "comms.range_m"),
+        ("comms.range_m", 1e-300, "comms.range_m"),
+        ("targets.0.range_m", 1e150, "targets[0].range_m"),
+        ("targets.0.range_m", 1e-300, "targets[0].range_m"),
+        ("targets.0.process_range_std_m", 1e200, "targets[0].process_range_std_m"),
+        ("radar.duty_factor", 1.0, "duty_factor"),  # no self-consistent split
     ]
     for i, (field, value, named) in enumerate(cases):
         scenario = write_variant(tmp_path, f"bad{i}.json", **{field: value})
-        rc = run("region", "--scenario", scenario, "--out", tmp_path / "out")
+        rc = run("region", "--scenario", scenario, "--alpha-points", 5,
+                 "--out", tmp_path / "out")
         assert rc == 2
         assert named in capsys.readouterr().err
+    rc = run("region", "--scenario", bundled_scenario_path(), "--alpha-points", 0,
+             "--out", tmp_path / "out")
+    assert rc == 2
+    assert "--alpha-points" in capsys.readouterr().err
 
 
 def test_region_missing_file_exit_2(tmp_path):
@@ -180,6 +195,11 @@ def test_validate_crb_low_isnr_exit_2(tmp_path, capsys):
              "--trials", 100, "--seed", 1, "--out", tmp_path)
     assert rc == 2
     assert "integrated SNR" in capsys.readouterr().err
+    for experiment in ("crb", "residual", "gamma"):
+        rc = run("validate", "--scenario", bundled_scenario_path(), "--experiment",
+                 experiment, "--trials", 0, "--seed", 1, "--out", tmp_path)
+        assert rc == 2
+        assert "--trials" in capsys.readouterr().err
 
 
 def test_validate_residual_premise_violation_exit_2(tmp_path, capsys):
@@ -287,13 +307,17 @@ def test_sweep_unknown_field_exit_2(tmp_path, capsys):
                  "radar_power_w", "--values", f"100,{value}", "--out", tmp_path)
         assert rc == 2
         assert "radar_power_w" in capsys.readouterr().err
-    # a link gain that underflows to zero names the varied field
+    # a value outside the field's valid range names the varied field
     for field, value in (("radar_antenna_gain_lin", "1e-200"),
                          ("cross_section_m2", "1e-320")):
         rc = run("sweep", "--scenario", bundled_scenario_path(), "--vary", field,
                  "--values", value, "--alpha-points", 5, "--out", tmp_path)
         assert rc == 2
         assert f"sweep field '{field}'" in capsys.readouterr().err
+    rc = run("sweep", "--scenario", bundled_scenario_path(), "--vary", "radar_power_w",
+             "--values", "100", "--alpha-points", 0, "--out", tmp_path)
+    assert rc == 2
+    assert "--alpha-points" in capsys.readouterr().err
 
 
 # --- determinism and env var -------------------------------------------------------
@@ -385,6 +409,9 @@ OBJECT_PATHS = [(), ("comms",), ("radar",), ("targets", 0)]
 json_values = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf]),
     st.floats(max_value=0.0, exclude_max=True),
+    st.floats(min_value=1e-300, max_value=1e300),
+    # log-uniform positive magnitudes
+    st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-300, 299)),
     st.integers(max_value=-1),
     st.text(max_size=8),
     st.booleans(),

@@ -73,9 +73,8 @@ def _delayed(coeffs: np.ndarray, lag: float) -> np.ndarray:
 
 def test_integer_delay_exact_recovery():
     spec = WaveformSpec(n_samples=1024, oversample=8)
-    rng = np.random.default_rng(1)
-    coeffs = mcsim._waveform_freq(spec, rng)
-    reference = np.fft.ifft(coeffs)
+    reference = mcsim.generate_waveform(spec, 1)
+    coeffs = np.fft.fft(reference)
     observed = _delayed(coeffs, 37.0)
     est = mcsim.matched_filter_delay(observed, reference, (0, 128))
     assert est == pytest.approx(37.0, abs=1e-9)
@@ -83,9 +82,8 @@ def test_integer_delay_exact_recovery():
 
 def test_half_sample_delay_with_dense_oracle():
     spec = WaveformSpec(n_samples=1024, oversample=8)
-    rng = np.random.default_rng(2)
-    coeffs = mcsim._waveform_freq(spec, rng)
-    reference = np.fft.ifft(coeffs)
+    reference = mcsim.generate_waveform(spec, 2)
+    coeffs = np.fft.fft(reference)
     true_lag = 40.5
     observed = _delayed(coeffs, true_lag)
 
@@ -121,9 +119,8 @@ def test_matched_filter_window_and_degenerate_input():
 
 def test_delay_in_seconds_scaling():
     spec = WaveformSpec(n_samples=1024, oversample=8)
-    rng = np.random.default_rng(4)
-    coeffs = mcsim._waveform_freq(spec, rng)
-    reference = np.fft.ifft(coeffs)
+    reference = mcsim.generate_waveform(spec, 4)
+    coeffs = np.fft.fft(reference)
     observed = _delayed(coeffs, 16.0)
     est_s = mcsim.matched_filter_delay(observed, reference, (0, 64), sample_rate_hz=4e7)
     assert est_s == pytest.approx(16.0 / 4e7, rel=1e-9)
@@ -207,9 +204,11 @@ def test_residual_experiment_passes_when_interference_dominates():
 
 def test_residual_trials_deterministic_and_prefix_stable():
     lb = lb_at_sigma_b(0.05, radar_power_w=2e7)
-    p1 = mcsim.residual_power_trials(lb, WaveformSpec(), 60, 5)
-    p2 = mcsim.residual_power_trials(lb, WaveformSpec(), 120, 5)
-    assert np.array_equal(p1, p2[:60])
+    for trials_of in (
+        lambda k: mcsim.residual_power_trials(lb, WaveformSpec(), k, 5),
+        lambda k: mcsim.gamma_sq_trials(WaveformSpec(), k, 5),
+    ):
+        assert np.array_equal(trials_of(60), trials_of(120)[:60])
 
 
 # --- spectral-shape experiment ---------------------------------------------------------
@@ -220,6 +219,78 @@ def test_gamma_experiment_passes():
     assert rep.passed
     assert rep.analytic == pytest.approx(GAMMA_SQ_FLAT, rel=1e-15)
     assert rep.rel_error < 0.05
+
+
+# --- in-band kernels against the time-domain path ----------------------------------
+#
+# Each trial is recomputed the way the kernels once ran it: the waveform is
+# normalised through its time samples and every measurement is taken on time
+# samples. The in-band kernels make the same draws, so trials must agree to
+# rounding: within 4 ulp of the delay's center lag for the delay errors, and
+# within 4 machine epsilons relative (4 ulp at the scale of the value) for the
+# residual powers and spectral-shape constants.
+
+EQUIV_TRIALS, EQUIV_SEED = 64, 17
+
+
+def _time_domain_coeffs(spec: WaveformSpec, rng: np.random.Generator) -> np.ndarray:
+    n, nb = spec.n_samples, spec.n_band_bins
+    signed = mcsim._signed_bins(n)
+    in_band = (signed >= -(nb // 2)) & (signed < nb - nb // 2)
+    k = int(in_band.sum())
+    coeffs = np.zeros(n, dtype=complex)
+    coeffs[in_band] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    coeffs[in_band] /= math.sqrt(2)
+    return coeffs / math.sqrt(float(np.mean(np.abs(np.fft.ifft(coeffs)) ** 2)))
+
+
+def _within_4_ulp(new: np.ndarray, old: list[float]) -> bool:
+    old = np.array(old)
+    return bool(np.all(np.abs(new - old) <= 4 * np.finfo(float).eps * np.abs(old)))
+
+
+def test_delay_kernel_matches_time_domain_path():
+    spec, lb = WaveformSpec(), lb_at_isnr(1000.0)
+    n = spec.n_samples
+    fs = spec.oversample * lb.bandwidth_hz
+    f = mcsim._signed_bins(n) / n
+    center = n // 4
+    window = (center - 2 * spec.oversample, center + 2 * spec.oversample + 1)
+    noise_scale = math.sqrt(n * (2.0 * n / mcsim.integrated_snr(lb)) / 2.0)
+    errors = mcsim.delay_error_trials(lb, spec, EQUIV_TRIALS, EQUIV_SEED)
+    for t in range(EQUIV_TRIALS):
+        rng = np.random.default_rng([EQUIV_SEED, t])
+        coeffs = _time_domain_coeffs(spec, rng)
+        true_lag = center + rng.uniform(-0.5, 0.5)
+        noise = noise_scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        observed = np.fft.ifft(coeffs * np.exp(-2j * np.pi * f * true_lag) + noise)
+        est_s = mcsim.matched_filter_delay(observed, np.fft.ifft(coeffs), window, fs)
+        assert abs(errors[t] - (est_s - true_lag / fs)) <= 4 * np.spacing(center / fs)
+
+
+def test_residual_kernel_matches_time_domain_path():
+    spec, lb = WaveformSpec(), lb_at_sigma_b(0.05, radar_power_w=2e7)
+    n = spec.n_samples
+    f = mcsim._signed_bins(n) / n
+    fs = spec.oversample * lb.bandwidth_hz
+    old = []
+    for t in range(EQUIV_TRIALS):
+        rng = np.random.default_rng([EQUIV_SEED, t])
+        coeffs = _time_domain_coeffs(spec, rng)
+        lag = rng.normal(0.0, math.sqrt(lb.sigma_tau_proc_sq[0])) * fs
+        diff = np.fft.ifft(coeffs * (np.exp(-2j * np.pi * f * lag) - 1.0))
+        old.append(lb.a_sq[0] * lb.radar_power_w * float(np.mean(np.abs(diff) ** 2)))
+    new = mcsim.residual_power_trials(lb, spec, EQUIV_TRIALS, EQUIV_SEED)
+    assert _within_4_ulp(new, old)
+
+
+def test_gamma_kernel_matches_time_domain_path():
+    spec = WaveformSpec()
+    old = []
+    for t in range(EQUIV_TRIALS):
+        coeffs = _time_domain_coeffs(spec, np.random.default_rng([EQUIV_SEED, t]))
+        old.append(mcsim.measured_gamma_sq(np.fft.ifft(coeffs), spec.oversample))
+    assert _within_4_ulp(mcsim.gamma_sq_trials(spec, EQUIV_TRIALS, EQUIV_SEED), old)
 
 
 # --- report container --------------------------------------------------------------------
