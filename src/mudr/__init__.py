@@ -49,11 +49,14 @@ from .scenario import (
 )
 from .waterfill import (
     SubbandSplit,
+    WaterfillCurve,
+    WaterfillGrid,
     WaterfillPoint,
     power_split,
     subband_channels,
     upper_convex_hull,
     waterfill_curve,
+    waterfill_grid,
     waterfill_point,
     waterfill_points,
 )

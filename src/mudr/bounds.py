@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .scenario import LinkBudget
 
 
@@ -23,6 +25,25 @@ class DegenerateLinkError(ValueError):
 
 class MultiTargetError(ValueError):
     """Operation is defined for single-target link budgets only."""
+
+
+def _elementwise(fn):
+    """``fn`` applied to each element of an array, giving a float array; a
+    scalar gives a Python float. Closed forms that take either use it for
+    ``log2`` and powers: numpy's SIMD ``log2`` and ``x**2`` differ from
+    ``math.log2`` and CPython's float pow by up to a few ulp, and every
+    array element must equal the scalar formula's value bit for bit."""
+    ufunc = np.frompyfunc(fn, 1, 1)
+
+    def apply(x):
+        out = ufunc(x)
+        return out.astype(float) if isinstance(out, np.ndarray) else out
+
+    return apply
+
+
+_log2 = _elementwise(math.log2)
+_square = _elementwise(lambda x: x**2)
 
 
 @dataclass(frozen=True)
@@ -37,6 +58,10 @@ class RatePoint:
             if not math.isfinite(v) or v < 0:
                 raise ValueError(f"{name} must be finite and nonnegative, got {v}")
 
+    def __iter__(self):
+        """Unpack as the pair ``r_est, r_com``."""
+        return iter((self.r_est, self.r_com))
+
 
 @dataclass(frozen=True)
 class RateCurve:
@@ -49,6 +74,10 @@ class RateCurve:
         if len(self.points) == 0:
             raise ValueError("a rate curve needs at least one point")
         object.__setattr__(self, "points", tuple(self.points))
+
+    def xy(self) -> list[tuple[float, float]]:
+        """The points as (r_est, r_com) float pairs."""
+        return [(p.r_est, p.r_com) for p in self.points]
 
 
 @dataclass(frozen=True)
@@ -129,10 +158,11 @@ def est_outer_rate(lb: LinkBudget) -> float:
     return total
 
 
-def _log_form_rate(lb: LinkBudget, m: int, bandwidth_hz: float, kappa: float) -> float:
+def _log_form_rate(lb: LinkBudget, m: int, bandwidth_hz, kappa: float):
     """Estimation rate of target ``m`` in bits/s for a radar on bandwidth bw
     with waveform integration kappa: bw log2(1 + sigma_proc^2 gamma^2 bw
-    kappa a^2 P_radar / (k_B T_temp)) raised to delta/kappa."""
+    kappa a^2 P_radar / (k_B T_temp)) raised to delta/kappa. ``bandwidth_hz``
+    is a float or an array of them."""
     snr = (
         lb.sigma_tau_proc_sq[m]
         * lb.gamma_sq
@@ -142,7 +172,7 @@ def _log_form_rate(lb: LinkBudget, m: int, bandwidth_hz: float, kappa: float) ->
         * lb.radar_power_w
         / lb.kt_w_per_hz
     )
-    return bandwidth_hz * (lb.duty_factor / kappa) * math.log2(1.0 + snr)
+    return bandwidth_hz * (lb.duty_factor / kappa) * _log2(1.0 + snr)
 
 
 def est_outer_rate_log_form(lb: LinkBudget) -> float:
@@ -155,20 +185,25 @@ def est_outer_rate_log_form(lb: LinkBudget) -> float:
     return sum(_log_form_rate(lb, m, b, tb) for m in range(lb.n_targets))
 
 
-def int_plus_noise_variance(lb: LinkBudget, bandwidth_hz: float) -> float:
+def int_plus_noise_variance(lb: LinkBudget, bandwidth_hz):
     """Residual radar interference plus thermal noise, in watts.
 
     The predicted radar return is subtracted at the receiver; what is left
     is the derivative-scale residual of the delay-process jitter, with
     mean-square power P_radar a^2 gamma^2 bw^2 sigma_proc^2 per target,
-    plus thermal noise over ``bandwidth_hz``.
+    plus thermal noise over ``bandwidth_hz``: a float, or an array of
+    them for an array result.
     """
-    if not 0 < bandwidth_hz <= lb.bandwidth_hz:
+    bw = np.asarray(bandwidth_hz, dtype=float)
+    outside = ~((0 < bw) & (bw <= lb.bandwidth_hz))
+    if outside.any():
         raise ValueError(
-            f"bandwidth_hz must lie in (0, {lb.bandwidth_hz}], got {bandwidth_hz}"
+            f"bandwidth_hz must lie in (0, {lb.bandwidth_hz}], "
+            f"got {float(bw[outside][0])}"
         )
+    bw_sq = _square(bandwidth_hz)
     residual = lb.radar_power_w * sum(
-        a_sq * lb.gamma_sq * bandwidth_hz**2 * proc_sq
+        a_sq * lb.gamma_sq * bw_sq * proc_sq
         for a_sq, proc_sq in zip(lb.a_sq, lb.sigma_tau_proc_sq)
     )
     return residual + lb.kt_w_per_hz * bandwidth_hz
@@ -210,7 +245,7 @@ def interpolated_inner(lb: LinkBudget) -> RateCurve:
     return rate_region(lb, [0.0])[2]
 
 
-def rate_region(lb: LinkBudget, alpha_grid: Sequence[float]) -> list[RateCurve]:
+def rate_region(lb: LinkBudget, alpha_grid: Sequence[float]) -> list:
     """All displayed curves for one scenario, from one pass over the grid.
 
     Returns, in order: "outer" (rectangle edges), "sic" (horizontal line
@@ -219,16 +254,17 @@ def rate_region(lb: LinkBudget, alpha_grid: Sequence[float]) -> list[RateCurve]:
     "hull" (upper convex hull of the two inner curves). Leading grid
     values of exactly 0 map to the analytic limit of the waterfill point,
     which is the cancellation vertex; the rest go to
-    :func:`mudr.waterfill.waterfill_points`. The "waterfill" curve is a
-    :class:`mudr.waterfill.WaterfillCurve`, so it also carries every
-    evaluated split, self-consistent or not.
+    :func:`mudr.waterfill.waterfill_grid` in one call. The "waterfill"
+    curve is a :class:`mudr.waterfill.WaterfillCurve`, so it also carries
+    every evaluated split, self-consistent or not; the others are
+    :class:`RateCurve`.
     """
     from . import waterfill
 
     _require_single_target(lb, "rate region")
     grid = list(alpha_grid)
     n_zero = next((i for i, a in enumerate(grid) if a != 0.0), len(grid))
-    grid_points = tuple(waterfill.waterfill_points(lb, grid[n_zero:]))
+    columns = waterfill.waterfill_grid(lb, grid[n_zero:])
 
     r_est_max = est_outer_rate(lb)
     r_com_max = comms_outer_rate(lb)
@@ -247,14 +283,6 @@ def rate_region(lb: LinkBudget, alpha_grid: Sequence[float]) -> list[RateCurve]:
     interpolated = RateCurve(
         label="interpolated", points=(RatePoint(0.0, r_com_max), vertex)
     )
-
-    wf_points = (vertex,) * n_zero + tuple(
-        RatePoint(p.r_est, p.r_com_total) for p in grid_points if p.self_consistent
-    )
-    if not wf_points:
-        raise ValueError("no self-consistent waterfill point on the given grid; "
-                         "a split alpha needs duty_factor <= 1 - alpha")
-    wf = waterfill.WaterfillCurve("waterfill", wf_points, grid_points)
-
-    hull = waterfill.upper_convex_hull(interpolated.points + wf_points)
+    wf = waterfill.WaterfillCurve(columns, head=(vertex,) * n_zero)
+    hull = waterfill.upper_convex_hull(interpolated.xy() + wf.xy())
     return [outer, sic, interpolated, wf, hull]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -28,11 +27,16 @@ from .emit import (
 from .mcsim import ExperimentPreconditionError, WaveformSpec
 from .scenario import (
     Scenario,
+    check_range,
     db_to_linear,
     derive_link_budget,
     load_scenario,
     replace_scenario_field,
 )
+
+#: Valid closed range of the ``pentagon`` SNR arguments, in dB: wide
+#: enough for any link, and narrow enough that 1 + snr1 + snr2 stays finite.
+SNR_DB_RANGE = (-300.0, 300.0)
 
 REGION_CSV_HEADER = (
     "curve_label",
@@ -69,8 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_pent = sub.add_parser(
         "pentagon", help="two-user multiple-access pentagon from SNRs in dB"
     )
-    p_pent.add_argument("snr1_db", type=float)
-    p_pent.add_argument("snr2_db", type=float)
+    snr_help = "SNR in dB, within [{:g}, {:g}]".format(*SNR_DB_RANGE)
+    p_pent.add_argument("snr1_db", type=float, help=snr_help)
+    p_pent.add_argument("snr2_db", type=float, help=snr_help)
     p_pent.add_argument("--out", **out_kwargs)
 
     p_val = sub.add_parser("validate", help="run a seeded Monte Carlo validation")
@@ -97,39 +102,49 @@ def build_parser() -> argparse.ArgumentParser:
 @dataclass(frozen=True)
 class Outcome:
     """What a command computed: output name -> text in write order, the
-    manifest fields, and for ``validate`` a line to print once all is
-    written and whether the check passed."""
+    manifest fields (``counters`` for the region grids), and for
+    ``validate`` a line to print once all is written and whether the check
+    passed."""
 
     files: dict[str, str]
     parameters: dict
     seed: int | None = None
+    counters: dict | list | None = None
     summary: str | None = None
     passed: bool = True
 
 
-def _region_curves(scenario: Scenario, alpha_points: int) -> list[bounds.RateCurve]:
+Curves = list["bounds.RateCurve | waterfill.WaterfillCurve"]
+
+
+def _region_curves(scenario: Scenario, alpha_points: int) -> Curves:
     lb = derive_link_budget(scenario)
     return bounds.rate_region(lb, waterfill.default_alpha_grid(alpha_points))
 
 
-def _region_rows(curves: list[bounds.RateCurve]) -> Iterator[list[str]]:
+def _region_rows(curves: Curves) -> Iterator[list[str]]:
     """CSV rows per curve point; waterfill rows keep every grid point,
     flagged by self-consistency."""
     for curve in curves:
         if isinstance(curve, waterfill.WaterfillCurve):
-            for p in curve.grid_points:
-                flag = "true" if p.self_consistent else "false"
-                yield ["waterfill", fmt_float(p.split.alpha), fmt_float(p.r_est),
-                       fmt_float(p.r_com_total), flag]
+            # repr of the Python floats from tolist() is fmt_float's format
+            g = curve.grid
+            for alpha, r_est, r_com, ok in zip(
+                map(repr, g.alpha.tolist()),
+                map(repr, g.r_est.tolist()),
+                map(repr, g.r_com_total.tolist()),
+                g.self_consistent.tolist(),
+            ):
+                yield ["waterfill", alpha, r_est, r_com, "true" if ok else "false"]
         else:
             for pt in curve.points:
                 r_est, r_com = fmt_float(pt.r_est), fmt_float(pt.r_com)
                 yield [curve.label, "nan", r_est, r_com, "true"]
 
 
-def _region_files(prefix: str, curves: list[bounds.RateCurve]) -> dict[str, str]:
+def _region_files(prefix: str, curves: Curves) -> dict[str, str]:
     svg = render_curves_svg(
-        [(c.label, [(p.r_est, p.r_com) for p in c.points]) for c in curves],
+        [(c.label, c.xy()) for c in curves],
         x_label="estimation rate (bits/s)",
         y_label="communications rate (bits/s)",
     )
@@ -144,12 +159,14 @@ def cmd_region(args: argparse.Namespace) -> Outcome:
     return Outcome(
         files=_region_files("region", curves),
         parameters={"alpha_points": args.alpha_points},
+        # rate_region's fourth curve is the waterfill curve
+        counters=curves[3].grid.counters(),
     )
 
 
 def cmd_pentagon(args: argparse.Namespace) -> Outcome:
-    if not (math.isfinite(args.snr1_db) and math.isfinite(args.snr2_db)):
-        raise ValueError("SNRs must be finite dB values")
+    for name in ("snr1_db", "snr2_db"):
+        check_range(name, getattr(args, name), *SNR_DB_RANGE)
     region = bounds.ma_pentagon(db_to_linear(args.snr1_db), db_to_linear(args.snr2_db))
 
     va, vb = region.vertex_a, region.vertex_b
@@ -226,10 +243,11 @@ def cmd_sweep(args: argparse.Namespace) -> Outcome:
     variants = [replace_scenario_field(scenario, args.vary, v) for v in values]
 
     files: dict[str, str] = {}
-    summary_rows = []
+    summary_rows, counters = [], []
     for i, (value, variant) in enumerate(zip(values, variants)):
         curves = _region_curves(variant, args.alpha_points)
         files.update(_region_files(f"sweep_{i:03d}_region", curves))
+        counters.append(curves[3].grid.counters())
         # outer's corner is (est_outer_rate, comms_outer_rate); sic is flat
         corner, sic = curves[0].points[1], curves[1].points[0]
         row = (value, corner.r_est, corner.r_com, sic.r_com)
@@ -245,6 +263,7 @@ def cmd_sweep(args: argparse.Namespace) -> Outcome:
             "values": values,
             "alpha_points": args.alpha_points,
         },
+        counters=counters,
     )
 
 
@@ -287,6 +306,7 @@ def main(argv: list[str] | None = None) -> int:
             outputs=[*outcome.files, "manifest.json"],
             tool_version=__version__,
             seed=outcome.seed,
+            counters=outcome.counters,
         )
     except OSError as exc:
         print(f"write error: {exc}", file=sys.stderr)

@@ -62,7 +62,9 @@ def write_manifest(
     outputs: list[str],
     tool_version: str,
     seed: int | None,
+    counters: dict | list | None = None,
 ) -> None:
+    """Write the run manifest; ``counters`` is added only when given."""
     manifest = {
         "command": command,
         "scenario_path": scenario_path,
@@ -71,6 +73,8 @@ def write_manifest(
         "tool_version": tool_version,
         "seed": seed,
     }
+    if counters is not None:
+        manifest["counters"] = counters
     atomic_write_text(path, json.dumps(manifest, indent=2) + "\n")
 
 

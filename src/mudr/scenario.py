@@ -63,18 +63,22 @@ FIELD_RANGES: dict[str, tuple[float, float, str]] = {
 }
 
 
+def check_range(name: str, value: float, lo: float, hi: float) -> None:
+    """Reject ``value`` (NaN included) outside the closed range [lo, hi]."""
+    if not lo <= value <= hi:
+        raise ScenarioError(
+            f"{name} = {value!r} is outside its valid range [{lo:g}, {hi:g}]"
+        )
+
+
 def _check_ranges(obj: object) -> None:
     """Reject the first field of ``obj`` outside its :data:`FIELD_RANGES` range."""
     for f in fields(obj):
         if f.name not in FIELD_RANGES:
             continue
         lo, hi, source = FIELD_RANGES[f.name]
-        value = getattr(obj, f.name)
-        if not lo <= value <= hi:
-            name = f.name if source == f.name else f"{f.name} (scenario field {source})"
-            raise ScenarioError(
-                f"{name} = {value!r} is outside its valid range [{lo:g}, {hi:g}]"
-            )
+        name = f.name if source == f.name else f"{f.name} (scenario field {source})"
+        check_range(name, getattr(obj, f.name), lo, hi)
 
 
 @dataclass(frozen=True)

@@ -16,17 +16,23 @@ over an alpha sweep, so the pulse duration implicitly stretches as the
 mixed subband narrows; points where it would exceed the pulse repetition
 interval are flagged not self-consistent and dropped from published
 curves.
+
+:func:`waterfill_grid` evaluates every split of a grid in one pass over
+numpy arrays and returns them as columns (:class:`WaterfillGrid`); the
+one-split functions and :class:`WaterfillPoint` lists are views on it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .bounds import (
     RateCurve,
     RatePoint,
+    _log2,
     _log_form_rate,
     _require_single_target,
     int_plus_noise_variance,
@@ -69,116 +75,201 @@ class WaterfillPoint:
         return self.r_com_com + self.r_com_mix
 
 
-@dataclass(frozen=True)
-class WaterfillCurve(RateCurve):
-    """Waterfill curve of the self-consistent splits; ``grid_points`` keeps
-    every evaluated split in grid order, so dropped ones can be reported."""
+@dataclass(frozen=True, eq=False)
+class WaterfillGrid:
+    """Every split of one alpha grid as columns, one array entry per alpha:
+    the :class:`SubbandSplit` state, the :class:`WaterfillPoint` rates and
+    the self-consistency flag; ``kappa`` is the waveform integration held
+    fixed across the grid."""
 
-    grid_points: tuple[WaterfillPoint, ...]
+    alpha: np.ndarray
+    b_com: np.ndarray
+    b_mix: np.ndarray
+    sigma_mix: np.ndarray
+    mu_com: np.ndarray
+    mu_mix: np.ndarray
+    nu: np.ndarray
+    beta: np.ndarray
+    beta_clamped: np.ndarray
+    p_com_com: np.ndarray
+    p_com_mix: np.ndarray
+    r_com_com: np.ndarray
+    r_com_mix: np.ndarray
+    r_est: np.ndarray
+    self_consistent: np.ndarray
+    kappa: float
+
+    @property
+    def r_com_total(self) -> np.ndarray:
+        return self.r_com_com + self.r_com_mix
+
+    def counters(self) -> dict[str, int]:
+        """Splits evaluated, dropped as not self-consistent, and with beta
+        clamped into [0, 1]."""
+        return {
+            "grid_points": len(self.alpha),
+            "not_self_consistent": int(np.count_nonzero(~self.self_consistent)),
+            "beta_clamped": int(np.count_nonzero(self.beta_clamped)),
+        }
 
 
-def _subbands(lb: LinkBudget, alpha: float) -> tuple[float, ...]:
-    """(b_com, b_mix, sigma_mix, mu_com, mu_mix) for one split."""
-    _require_single_target(lb, "subband split")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
-    b_com = alpha * lb.bandwidth_hz
-    b_mix = lb.bandwidth_hz - b_com
-    sigma_mix = int_plus_noise_variance(lb, b_mix)
-    mu_com = lb.b_sq / (lb.kt_w_per_hz * b_com)
-    return b_com, b_mix, sigma_mix, mu_com, lb.b_sq / sigma_mix
+@dataclass(frozen=True, eq=False)
+class WaterfillCurve:
+    """Waterfill inner-bound curve: ``head`` (copies of the cancellation
+    vertex standing for alpha = 0) then the self-consistent splits of
+    ``grid``, which keeps every evaluated split so dropped ones can be
+    reported."""
+
+    grid: WaterfillGrid
+    head: tuple[RatePoint, ...] = ()
+    label = "waterfill"
+
+    def __post_init__(self) -> None:
+        if not self.head and not self.grid.self_consistent.any():
+            raise ValueError("no self-consistent waterfill point on the given grid; "
+                             "a split alpha needs duty_factor <= 1 - alpha")
+
+    def xy(self) -> list[tuple[float, float]]:
+        """The curve's points as (r_est, r_com) float pairs."""
+        keep = self.grid.self_consistent
+        return [(p.r_est, p.r_com) for p in self.head] + list(
+            zip(self.grid.r_est[keep].tolist(), self.grid.r_com_total[keep].tolist())
+        )
+
+    @property
+    def points(self) -> tuple[RatePoint, ...]:
+        return tuple(RatePoint(x, y) for x, y in self.xy())
 
 
-def subband_channels(lb: LinkBudget, alpha: float) -> tuple[float, float]:
-    """Effective channel gains (mu_com, mu_mix) in 1/W.
-
-    mu_com sees thermal noise over the clean subband; mu_mix sees the
-    residual radar interference plus thermal noise over the mixed subband.
-    """
-    _, _, _, mu_com, mu_mix = _subbands(lb, alpha)
-    return mu_com, mu_mix
-
-
-def dual_use_threshold_w(alpha: float, mu_com: float, mu_mix: float) -> float:
-    """Minimum communications power at which the mixed subband gets power."""
+def dual_use_threshold_w(alpha, mu_com, mu_mix):
+    """Minimum communications power at which the mixed subband gets power;
+    floats or arrays of them."""
     return alpha / ((1.0 - alpha) * mu_mix) - 1.0 / mu_com
 
 
-def power_split(lb: LinkBudget, alpha: float) -> SubbandSplit:
-    """Water-fill the communications power across the two subbands.
+def waterfill_grid(
+    lb: LinkBudget, alpha_grid: Sequence[float], kappa: float | None = None
+) -> WaterfillGrid:
+    """Water-fill the communications power across the two subbands for
+    every split of ``alpha_grid`` at once, as arrays.
 
+    mu_com sees thermal noise over the clean subband; mu_mix sees the
+    residual radar interference plus thermal noise over the mixed subband.
     Above the dual-use threshold the water level is
     nu = P_com + 1/mu_com + 1/mu_mix and the clean-band power fraction is
     beta = alpha + ((alpha - 1)/mu_com + alpha/mu_mix) / P_com; otherwise
     beta = 1. Subband powers are computed from beta so they conserve the
     budget to rounding. beta is clamped to [0, 1] against floating-point
     spill near the threshold, with a diagnostic flag.
+
+    ``kappa`` defaults to the scenario's time-bandwidth product. A split
+    is self-consistent while the implied pulse duration kappa/B_mix stays
+    within the pulse repetition interval. Every column equals the scalar
+    closed form evaluated per alpha, bit for bit.
     """
-    b_com, b_mix, sigma_mix, mu_com, mu_mix = _subbands(lb, alpha)
+    _require_single_target(lb, "subband split")
+    if kappa is None:
+        kappa = lb.time_bandwidth
+    if not kappa > 0:
+        raise ValueError(f"kappa must be positive, got {kappa}")
+    alpha = np.array(alpha_grid, dtype=float)
+    outside = ~((0.0 < alpha) & (alpha < 1.0))
+    if outside.any():
+        raise ValueError("alpha grid values must lie strictly inside (0, 1), "
+                         f"got {float(alpha[outside][0])}")
+    if np.any(alpha[1:] < alpha[:-1]):
+        raise ValueError("alpha grid must be sorted ascending")
+
+    b_com = alpha * lb.bandwidth_hz
+    b_mix = lb.bandwidth_hz - b_com
+    sigma_mix = int_plus_noise_variance(lb, b_mix)
+    mu_com = lb.b_sq / (lb.kt_w_per_hz * b_com)
+    mu_mix = lb.b_sq / sigma_mix
     p = lb.comms_power_w
 
-    clamped = False
-    if p >= dual_use_threshold_w(alpha, mu_com, mu_mix):
-        nu = p + 1.0 / mu_com + 1.0 / mu_mix
-        beta = alpha + ((alpha - 1.0) / mu_com + alpha / mu_mix) / p
-        if beta < 0.0:
-            beta, clamped = 0.0, True
-        elif beta > 1.0:
-            beta, clamped = 1.0, True
-    else:
-        # water reaches only the clean channel: alpha*nu - 1/mu_com = P_com
-        nu = (p + 1.0 / mu_com) / alpha
-        beta = 1.0
+    dual = p >= dual_use_threshold_w(alpha, mu_com, mu_mix)
+    # below the threshold the water reaches only the clean channel:
+    # alpha*nu - 1/mu_com = P_com
+    nu = np.where(dual, p + 1.0 / mu_com + 1.0 / mu_mix, (p + 1.0 / mu_com) / alpha)
+    beta_dual = alpha + ((alpha - 1.0) / mu_com + alpha / mu_mix) / p
+    beta = np.where(dual, np.clip(beta_dual, 0.0, 1.0), 1.0)
+    p_com_com = beta * p
+    p_com_mix = (1.0 - beta) * p
 
-    return SubbandSplit(
+    arg_com = p_com_com * lb.b_sq / (lb.kt_w_per_hz * b_com)
+    r_com_com = b_com * _log2(1.0 + arg_com)
+    r_com_mix = b_mix * _log2(1.0 + lb.b_sq * p_com_mix / sigma_mix)
+    r_est = _log_form_rate(lb, 0, b_mix, kappa)
+    for name, v in (("r_est", r_est), ("r_com", r_com_com + r_com_mix)):
+        bad = ~(np.isfinite(v) & (v >= 0))
+        if bad.any():
+            raise ValueError(
+                f"{name} must be finite and nonnegative, got {float(v[bad][0])}"
+            )
+
+    return WaterfillGrid(
         alpha=alpha,
-        b_com_hz=b_com,
-        b_mix_hz=b_mix,
-        sigma_mix_w=sigma_mix,
+        b_com=b_com,
+        b_mix=b_mix,
+        sigma_mix=sigma_mix,
         mu_com=mu_com,
         mu_mix=mu_mix,
         nu=nu,
         beta=beta,
-        p_com_com_w=beta * p,
-        p_com_mix_w=(1.0 - beta) * p,
-        beta_clamped=clamped,
+        beta_clamped=dual & ((beta_dual < 0.0) | (beta_dual > 1.0)),
+        p_com_com=p_com_com,
+        p_com_mix=p_com_mix,
+        r_com_com=r_com_com,
+        r_com_mix=r_com_mix,
+        r_est=r_est,
+        # pulse duration kappa/B_mix must not exceed T_pri = TB/(delta B)
+        self_consistent=kappa * lb.duty_factor <= lb.time_bandwidth * (1.0 - alpha),
+        kappa=kappa,
     )
+
+
+# SubbandSplit's fields in order, as WaterfillGrid columns
+_SPLIT_COLUMNS = (
+    "alpha", "b_com", "b_mix", "sigma_mix", "mu_com", "mu_mix", "nu", "beta",
+    "p_com_com", "p_com_mix", "beta_clamped",
+)
+
+
+def waterfill_points(
+    lb: LinkBudget, alpha_grid: Sequence[float], kappa: float | None = None
+) -> list[WaterfillPoint]:
+    """One WaterfillPoint per grid value, including non-self-consistent
+    ones: the rows of :func:`waterfill_grid` as Python floats."""
+    g = waterfill_grid(lb, alpha_grid, kappa)
+    splits = zip(*(getattr(g, c).tolist() for c in _SPLIT_COLUMNS))
+    return [
+        WaterfillPoint(SubbandSplit(*s), r_cc, r_cm, r_e, g.kappa, ok)
+        for s, r_cc, r_cm, r_e, ok in zip(
+            splits,
+            g.r_com_com.tolist(),
+            g.r_com_mix.tolist(),
+            g.r_est.tolist(),
+            g.self_consistent.tolist(),
+        )
+    ]
 
 
 def waterfill_point(
     lb: LinkBudget, alpha: float, kappa: float | None = None
 ) -> WaterfillPoint:
-    """Rates for one subband split.
+    """Rates for one subband split: :func:`waterfill_grid` on ``[alpha]``."""
+    return waterfill_points(lb, [alpha], kappa)[0]
 
-    ``kappa`` defaults to the scenario's time-bandwidth product. The point
-    is self-consistent while the implied pulse duration kappa/B_mix stays
-    within the pulse repetition interval.
-    """
-    if kappa is None:
-        kappa = lb.time_bandwidth
-    if not kappa > 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+
+def power_split(lb: LinkBudget, alpha: float) -> SubbandSplit:
+    """Water-filling state for one split; see :func:`waterfill_grid`."""
+    return waterfill_point(lb, alpha).split
+
+
+def subband_channels(lb: LinkBudget, alpha: float) -> tuple[float, float]:
+    """Effective channel gains (mu_com, mu_mix) in 1/W for one split."""
     split = power_split(lb, alpha)
-
-    arg_com = split.p_com_com_w * lb.b_sq / (lb.kt_w_per_hz * split.b_com_hz)
-    r_com_com = split.b_com_hz * math.log2(1.0 + arg_com)
-
-    r_com_mix = split.b_mix_hz * math.log2(
-        1.0 + lb.b_sq * split.p_com_mix_w / split.sigma_mix_w
-    )
-    r_est = _log_form_rate(lb, 0, split.b_mix_hz, kappa)
-
-    # pulse duration kappa/B_mix must not exceed T_pri = TB/(delta B)
-    self_consistent = kappa * lb.duty_factor <= lb.time_bandwidth * (1.0 - alpha)
-
-    return WaterfillPoint(
-        split=split,
-        r_com_com=r_com_com,
-        r_com_mix=r_com_mix,
-        r_est=r_est,
-        kappa=kappa,
-        self_consistent=self_consistent,
-    )
+    return split.mu_com, split.mu_mix
 
 
 def default_alpha_grid(n: int = 400) -> list[float]:
@@ -192,34 +283,18 @@ def default_alpha_grid(n: int = 400) -> list[float]:
     return [lo + i * step for i in range(n)]
 
 
-def waterfill_points(
-    lb: LinkBudget, alpha_grid: Sequence[float], kappa: float | None = None
-) -> list[WaterfillPoint]:
-    """One WaterfillPoint per grid value, including non-self-consistent ones."""
-    grid = [float(a) for a in alpha_grid]
-    if any(not 0.0 < a < 1.0 for a in grid):
-        raise ValueError("alpha grid values must lie strictly inside (0, 1)")
-    if any(b < a for a, b in zip(grid, grid[1:])):
-        raise ValueError("alpha grid must be sorted ascending")
-    return [waterfill_point(lb, a, kappa) for a in grid]
-
-
 def waterfill_curve(
     lb: LinkBudget, alpha_grid: Sequence[float], kappa: float | None = None
-) -> RateCurve:
+) -> WaterfillCurve:
     """Waterfill inner-bound curve; non-self-consistent points are dropped."""
-    points = [
-        RatePoint(p.r_est, p.r_com_total)
-        for p in waterfill_points(lb, alpha_grid, kappa)
-        if p.self_consistent
-    ]
-    if not points:
-        raise ValueError("no self-consistent point on the given alpha grid")
-    return RateCurve(label="waterfill", points=tuple(points))
+    return WaterfillCurve(waterfill_grid(lb, alpha_grid, kappa))
 
 
-def upper_convex_hull(points: Sequence[RatePoint], label: str = "hull") -> RateCurve:
-    """Upper-left Pareto convex hull of a point cloud.
+def upper_convex_hull(
+    points: Sequence[tuple[float, float]], label: str = "hull"
+) -> RateCurve:
+    """Upper-left Pareto convex hull of a point cloud of (r_est, r_com)
+    pairs; a :class:`RatePoint` unpacks as one.
 
     Monotone chain over r_est keeping the concave upper envelope; strictly
     interior and collinear points are dropped, so a collinear input
@@ -229,9 +304,9 @@ def upper_convex_hull(points: Sequence[RatePoint], label: str = "hull") -> RateC
     if len(points) < 2:
         raise ValueError("hull needs at least two points")
     best: dict[float, float] = {}
-    for p in points:
-        if p.r_est not in best or p.r_com > best[p.r_est]:
-            best[p.r_est] = p.r_com
+    for x, y in points:
+        if x not in best or y > best[x]:
+            best[x] = y
     xs = sorted(best)
     hull: list[tuple[float, float]] = []
     for x in xs:

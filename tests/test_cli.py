@@ -171,6 +171,31 @@ def test_pentagon_rejects_bad_flags(tmp_path):
     assert exc.value.code == 2
 
 
+def test_pentagon_snr_outside_range_exit_2(tmp_path, capsys):
+    lo, hi = cli.SNR_DB_RANGE
+    cases = [
+        (4000.0, 3.0, "snr1_db"),  # 10**400 overflowed in db_to_linear
+        (3080.0, 3080.0, "snr1_db"),  # 1 + snr1 + snr2 overflowed to inf
+        (0.0, 3080.0, "snr2_db"),
+        (hi * (1 + 1e-15), 0.0, "snr1_db"),
+        (0.0, lo * (1 + 1e-15), "snr2_db"),
+        (math.nan, 0.0, "snr1_db"),
+        (0.0, math.inf, "snr2_db"),
+    ]
+    for i, (snr1, snr2, named) in enumerate(cases):
+        out = tmp_path / f"bad{i}"
+        assert run("pentagon", "--out", out, "--", repr(snr1), repr(snr2)) == 2
+        assert f"{named} = " in capsys.readouterr().err
+        assert not (out / "pentagon.csv").exists()
+    # the range's corners are valid and give finite coordinates
+    for snr1, snr2 in ((hi, hi), (lo, hi), (lo, lo)):
+        out = tmp_path / f"ok_{snr1}_{snr2}"
+        assert run("pentagon", "--out", out, "--", snr1, snr2) == 0
+        for row in read_csv(out / "pentagon.csv"):
+            assert math.isfinite(float(row["r1_bits"]))
+            assert math.isfinite(float(row["r2_bits"]))
+
+
 # --- validate ---------------------------------------------------------------------
 
 
@@ -362,14 +387,77 @@ def count_calls(monkeypatch, module, name, *aliases):
     return calls
 
 
+def record_kernel_grids(monkeypatch):
+    """Grid size of every ``waterfill.waterfill_grid`` call."""
+    original = waterfill.waterfill_grid
+    sizes = []
+
+    def recorded(*args, **kwargs):
+        grid = original(*args, **kwargs)
+        sizes.append(len(grid.alpha))
+        return grid
+
+    monkeypatch.setattr(waterfill, "waterfill_grid", recorded)
+    return sizes
+
+
 def test_region_evaluates_each_grid_point_once(tmp_path, monkeypatch):
+    grids = record_kernel_grids(monkeypatch)
     points = count_calls(monkeypatch, waterfill, "waterfill_point")
     variances = count_calls(monkeypatch, bounds, "int_plus_noise_variance", waterfill)
     rc = run("region", "--scenario", bundled_scenario_path(), "--alpha-points", 50,
              "--out", tmp_path)
     assert rc == 0
-    assert points[0] == 50
-    assert variances[0] <= 51  # one per grid point plus the sic rate
+    assert grids == [50]  # one kernel call over the whole grid
+    assert points[0] == 0
+    assert variances[0] <= 2  # one for the grid array, one for the sic rate
+
+
+def test_sweep_runs_the_kernel_once_per_value(tmp_path, monkeypatch):
+    grids = record_kernel_grids(monkeypatch)
+    variances = count_calls(monkeypatch, bounds, "int_plus_noise_variance", waterfill)
+    rc = run("sweep", "--scenario", bundled_scenario_path(), "--vary",
+             "radar_power_w", "--values", "100,1000,10000", "--alpha-points", 30,
+             "--out", tmp_path)
+    assert rc == 0
+    assert grids == [30, 30, 30]
+    assert variances[0] <= 2 * 3
+
+
+def test_region_and_sweep_manifest_counters(tmp_path):
+    out = tmp_path / "region"
+    assert run("region", "--scenario", bundled_scenario_path(), "--alpha-points", 50,
+               "--out", out) == 0
+    flags = [r["self_consistent"] for r in read_csv(out / "region.csv")
+             if r["curve_label"] == "waterfill"]
+    lb = sc.derive_link_budget(sc.load_scenario(bundled_scenario_path()))
+    points = waterfill.waterfill_points(lb, waterfill.default_alpha_grid(50))
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["counters"] == {
+        "grid_points": 50,
+        "not_self_consistent": flags.count("false"),
+        "beta_clamped": sum(p.split.beta_clamped for p in points),
+    }
+    assert flags.count("false") > 0
+
+    out = tmp_path / "sweep"
+    assert run("sweep", "--scenario", bundled_scenario_path(), "--vary",
+               "duty_factor", "--values", "0.01,0.5", "--alpha-points", 20,
+               "--out", out) == 0
+    counters = json.loads((out / "manifest.json").read_text())["counters"]
+    assert [c["grid_points"] for c in counters] == [20, 20]
+    for i, c in enumerate(counters):
+        rows = read_csv(out / f"sweep_{i:03d}_region.csv")
+        wf_rows = [r for r in rows if r["curve_label"] == "waterfill"]
+        assert c["not_self_consistent"] == sum(
+            r["self_consistent"] == "false" for r in wf_rows
+        )
+    assert counters[0]["not_self_consistent"] < counters[1]["not_self_consistent"]
+
+    # commands without an alpha grid write no counters
+    out = tmp_path / "pentagon"
+    assert run("pentagon", 2.5, 7.5, "--out", out) == 0
+    assert "counters" not in json.loads((out / "manifest.json").read_text())
 
 
 def test_sweep_derives_each_link_budget_once(tmp_path, monkeypatch):

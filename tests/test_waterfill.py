@@ -282,3 +282,92 @@ def test_subband_widths_sum_exactly(seed, alpha):
         lb.bandwidth_hz, rel=5e-16, abs=0.0
     )
     assert split.alpha == alpha
+
+
+# --- the array kernel against the scalar closed forms ------------------------------
+
+KERNEL_COLUMNS = (
+    "alpha", "b_com", "b_mix", "sigma_mix", "mu_com", "mu_mix", "nu", "beta",
+    "beta_clamped", "p_com_com", "p_com_mix", "r_com_com", "r_com_mix", "r_est",
+    "self_consistent",
+)
+
+
+def scalar_reference_rows(lb, alphas):
+    """Every kernel column for each alpha, from the scalar closed forms in
+    plain ``math``, operation for operation, one alpha at a time."""
+    kappa = lb.time_bandwidth
+    bw, kt, b_sq, p = lb.bandwidth_hz, lb.kt_w_per_hz, lb.b_sq, lb.comms_power_w
+    a_sq, proc_sq, gamma_sq = lb.a_sq[0], lb.sigma_tau_proc_sq[0], lb.gamma_sq
+    rows = []
+    for alpha in alphas:
+        b_com = alpha * bw
+        b_mix = bw - b_com
+        residual = lb.radar_power_w * (a_sq * gamma_sq * b_mix**2 * proc_sq)
+        sigma_mix = residual + kt * b_mix
+        mu_com = b_sq / (kt * b_com)
+        mu_mix = b_sq / sigma_mix
+        clamped = False
+        if p >= alpha / ((1.0 - alpha) * mu_mix) - 1.0 / mu_com:
+            nu = p + 1.0 / mu_com + 1.0 / mu_mix
+            beta = alpha + ((alpha - 1.0) / mu_com + alpha / mu_mix) / p
+            if beta < 0.0:
+                beta, clamped = 0.0, True
+            elif beta > 1.0:
+                beta, clamped = 1.0, True
+        else:
+            nu = (p + 1.0 / mu_com) / alpha
+            beta = 1.0
+        p_com_com = beta * p
+        p_com_mix = (1.0 - beta) * p
+        r_com_com = b_com * math.log2(1.0 + p_com_com * b_sq / (kt * b_com))
+        r_com_mix = b_mix * math.log2(1.0 + b_sq * p_com_mix / sigma_mix)
+        snr = proc_sq * gamma_sq * b_mix * kappa * a_sq * lb.radar_power_w / kt
+        r_est = b_mix * (lb.duty_factor / kappa) * math.log2(1.0 + snr)
+        ok = kappa * lb.duty_factor <= lb.time_bandwidth * (1.0 - alpha)
+        rows.append((alpha, b_com, b_mix, sigma_mix, mu_com, mu_mix, nu, beta,
+                     clamped, p_com_com, p_com_mix, r_com_com, r_com_mix, r_est, ok))
+    return rows
+
+
+def assert_kernel_matches_scalar_forms(lb, n):
+    alphas = wf.default_alpha_grid(n)
+    want = dict(zip(KERNEL_COLUMNS, map(list, zip(*scalar_reference_rows(lb, alphas)))))
+    curves = bounds.rate_region(lb, alphas)
+    grid = curves[3].grid
+    for name in KERNEL_COLUMNS:
+        got = getattr(grid, name).tolist()
+        assert got == want[name], name  # bit for bit, flags included
+    r_com = [a + b for a, b in zip(want["r_com_com"], want["r_com_mix"])]
+    assert grid.r_com_total.tolist() == r_com
+    published = [
+        (e, c) for e, c, ok in zip(want["r_est"], r_com, want["self_consistent"]) if ok
+    ]
+    assert curves[3].xy() == published
+    hull = wf.upper_convex_hull(curves[2].xy() + published)
+    assert curves[4].xy() == hull.xy()
+
+
+def test_kernel_matches_scalar_forms_table2(table2_lb):
+    for n in (400, 100_000):
+        assert_kernel_matches_scalar_forms(table2_lb, n)
+
+
+def test_kernel_matches_scalar_forms_random_scenarios():
+    for seed in range(20):
+        assert_kernel_matches_scalar_forms(random_lb(np.random.default_rng(seed)), 400)
+
+
+def test_scalar_views_return_python_floats(table2_lb):
+    point = wf.waterfill_point(table2_lb, 0.5)
+    split = point.split
+    values = [
+        point.r_com_com, point.r_com_mix, point.r_est, split.alpha, split.beta,
+        split.nu, split.mu_mix, split.sigma_mix_w,
+        *wf.subband_channels(table2_lb, 0.5),
+        bounds.int_plus_noise_variance(table2_lb, 1e6),
+        bounds.est_outer_rate_log_form(table2_lb),
+    ]
+    assert all(type(v) is float for v in values)
+    assert type(point.self_consistent) is bool and type(split.beta_clamped) is bool
+    assert wf.waterfill_points(table2_lb, [0.25, 0.5])[1] == point
