@@ -14,6 +14,7 @@ from .bounds import (
     PentagonRegion,
     RateCurve,
     RatePoint,
+    RateRegion,
     comms_outer_rate,
     crb_delay_variance,
     est_outer_rate,
@@ -47,16 +48,4 @@ from .scenario import (
     noise_power,
     range_from_delay,
 )
-from .waterfill import (
-    SubbandSplit,
-    WaterfillCurve,
-    WaterfillGrid,
-    WaterfillPoint,
-    power_split,
-    subband_channels,
-    upper_convex_hull,
-    waterfill_curve,
-    waterfill_grid,
-    waterfill_point,
-    waterfill_points,
-)
+from .waterfill import WaterfillGrid, upper_convex_hull, waterfill_grid

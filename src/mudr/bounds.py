@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
 from .scenario import LinkBudget
+
+if TYPE_CHECKING:
+    from .waterfill import WaterfillGrid
 
 
 class DegenerateLinkError(ValueError):
@@ -46,21 +49,20 @@ _log2 = _elementwise(math.log2)
 _square = _elementwise(lambda x: x**2)
 
 
-@dataclass(frozen=True)
-class RatePoint:
+class RatePoint(NamedTuple):
     """One (estimation rate, communications rate) pair in bits/s."""
 
     r_est: float
     r_com: float
 
-    def __post_init__(self) -> None:
-        for name, v in (("r_est", self.r_est), ("r_com", self.r_com)):
-            if not math.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and nonnegative, got {v}")
 
-    def __iter__(self):
-        """Unpack as the pair ``r_est, r_com``."""
-        return iter((self.r_est, self.r_com))
+def check_rates(name: str, values) -> None:
+    """Raise unless every rate in ``values`` (a float or an array of them)
+    is finite and nonnegative."""
+    v = np.atleast_1d(np.asarray(values, dtype=float))
+    bad = ~(np.isfinite(v) & (v >= 0))
+    if bad.any():
+        raise ValueError(f"{name} must be finite and nonnegative, got {float(v[bad][0])}")
 
 
 @dataclass(frozen=True)
@@ -75,9 +77,23 @@ class RateCurve:
             raise ValueError("a rate curve needs at least one point")
         object.__setattr__(self, "points", tuple(self.points))
 
-    def xy(self) -> list[tuple[float, float]]:
-        """The points as (r_est, r_com) float pairs."""
-        return [(p.r_est, p.r_com) for p in self.points]
+
+@dataclass(frozen=True, eq=False)
+class RateRegion:
+    """The displayed curves of one scenario and the waterfill ``grid`` they
+    came from, which keeps every evaluated split, self-consistent or not."""
+
+    outer: RateCurve
+    sic: RateCurve
+    interpolated: RateCurve
+    waterfill: RateCurve
+    hull: RateCurve
+    grid: WaterfillGrid
+
+    @property
+    def curves(self) -> tuple[RateCurve, ...]:
+        """The five curves in CSV and SVG order."""
+        return (self.outer, self.sic, self.interpolated, self.waterfill, self.hull)
 
 
 @dataclass(frozen=True)
@@ -242,47 +258,46 @@ def interpolated_inner(lb: LinkBudget) -> RateCurve:
     """Straight-line inner bound between the comms-alone point and the
     full-cancellation vertex: the "interpolated" curve of :func:`rate_region`
     on the vertex-only grid [0], which evaluates no waterfill point."""
-    return rate_region(lb, [0.0])[2]
+    return rate_region(lb, [0.0]).interpolated
 
 
-def rate_region(lb: LinkBudget, alpha_grid: Sequence[float]) -> list:
+def rate_region(lb: LinkBudget, alpha_grid: Sequence[float]) -> RateRegion:
     """All displayed curves for one scenario, from one pass over the grid.
 
-    Returns, in order: "outer" (rectangle edges), "sic" (horizontal line
-    at the post-cancellation comms rate), "interpolated", "waterfill"
-    (self-consistent subband-split points over ``alpha_grid``), and
-    "hull" (upper convex hull of the two inner curves). Leading grid
-    values of exactly 0 map to the analytic limit of the waterfill point,
-    which is the cancellation vertex; the rest go to
-    :func:`mudr.waterfill.waterfill_grid` in one call. The "waterfill"
-    curve is a :class:`mudr.waterfill.WaterfillCurve`, so it also carries
-    every evaluated split, self-consistent or not; the others are
-    :class:`RateCurve`.
+    "outer" holds the rectangle edges, "sic" the horizontal line at the
+    post-cancellation comms rate, "interpolated" the line from the
+    comms-alone point to the cancellation vertex, "waterfill" the
+    self-consistent splits of :func:`mudr.waterfill.waterfill_grid` over
+    ``alpha_grid`` and "hull" the upper convex hull of the two inner
+    curves. Leading grid values of exactly 0 map to the analytic limit of
+    the waterfill point, which is the cancellation vertex.
     """
     from . import waterfill
 
     _require_single_target(lb, "rate region")
-    grid = list(alpha_grid)
-    n_zero = next((i for i, a in enumerate(grid) if a != 0.0), len(grid))
-    columns = waterfill.waterfill_grid(lb, grid[n_zero:])
+    alphas = list(alpha_grid)
+    n_zero = next((i for i, a in enumerate(alphas) if a != 0.0), len(alphas))
+    grid = waterfill.waterfill_grid(lb, alphas[n_zero:])
 
-    r_est_max = est_outer_rate(lb)
-    r_com_max = comms_outer_rate(lb)
-    r_com_sic = sic_comms_rate(lb)
-    vertex = RatePoint(r_est_max, r_com_sic)
-
-    outer = RateCurve(
-        label="outer",
-        points=(
-            RatePoint(0.0, r_com_max),
-            RatePoint(r_est_max, r_com_max),
-            RatePoint(r_est_max, 0.0),
+    r_est, r_com, r_sic = est_outer_rate(lb), comms_outer_rate(lb), sic_comms_rate(lb)
+    check_rates("r_est", r_est)
+    check_rates("r_com", (r_sic, r_com))
+    keep = grid.self_consistent
+    if not n_zero and not keep.any():
+        raise ValueError("no self-consistent waterfill point on the given grid; "
+                         "a split alpha needs duty_factor <= 1 - alpha")
+    vertex = RatePoint(r_est, r_sic)
+    splits = (vertex,) * n_zero + tuple(
+        map(RatePoint, grid.r_est[keep].tolist(), grid.r_com_total[keep].tolist())
+    )
+    inner = (RatePoint(0.0, r_com), vertex)
+    return RateRegion(
+        outer=RateCurve(
+            "outer", (RatePoint(0.0, r_com), RatePoint(r_est, r_com), RatePoint(r_est, 0.0))
         ),
+        sic=RateCurve("sic", (RatePoint(0.0, r_sic), vertex)),
+        interpolated=RateCurve("interpolated", inner),
+        waterfill=RateCurve("waterfill", splits),
+        hull=waterfill.upper_convex_hull(inner + splits),
+        grid=grid,
     )
-    sic = RateCurve(label="sic", points=(RatePoint(0.0, r_com_sic), vertex))
-    interpolated = RateCurve(
-        label="interpolated", points=(RatePoint(0.0, r_com_max), vertex)
-    )
-    wf = waterfill.WaterfillCurve(columns, head=(vertex,) * n_zero)
-    hull = waterfill.upper_convex_hull(interpolated.xy() + wf.xy())
-    return [outer, sic, interpolated, wf, hull]

@@ -114,21 +114,18 @@ class Outcome:
     passed: bool = True
 
 
-Curves = list["bounds.RateCurve | waterfill.WaterfillCurve"]
-
-
-def _region_curves(scenario: Scenario, alpha_points: int) -> Curves:
+def _region(scenario: Scenario, alpha_points: int) -> bounds.RateRegion:
     lb = derive_link_budget(scenario)
     return bounds.rate_region(lb, waterfill.default_alpha_grid(alpha_points))
 
 
-def _region_rows(curves: Curves) -> Iterator[list[str]]:
+def _region_rows(region: bounds.RateRegion) -> Iterator[list[str]]:
     """CSV rows per curve point; waterfill rows keep every grid point,
     flagged by self-consistency."""
-    for curve in curves:
-        if isinstance(curve, waterfill.WaterfillCurve):
+    for curve in region.curves:
+        if curve is region.waterfill:
             # repr of the Python floats from tolist() is fmt_float's format
-            g = curve.grid
+            g = region.grid
             for alpha, r_est, r_com, ok in zip(
                 map(repr, g.alpha.tolist()),
                 map(repr, g.r_est.tolist()),
@@ -137,30 +134,28 @@ def _region_rows(curves: Curves) -> Iterator[list[str]]:
             ):
                 yield ["waterfill", alpha, r_est, r_com, "true" if ok else "false"]
         else:
-            for pt in curve.points:
-                r_est, r_com = fmt_float(pt.r_est), fmt_float(pt.r_com)
-                yield [curve.label, "nan", r_est, r_com, "true"]
+            for r_est, r_com in curve.points:
+                yield [curve.label, "nan", fmt_float(r_est), fmt_float(r_com), "true"]
 
 
-def _region_files(prefix: str, curves: Curves) -> dict[str, str]:
+def _region_files(prefix: str, region: bounds.RateRegion) -> dict[str, str]:
     svg = render_curves_svg(
-        [(c.label, c.xy()) for c in curves],
+        [(c.label, c.points) for c in region.curves],
         x_label="estimation rate (bits/s)",
         y_label="communications rate (bits/s)",
     )
     return {
-        f"{prefix}.csv": csv_text(REGION_CSV_HEADER, _region_rows(curves)),
+        f"{prefix}.csv": csv_text(REGION_CSV_HEADER, _region_rows(region)),
         f"{prefix}.svg": svg,
     }
 
 
 def cmd_region(args: argparse.Namespace) -> Outcome:
-    curves = _region_curves(load_scenario(args.scenario), args.alpha_points)
+    region = _region(load_scenario(args.scenario), args.alpha_points)
     return Outcome(
-        files=_region_files("region", curves),
+        files=_region_files("region", region),
         parameters={"alpha_points": args.alpha_points},
-        # rate_region's fourth curve is the waterfill curve
-        counters=curves[3].grid.counters(),
+        counters=region.grid.counters(),
     )
 
 
@@ -237,7 +232,10 @@ def cmd_validate(args: argparse.Namespace) -> Outcome:
 
 def cmd_sweep(args: argparse.Namespace) -> Outcome:
     scenario = load_scenario(args.scenario)
-    values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+    try:
+        values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+    except ValueError as exc:
+        raise ValueError(f"--values: {exc}") from None
     if not values:
         raise ValueError("--values must contain at least one number")
     variants = [replace_scenario_field(scenario, args.vary, v) for v in values]
@@ -245,11 +243,11 @@ def cmd_sweep(args: argparse.Namespace) -> Outcome:
     files: dict[str, str] = {}
     summary_rows, counters = [], []
     for i, (value, variant) in enumerate(zip(values, variants)):
-        curves = _region_curves(variant, args.alpha_points)
-        files.update(_region_files(f"sweep_{i:03d}_region", curves))
-        counters.append(curves[3].grid.counters())
+        region = _region(variant, args.alpha_points)
+        files.update(_region_files(f"sweep_{i:03d}_region", region))
+        counters.append(region.grid.counters())
         # outer's corner is (est_outer_rate, comms_outer_rate); sic is flat
-        corner, sic = curves[0].points[1], curves[1].points[0]
+        corner, sic = region.outer.points[1], region.sic.points[0]
         row = (value, corner.r_est, corner.r_com, sic.r_com)
         summary_rows.append([fmt_float(x) for x in row])
     files["sweep_summary.csv"] = csv_text(
@@ -280,14 +278,15 @@ def main(argv: list[str] | None = None) -> int:
     write the manifest last."""
     args = build_parser().parse_args(argv)
     try:
-        for flag in ("alpha_points", "trials"):
-            if getattr(args, flag, 1) < 1:
-                raise ValueError(f"--{flag.replace('_', '-')} must be at least 1")
+        for flag, least in (("alpha_points", 1), ("trials", 1), ("seed", 0)):
+            value = getattr(args, flag, None)
+            if value is not None and value < least:
+                raise ValueError(f"--{flag.replace('_', '-')} must be at least {least}")
         outcome = COMMANDS[args.command](args)
     except ExperimentPreconditionError as exc:
         print(f"precondition not met: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, FileNotFoundError) as exc:  # includes ScenarioError
+    except ValueError as exc:  # includes ScenarioError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -284,8 +284,13 @@ def load_scenario(path: str | Path) -> Scenario:
     """
     path = Path(path)
     try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ScenarioError(f"could not read {path}: {reason}") from exc
+    try:
         # an integer beyond the float range parses as inf
-        raw = json.loads(path.read_text(), parse_int=float)
+        raw = json.loads(text, parse_int=float)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"could not parse {path}: {exc}") from exc
     if not isinstance(raw, dict):

@@ -18,8 +18,7 @@ interval are flagged not self-consistent and dropped from published
 curves.
 
 :func:`waterfill_grid` evaluates every split of a grid in one pass over
-numpy arrays and returns them as columns (:class:`WaterfillGrid`); the
-one-split functions and :class:`WaterfillPoint` lists are views on it.
+numpy arrays and returns them as columns (:class:`WaterfillGrid`).
 """
 
 from __future__ import annotations
@@ -35,52 +34,19 @@ from .bounds import (
     _log2,
     _log_form_rate,
     _require_single_target,
+    check_rates,
     int_plus_noise_variance,
 )
 from .scenario import LinkBudget
 
 
-@dataclass(frozen=True)
-class SubbandSplit:
-    """Water-filling state for one bandwidth fraction ``alpha``;
-    ``sigma_mix_w`` is the interference plus noise over the mixed subband."""
-
-    alpha: float
-    b_com_hz: float
-    b_mix_hz: float
-    sigma_mix_w: float
-    mu_com: float
-    mu_mix: float
-    nu: float
-    beta: float
-    p_com_com_w: float
-    p_com_mix_w: float
-    beta_clamped: bool = False
-
-
-@dataclass(frozen=True)
-class WaterfillPoint:
-    """Rates achieved by one subband split; ``kappa`` is the waveform
-    integration held fixed across the sweep."""
-
-    split: SubbandSplit
-    r_com_com: float
-    r_com_mix: float
-    r_est: float
-    kappa: float
-    self_consistent: bool
-
-    @property
-    def r_com_total(self) -> float:
-        return self.r_com_com + self.r_com_mix
-
-
 @dataclass(frozen=True, eq=False)
 class WaterfillGrid:
     """Every split of one alpha grid as columns, one array entry per alpha:
-    the :class:`SubbandSplit` state, the :class:`WaterfillPoint` rates and
-    the self-consistency flag; ``kappa`` is the waveform integration held
-    fixed across the grid."""
+    the subband widths, the interference plus noise ``sigma_mix`` over the
+    mixed subband, the channel gains, the water level, the power split,
+    the rates and the self-consistency flag; ``kappa`` is the waveform
+    integration held fixed across the grid."""
 
     alpha: np.ndarray
     b_com: np.ndarray
@@ -111,34 +77,6 @@ class WaterfillGrid:
             "not_self_consistent": int(np.count_nonzero(~self.self_consistent)),
             "beta_clamped": int(np.count_nonzero(self.beta_clamped)),
         }
-
-
-@dataclass(frozen=True, eq=False)
-class WaterfillCurve:
-    """Waterfill inner-bound curve: ``head`` (copies of the cancellation
-    vertex standing for alpha = 0) then the self-consistent splits of
-    ``grid``, which keeps every evaluated split so dropped ones can be
-    reported."""
-
-    grid: WaterfillGrid
-    head: tuple[RatePoint, ...] = ()
-    label = "waterfill"
-
-    def __post_init__(self) -> None:
-        if not self.head and not self.grid.self_consistent.any():
-            raise ValueError("no self-consistent waterfill point on the given grid; "
-                             "a split alpha needs duty_factor <= 1 - alpha")
-
-    def xy(self) -> list[tuple[float, float]]:
-        """The curve's points as (r_est, r_com) float pairs."""
-        keep = self.grid.self_consistent
-        return [(p.r_est, p.r_com) for p in self.head] + list(
-            zip(self.grid.r_est[keep].tolist(), self.grid.r_com_total[keep].tolist())
-        )
-
-    @property
-    def points(self) -> tuple[RatePoint, ...]:
-        return tuple(RatePoint(x, y) for x, y in self.xy())
 
 
 def dual_use_threshold_w(alpha, mu_com, mu_mix):
@@ -200,12 +138,8 @@ def waterfill_grid(
     r_com_com = b_com * _log2(1.0 + arg_com)
     r_com_mix = b_mix * _log2(1.0 + lb.b_sq * p_com_mix / sigma_mix)
     r_est = _log_form_rate(lb, 0, b_mix, kappa)
-    for name, v in (("r_est", r_est), ("r_com", r_com_com + r_com_mix)):
-        bad = ~(np.isfinite(v) & (v >= 0))
-        if bad.any():
-            raise ValueError(
-                f"{name} must be finite and nonnegative, got {float(v[bad][0])}"
-            )
+    check_rates("r_est", r_est)
+    check_rates("r_com", r_com_com + r_com_mix)
 
     return WaterfillGrid(
         alpha=alpha,
@@ -228,50 +162,6 @@ def waterfill_grid(
     )
 
 
-# SubbandSplit's fields in order, as WaterfillGrid columns
-_SPLIT_COLUMNS = (
-    "alpha", "b_com", "b_mix", "sigma_mix", "mu_com", "mu_mix", "nu", "beta",
-    "p_com_com", "p_com_mix", "beta_clamped",
-)
-
-
-def waterfill_points(
-    lb: LinkBudget, alpha_grid: Sequence[float], kappa: float | None = None
-) -> list[WaterfillPoint]:
-    """One WaterfillPoint per grid value, including non-self-consistent
-    ones: the rows of :func:`waterfill_grid` as Python floats."""
-    g = waterfill_grid(lb, alpha_grid, kappa)
-    splits = zip(*(getattr(g, c).tolist() for c in _SPLIT_COLUMNS))
-    return [
-        WaterfillPoint(SubbandSplit(*s), r_cc, r_cm, r_e, g.kappa, ok)
-        for s, r_cc, r_cm, r_e, ok in zip(
-            splits,
-            g.r_com_com.tolist(),
-            g.r_com_mix.tolist(),
-            g.r_est.tolist(),
-            g.self_consistent.tolist(),
-        )
-    ]
-
-
-def waterfill_point(
-    lb: LinkBudget, alpha: float, kappa: float | None = None
-) -> WaterfillPoint:
-    """Rates for one subband split: :func:`waterfill_grid` on ``[alpha]``."""
-    return waterfill_points(lb, [alpha], kappa)[0]
-
-
-def power_split(lb: LinkBudget, alpha: float) -> SubbandSplit:
-    """Water-filling state for one split; see :func:`waterfill_grid`."""
-    return waterfill_point(lb, alpha).split
-
-
-def subband_channels(lb: LinkBudget, alpha: float) -> tuple[float, float]:
-    """Effective channel gains (mu_com, mu_mix) in 1/W for one split."""
-    split = power_split(lb, alpha)
-    return split.mu_com, split.mu_mix
-
-
 def default_alpha_grid(n: int = 400) -> list[float]:
     """Uniform alpha grid on (1e-4, 1 - 1e-4)."""
     if n < 1:
@@ -283,34 +173,28 @@ def default_alpha_grid(n: int = 400) -> list[float]:
     return [lo + i * step for i in range(n)]
 
 
-def waterfill_curve(
-    lb: LinkBudget, alpha_grid: Sequence[float], kappa: float | None = None
-) -> WaterfillCurve:
-    """Waterfill inner-bound curve; non-self-consistent points are dropped."""
-    return WaterfillCurve(waterfill_grid(lb, alpha_grid, kappa))
-
-
 def upper_convex_hull(
-    points: Sequence[tuple[float, float]], label: str = "hull"
+    points: Sequence[RatePoint], label: str = "hull"
 ) -> RateCurve:
     """Upper-left Pareto convex hull of a point cloud of (r_est, r_com)
-    pairs; a :class:`RatePoint` unpacks as one.
+    pairs, made of the input point objects.
 
     Monotone chain over r_est keeping the concave upper envelope; strictly
     interior and collinear points are dropped, so a collinear input
-    reduces to its endpoints. Points sharing an abscissa keep only the
-    largest ordinate.
+    reduces to its endpoints. Of the points sharing an abscissa only the
+    first with the largest ordinate is kept.
     """
     if len(points) < 2:
         raise ValueError("hull needs at least two points")
-    best: dict[float, float] = {}
-    for x, y in points:
-        if x not in best or y > best[x]:
-            best[x] = y
-    xs = sorted(best)
-    hull: list[tuple[float, float]] = []
-    for x in xs:
-        y = best[x]
+    best: dict[float, RatePoint] = {}
+    for p in points:
+        x = p[0]
+        if x not in best or p[1] > best[x][1]:
+            best[x] = p
+    hull: list[RatePoint] = []
+    for x in sorted(best):
+        p = best[x]
+        y = p[1]
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
             # pop while the middle point is on or below the chord
@@ -318,5 +202,5 @@ def upper_convex_hull(
                 hull.pop()
             else:
                 break
-        hull.append((x, y))
-    return RateCurve(label=label, points=tuple(RatePoint(x, y) for x, y in hull))
+        hull.append(p)
+    return RateCurve(label=label, points=tuple(hull))

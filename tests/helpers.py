@@ -9,10 +9,13 @@ Rerun those scripts if the bundled example scenario changes.
 from __future__ import annotations
 
 import math
+from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 
 from mudr.scenario import LinkBudget
+from mudr.waterfill import waterfill_grid
 
 # scripts/oracle_link_budget.py
 TABLE2_A_SQ = 5.032332221188687e-19
@@ -110,3 +113,12 @@ def brute_force_total_comms_rate(lb: LinkBudget, alpha: float, n_beta: int = 10_
     total = r_com + r_mix
     i = int(np.argmax(total))
     return float(total[i]), float(beta[i])
+
+
+def waterfill_row(lb: LinkBudget, alpha: float) -> SimpleNamespace:
+    """One split of ``waterfill_grid(lb, [alpha])``: every column as a Python
+    scalar, with ``kappa`` and ``r_com_total``."""
+    g = waterfill_grid(lb, [alpha])
+    row = {f.name: getattr(g, f.name) for f in fields(g)}
+    row = {k: v.tolist()[0] if isinstance(v, np.ndarray) else v for k, v in row.items()}
+    return SimpleNamespace(**row, r_com_total=row["r_com_com"] + row["r_com_mix"])

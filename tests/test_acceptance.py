@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from helpers import brute_force_total_comms_rate, make_lb, random_lb
+from helpers import brute_force_total_comms_rate, make_lb, random_lb, waterfill_row
 from mudr import bounds, cli, mcsim, waterfill as wf
 from mudr.mcsim import WaveformSpec
 from mudr.scenario import bundled_scenario_path
@@ -43,19 +43,19 @@ def test_criterion_01_region_curves(tmp_path, table2_lb):
     elapsed = time.perf_counter() - t0
     assert rc == 0
 
-    curves = {c.label: c for c in bounds.rate_region(table2_lb, wf.default_alpha_grid(400))}
+    region = bounds.rate_region(table2_lb, wf.default_alpha_grid(400))
     sic = bounds.sic_comms_rate(table2_lb)
     outer = bounds.comms_outer_rate(table2_lb)
 
-    p0, p1 = curves["interpolated"].points
+    p0, p1 = region.interpolated.points
     slope = (p1.r_com - p0.r_com) / (p1.r_est - p0.r_est)
     exceeds = any(
-        p.r_com > p0.r_com + slope * p.r_est for p in curves["waterfill"].points
+        p.r_com > p0.r_com + slope * p.r_est for p in region.waterfill.points
     )
-    hull = curves["hull"].points
+    hull = region.hull.points
     dominated = all(
         hull_value_at(hull, p.r_est) >= p.r_com - 1e-9
-        for p in list(curves["interpolated"].points) + list(curves["waterfill"].points)
+        for p in list(region.interpolated.points) + list(region.waterfill.points)
     )
     ok = elapsed < 5.0 and sic < outer and exceeds and dominated
     report(
@@ -67,7 +67,7 @@ def test_criterion_01_region_curves(tmp_path, table2_lb):
 
 
 def test_criterion_02_sic_vertex_endpoint(table2_lb):
-    p = wf.waterfill_point(table2_lb, 1e-8)
+    p = waterfill_row(table2_lb, 1e-8)
     est_ref = bounds.est_outer_rate(table2_lb)
     com_ref = bounds.sic_comms_rate(table2_lb)
     err_est = abs(p.r_est - est_ref) / est_ref
@@ -83,15 +83,14 @@ def test_criterion_03_waterfill_optimality_oracle():
     scenarios = 0
     while scenarios < 20:
         lb = random_lb(rng)
-        alphas = [a for a in rng.uniform(0.05, 0.95, 100)
-                  if lb.comms_power_w >= wf.dual_use_threshold_w(
-                      float(a), *wf.subband_channels(lb, float(a)))]
-        if len(alphas) < 10:
+        rows = [waterfill_row(lb, float(a)) for a in rng.uniform(0.05, 0.95, 100)]
+        points = [r for r in rows if lb.comms_power_w >= wf.dual_use_threshold_w(
+                      r.alpha, r.mu_com, r.mu_mix)]
+        if len(points) < 10:
             continue
         scenarios += 1
-        for alpha in alphas[:10]:
-            point = wf.waterfill_point(lb, float(alpha))
-            grid_best, _ = brute_force_total_comms_rate(lb, float(alpha), 10_000)
+        for point in points[:10]:
+            grid_best, _ = brute_force_total_comms_rate(lb, point.alpha, 10_000)
             worst = max(worst, abs(point.r_com_total - grid_best) / grid_best)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-6 and elapsed < 30.0

@@ -262,8 +262,8 @@ def test_interpolated_degenerate_radar(table2_lb):
 
 
 def test_rate_region_curve_inventory(table2_lb):
-    curves = bounds.rate_region(table2_lb, [0.1, 0.5, 0.9])
-    assert [c.label for c in curves] == [
+    region = bounds.rate_region(table2_lb, [0.1, 0.5, 0.9])
+    assert [c.label for c in region.curves] == [
         "outer",
         "sic",
         "interpolated",
@@ -273,16 +273,14 @@ def test_rate_region_curve_inventory(table2_lb):
 
 
 def test_rate_region_alpha_zero_is_vertex(table2_lb):
-    curves = {c.label: c for c in bounds.rate_region(table2_lb, [0.0])}
-    wf = curves["waterfill"]
+    wf = bounds.rate_region(table2_lb, [0.0]).waterfill
     assert len(wf.points) == 1
     assert wf.points[0].r_est == pytest.approx(TABLE2_EST_RATE_BPS, rel=1e-12)
     assert wf.points[0].r_com == pytest.approx(TABLE2_SIC_RATE_BPS, rel=1e-12)
 
 
 def test_rate_region_hull_concave(table2_lb):
-    curves = {c.label: c for c in bounds.rate_region(table2_lb, np.linspace(0.01, 0.99, 100))}
-    hull = curves["hull"].points
+    hull = bounds.rate_region(table2_lb, np.linspace(0.01, 0.99, 100)).hull.points
     slopes = [
         (b.r_com - a.r_com) / (b.r_est - a.r_est)
         for a, b in zip(hull, hull[1:])
@@ -292,14 +290,14 @@ def test_rate_region_hull_concave(table2_lb):
 
 
 def test_rate_region_waterfill_beats_interpolation(table2_lb):
-    curves = {c.label: c for c in bounds.rate_region(table2_lb, np.linspace(0.01, 0.99, 200))}
-    p0, p1 = curves["interpolated"].points
+    region = bounds.rate_region(table2_lb, np.linspace(0.01, 0.99, 200))
+    p0, p1 = region.interpolated.points
     slope = (p1.r_com - p0.r_com) / (p1.r_est - p0.r_est)
 
     def interp(r_est):
         return p0.r_com + slope * r_est
 
-    assert any(p.r_com > interp(p.r_est) for p in curves["waterfill"].points)
+    assert any(p.r_com > interp(p.r_est) for p in region.waterfill.points)
 
 
 def test_rate_region_rejects_bad_grid(table2_lb):

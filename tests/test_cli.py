@@ -121,8 +121,17 @@ def test_region_invalid_scenario_exit_2(tmp_path, capsys):
     assert "--alpha-points" in capsys.readouterr().err
 
 
-def test_region_missing_file_exit_2(tmp_path):
+def test_region_missing_file_exit_2(tmp_path, capsys):
     assert run("region", "--scenario", tmp_path / "nope.json", "--out", tmp_path) == 2
+    # a directory and a file that is not UTF-8 fail at the read, naming the path
+    directory = tmp_path / "scenario_dir"
+    directory.mkdir()
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"bandwidth_hz": 5e6, "caf\xe9": 1}\xff')
+    for path in (directory, latin1):
+        capsys.readouterr()
+        assert run("region", "--scenario", path, "--out", tmp_path / "out") == 2
+        assert str(path) in capsys.readouterr().err
 
 
 def test_region_write_failure_exit_3(tmp_path):
@@ -225,6 +234,10 @@ def test_validate_crb_low_isnr_exit_2(tmp_path, capsys):
                  experiment, "--trials", 0, "--seed", 1, "--out", tmp_path)
         assert rc == 2
         assert "--trials" in capsys.readouterr().err
+    rc = run("validate", "--scenario", bundled_scenario_path(), "--experiment",
+             "gamma", "--trials", 10, "--seed", -1, "--out", tmp_path)
+    assert rc == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_validate_residual_premise_violation_exit_2(tmp_path, capsys):
@@ -332,6 +345,10 @@ def test_sweep_unknown_field_exit_2(tmp_path, capsys):
                  "radar_power_w", "--values", f"100,{value}", "--out", tmp_path)
         assert rc == 2
         assert "radar_power_w" in capsys.readouterr().err
+    rc = run("sweep", "--scenario", bundled_scenario_path(), "--vary",
+             "radar_power_w", "--values", "1,abc", "--out", tmp_path)
+    assert rc == 2
+    assert "--values" in capsys.readouterr().err
     # a value outside the field's valid range names the varied field
     for field, value in (("radar_antenna_gain_lin", "1e-200"),
                          ("cross_section_m2", "1e-320")):
@@ -403,13 +420,11 @@ def record_kernel_grids(monkeypatch):
 
 def test_region_evaluates_each_grid_point_once(tmp_path, monkeypatch):
     grids = record_kernel_grids(monkeypatch)
-    points = count_calls(monkeypatch, waterfill, "waterfill_point")
     variances = count_calls(monkeypatch, bounds, "int_plus_noise_variance", waterfill)
     rc = run("region", "--scenario", bundled_scenario_path(), "--alpha-points", 50,
              "--out", tmp_path)
     assert rc == 0
     assert grids == [50]  # one kernel call over the whole grid
-    assert points[0] == 0
     assert variances[0] <= 2  # one for the grid array, one for the sic rate
 
 
@@ -431,12 +446,12 @@ def test_region_and_sweep_manifest_counters(tmp_path):
     flags = [r["self_consistent"] for r in read_csv(out / "region.csv")
              if r["curve_label"] == "waterfill"]
     lb = sc.derive_link_budget(sc.load_scenario(bundled_scenario_path()))
-    points = waterfill.waterfill_points(lb, waterfill.default_alpha_grid(50))
+    grid = waterfill.waterfill_grid(lb, waterfill.default_alpha_grid(50))
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["counters"] == {
         "grid_points": 50,
         "not_self_consistent": flags.count("false"),
-        "beta_clamped": sum(p.split.beta_clamped for p in points),
+        "beta_clamped": sum(grid.beta_clamped.tolist()),
     }
     assert flags.count("false") > 0
 
@@ -458,6 +473,29 @@ def test_region_and_sweep_manifest_counters(tmp_path):
     out = tmp_path / "pentagon"
     assert run("pentagon", 2.5, 7.5, "--out", out) == 0
     assert "counters" not in json.loads((out / "manifest.json").read_text())
+
+
+def test_region_csv_rows_equal_the_library(tmp_path):
+    assert run("region", "--scenario", bundled_scenario_path(), "--alpha-points", 50,
+               "--out", tmp_path) == 0
+    lb = sc.derive_link_budget(sc.load_scenario(bundled_scenario_path()))
+    region = bounds.rate_region(lb, waterfill.default_alpha_grid(50))
+    g = region.grid
+    want = []
+    for curve in region.curves:
+        if curve is region.waterfill:
+            want += zip(["waterfill"] * len(g.alpha), g.alpha.tolist(), g.r_est.tolist(),
+                        g.r_com_total.tolist(), g.self_consistent.tolist())
+        else:
+            want += [(curve.label, None, r_est, r_com, True) for r_est, r_com in curve.points]
+    # each CSV number parses back to the library's float exactly
+    got = [
+        (r["curve_label"],
+         None if r["alpha_or_nan"] == "nan" else float(r["alpha_or_nan"]),
+         float(r["r_est_bps"]), float(r["r_com_bps"]), r["self_consistent"] == "true")
+        for r in read_csv(tmp_path / "region.csv")
+    ]
+    assert got == want
 
 
 def test_sweep_derives_each_link_budget_once(tmp_path, monkeypatch):

@@ -20,6 +20,7 @@ from helpers import (
     brute_force_total_comms_rate,
     make_lb,
     random_lb,
+    waterfill_row,
 )
 from mudr import bounds, waterfill as wf
 from mudr.bounds import MultiTargetError, RatePoint
@@ -31,28 +32,29 @@ alphas = st.floats(min_value=1e-3, max_value=1.0 - 1e-3)
 
 
 def test_channels_frozen_at_half(table2_lb):
-    mu_com, mu_mix = wf.subband_channels(table2_lb, 0.5)
+    row = waterfill_row(table2_lb, 0.5)
+    mu_com, mu_mix = row.mu_com, row.mu_mix
     assert mu_com == pytest.approx(WF_MU_COM_05, rel=1e-12)
     assert mu_mix == pytest.approx(WF_MU_MIX_05, rel=1e-12)
 
 
 def test_channels_symmetric_when_quiet(table2_lb):
     quiet = replace(table2_lb, sigma_tau_proc_sq=(0.0,))
-    mu_com, mu_mix = wf.subband_channels(quiet, 0.5)
-    assert mu_com == mu_mix
+    row = waterfill_row(quiet, 0.5)
+    assert row.mu_com == row.mu_mix
 
 
 def test_channels_diverge_as_alpha_vanishes(table2_lb):
-    values = [wf.subband_channels(table2_lb, a)[0] for a in (1e-2, 1e-4, 1e-6, 1e-8)]
+    values = [waterfill_row(table2_lb, a).mu_com for a in (1e-2, 1e-4, 1e-6, 1e-8)]
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
 def test_channels_reject_boundary_and_multi_target(table2_lb):
     for a in (0.0, 1.0, -0.1, 1.1):
         with pytest.raises(ValueError):
-            wf.subband_channels(table2_lb, a)
+            wf.waterfill_grid(table2_lb, [a])
     with pytest.raises(MultiTargetError):
-        wf.subband_channels(make_lb(n_targets=2), 0.5)
+        wf.waterfill_grid(make_lb(n_targets=2), [0.5])
 
 
 # --- power split ----------------------------------------------------------------
@@ -60,71 +62,71 @@ def test_channels_reject_boundary_and_multi_target(table2_lb):
 
 def test_power_split_frozen_vector(table2_lb):
     for alpha, beta in zip(WF_ALPHAS, WF_BETAS):
-        split = wf.power_split(table2_lb, alpha)
+        split = waterfill_row(table2_lb, alpha)
         assert split.beta == pytest.approx(beta, rel=1e-12)
         assert not split.beta_clamped
 
 
 def test_power_split_frozen_at_half(table2_lb):
-    split = wf.power_split(table2_lb, 0.5)
+    split = waterfill_row(table2_lb, 0.5)
     assert split.nu == pytest.approx(WF_NU_05, rel=1e-12)
-    assert split.b_com_hz == 2.5e6
-    assert split.b_com_hz + split.b_mix_hz == table2_lb.bandwidth_hz
+    assert split.b_com == 2.5e6
+    assert split.b_com + split.b_mix == table2_lb.bandwidth_hz
 
 
 def test_power_split_symmetric_quiet_case(table2_lb):
     quiet = replace(table2_lb, sigma_tau_proc_sq=(0.0,))
-    split = wf.power_split(quiet, 0.5)
+    split = waterfill_row(quiet, 0.5)
     assert split.beta == 0.5
 
 
 def test_power_split_at_exact_threshold(table2_lb):
-    mu_com, mu_mix = wf.subband_channels(table2_lb, 0.5)
-    threshold = wf.dual_use_threshold_w(0.5, mu_com, mu_mix)
+    row = waterfill_row(table2_lb, 0.5)
+    threshold = wf.dual_use_threshold_w(0.5, row.mu_com, row.mu_mix)
     lb = replace(table2_lb, comms_power_w=threshold)
-    split = wf.power_split(lb, 0.5)
+    split = waterfill_row(lb, 0.5)
     assert split.beta == pytest.approx(1.0, rel=1e-12)
-    assert split.p_com_mix_w == pytest.approx(0.0, abs=1e-12 * threshold)
+    assert split.p_com_mix == pytest.approx(0.0, abs=1e-12 * threshold)
 
 
 def test_power_split_below_threshold_single_channel(table2_lb):
-    mu_com, mu_mix = wf.subband_channels(table2_lb, 0.5)
-    threshold = wf.dual_use_threshold_w(0.5, mu_com, mu_mix)
+    row = waterfill_row(table2_lb, 0.5)
+    threshold = wf.dual_use_threshold_w(0.5, row.mu_com, row.mu_mix)
     lb = replace(table2_lb, comms_power_w=threshold / 2)
-    split = wf.power_split(lb, 0.5)
+    split = waterfill_row(lb, 0.5)
     assert split.beta == 1.0
-    assert split.p_com_mix_w == 0.0
-    assert split.p_com_com_w == lb.comms_power_w
+    assert split.p_com_mix == 0.0
+    assert split.p_com_com == lb.comms_power_w
 
 
 @given(st.integers(min_value=0, max_value=2**32), alphas)
 def test_power_conservation_and_beta_range(seed, alpha):
     lb = random_lb(np.random.default_rng(seed))
-    split = wf.power_split(lb, alpha)
+    split = waterfill_row(lb, alpha)
     assert 0.0 <= split.beta <= 1.0
-    assert split.p_com_com_w + split.p_com_mix_w == pytest.approx(
+    assert split.p_com_com + split.p_com_mix == pytest.approx(
         lb.comms_power_w, rel=1e-12
     )
-    assert split.beta == pytest.approx(split.p_com_com_w / lb.comms_power_w, rel=1e-12)
+    assert split.beta == pytest.approx(split.p_com_com / lb.comms_power_w, rel=1e-12)
     if split.beta_clamped:
         assert split.beta in (0.0, 1.0)
 
 
 def test_beta_continuous_over_alpha_sweep(table2_lb):
     grid = np.linspace(0.01, 0.99, 300)
-    betas = [wf.power_split(table2_lb, float(a)).beta for a in grid]
+    betas = wf.waterfill_grid(table2_lb, grid).beta
     jumps = np.abs(np.diff(betas))
     assert float(np.max(jumps)) < 0.02
 
 
 def test_threshold_continuity_in_power(table2_lb):
     alpha = 0.4
-    mu_com, mu_mix = wf.subband_channels(table2_lb, alpha)
-    p_star = wf.dual_use_threshold_w(alpha, mu_com, mu_mix)
+    row = waterfill_row(table2_lb, alpha)
+    p_star = wf.dual_use_threshold_w(alpha, row.mu_com, row.mu_mix)
 
     def total(p):
         lb = replace(table2_lb, comms_power_w=p)
-        point = wf.waterfill_point(lb, alpha)
+        point = waterfill_row(lb, alpha)
         return point.r_com_total
 
     below = total(p_star * (1 - 1e-6))
@@ -136,7 +138,7 @@ def test_threshold_continuity_in_power(table2_lb):
 
 
 def test_waterfill_point_frozen_at_half(table2_lb):
-    p = wf.waterfill_point(table2_lb, 0.5)
+    p = waterfill_row(table2_lb, 0.5)
     assert p.r_com_com == pytest.approx(WF_R_COM_COM_05, rel=1e-12)
     assert p.r_com_mix == pytest.approx(WF_R_COM_MIX_05, rel=1e-12)
     assert p.r_est == pytest.approx(WF_R_EST_05, rel=1e-12)
@@ -145,7 +147,7 @@ def test_waterfill_point_frozen_at_half(table2_lb):
 
 
 def test_waterfill_endpoint_is_sic_vertex(table2_lb):
-    p = wf.waterfill_point(table2_lb, 1e-8)
+    p = waterfill_row(table2_lb, 1e-8)
     assert p.r_est == pytest.approx(TABLE2_EST_RATE_BPS, rel=1e-6)
     assert p.r_com_total == pytest.approx(TABLE2_SIC_RATE_BPS, rel=1e-6)
 
@@ -154,12 +156,12 @@ def test_waterfill_quiet_radar(table2_lb):
     quiet = replace(table2_lb, sigma_tau_proc_sq=(0.0,))
     outer = bounds.comms_outer_rate(quiet)
     for alpha in (0.1, 0.5, 0.9):
-        p = wf.waterfill_point(quiet, alpha)
+        p = waterfill_row(quiet, alpha)
         assert p.r_est == 0.0
         assert p.r_com_total <= outer * (1 + 1e-12)
     # equal channels at alpha = 1/2: the split is optimal, so the full-band
     # rate is attained
-    assert wf.waterfill_point(quiet, 0.5).r_com_total == pytest.approx(
+    assert waterfill_row(quiet, 0.5).r_com_total == pytest.approx(
         outer, rel=1e-12
     )
 
@@ -167,21 +169,21 @@ def test_waterfill_quiet_radar(table2_lb):
 def test_waterfill_self_consistency_boundary(table2_lb):
     # kappa*delta <= TB*(1 - alpha): with TB=100 and delta=0.01 the flag
     # trips above alpha = 0.99
-    assert wf.waterfill_point(table2_lb, 0.98).self_consistent
-    assert not wf.waterfill_point(table2_lb, 0.995).self_consistent
+    assert waterfill_row(table2_lb, 0.98).self_consistent
+    assert not waterfill_row(table2_lb, 0.995).self_consistent
 
 
 def test_waterfill_curve_filters_inconsistent_points(table2_lb):
     grid = [0.5, 0.9, 0.995]
-    points = wf.waterfill_points(table2_lb, grid)
-    assert [p.self_consistent for p in points] == [True, True, False]
-    curve = wf.waterfill_curve(table2_lb, grid)
+    points = wf.waterfill_grid(table2_lb, grid)
+    assert points.self_consistent.tolist() == [True, True, False]
+    curve = bounds.rate_region(table2_lb, grid).waterfill
     assert len(curve.points) == 2
 
 
 def test_waterfill_singleton_grid(table2_lb):
-    curve = wf.waterfill_curve(table2_lb, [0.5])
-    p = wf.waterfill_point(table2_lb, 0.5)
+    curve = bounds.rate_region(table2_lb, [0.5]).waterfill
+    p = waterfill_row(table2_lb, 0.5)
     assert len(curve.points) == 1
     assert curve.points[0].r_est == p.r_est
     assert curve.points[0].r_com == p.r_com_total
@@ -189,9 +191,9 @@ def test_waterfill_singleton_grid(table2_lb):
 
 def test_waterfill_grid_validation(table2_lb):
     with pytest.raises(ValueError):
-        wf.waterfill_points(table2_lb, [0.9, 0.1])
+        wf.waterfill_grid(table2_lb, [0.9, 0.1])
     with pytest.raises(ValueError):
-        wf.waterfill_points(table2_lb, [0.0, 0.5])
+        wf.waterfill_grid(table2_lb, [0.0, 0.5])
 
 
 @given(st.integers(min_value=0, max_value=2**32))
@@ -199,10 +201,9 @@ def test_waterfill_optimality_against_grid(seed):
     rng = np.random.default_rng(seed)
     lb = random_lb(rng)
     alpha = float(rng.uniform(0.05, 0.95))
-    mu_com, mu_mix = wf.subband_channels(lb, alpha)
-    if lb.comms_power_w < wf.dual_use_threshold_w(alpha, mu_com, mu_mix):
+    point = waterfill_row(lb, alpha)
+    if lb.comms_power_w < wf.dual_use_threshold_w(alpha, point.mu_com, point.mu_mix):
         return
-    point = wf.waterfill_point(lb, alpha)
     grid_best, _ = brute_force_total_comms_rate(lb, alpha, n_beta=4000)
     assert point.r_com_total >= grid_best * (1 - 1e-9)
 
@@ -234,6 +235,13 @@ def test_hull_drops_dominated_point():
     assert len(hull.points) == 2
 
 
+def test_hull_keeps_input_points_largest_ordinate_per_abscissa():
+    low, high, end = RatePoint(0.0, 0.5), RatePoint(0.0, 1.0), RatePoint(1.0, 0.0)
+    hull = wf.upper_convex_hull([low, end, high])
+    assert hull.points == (high, end)
+    assert hull.points[0] is high and hull.points[1] is end
+
+
 def test_hull_requires_two_points():
     with pytest.raises(ValueError):
         wf.upper_convex_hull([RatePoint(0.0, 1.0)])
@@ -252,7 +260,7 @@ def _hull_value_at(hull, x):
 
 def test_hull_dominates_contributors(table2_lb):
     grid = np.linspace(0.02, 0.98, 150)
-    curve = wf.waterfill_curve(table2_lb, grid)
+    curve = bounds.rate_region(table2_lb, grid).waterfill
     interp = bounds.interpolated_inner(table2_lb)
     hull = wf.upper_convex_hull(list(interp.points) + list(curve.points))
     for p in list(interp.points) + list(curve.points):
@@ -261,7 +269,7 @@ def test_hull_dominates_contributors(table2_lb):
 
 def test_hull_anchors(table2_lb):
     grid = np.linspace(0.02, 0.98, 50)
-    curve = wf.waterfill_curve(table2_lb, grid)
+    curve = bounds.rate_region(table2_lb, grid).waterfill
     interp = bounds.interpolated_inner(table2_lb)
     hull = wf.upper_convex_hull(list(interp.points) + list(curve.points))
     all_pts = list(interp.points) + list(curve.points)
@@ -276,9 +284,9 @@ def test_hull_anchors(table2_lb):
 @given(st.integers(min_value=0, max_value=2**32), alphas)
 def test_subband_widths_sum_exactly(seed, alpha):
     lb = random_lb(np.random.default_rng(seed))
-    split = wf.power_split(lb, alpha)
+    split = waterfill_row(lb, alpha)
     # exact up to the final addition's rounding (<= 2 ulp)
-    assert split.b_com_hz + split.b_mix_hz == pytest.approx(
+    assert split.b_com + split.b_mix == pytest.approx(
         lb.bandwidth_hz, rel=5e-16, abs=0.0
     )
     assert split.alpha == alpha
@@ -333,8 +341,8 @@ def scalar_reference_rows(lb, alphas):
 def assert_kernel_matches_scalar_forms(lb, n):
     alphas = wf.default_alpha_grid(n)
     want = dict(zip(KERNEL_COLUMNS, map(list, zip(*scalar_reference_rows(lb, alphas)))))
-    curves = bounds.rate_region(lb, alphas)
-    grid = curves[3].grid
+    region = bounds.rate_region(lb, alphas)
+    grid = region.grid
     for name in KERNEL_COLUMNS:
         got = getattr(grid, name).tolist()
         assert got == want[name], name  # bit for bit, flags included
@@ -343,9 +351,9 @@ def assert_kernel_matches_scalar_forms(lb, n):
     published = [
         (e, c) for e, c, ok in zip(want["r_est"], r_com, want["self_consistent"]) if ok
     ]
-    assert curves[3].xy() == published
-    hull = wf.upper_convex_hull(curves[2].xy() + published)
-    assert curves[4].xy() == hull.xy()
+    assert list(region.waterfill.points) == published
+    hull = wf.upper_convex_hull(list(region.interpolated.points) + published)
+    assert region.hull.points == hull.points
 
 
 def test_kernel_matches_scalar_forms_table2(table2_lb):
@@ -359,15 +367,13 @@ def test_kernel_matches_scalar_forms_random_scenarios():
 
 
 def test_scalar_views_return_python_floats(table2_lb):
-    point = wf.waterfill_point(table2_lb, 0.5)
-    split = point.split
     values = [
-        point.r_com_com, point.r_com_mix, point.r_est, split.alpha, split.beta,
-        split.nu, split.mu_mix, split.sigma_mix_w,
-        *wf.subband_channels(table2_lb, 0.5),
         bounds.int_plus_noise_variance(table2_lb, 1e6),
         bounds.est_outer_rate_log_form(table2_lb),
     ]
     assert all(type(v) is float for v in values)
-    assert type(point.self_consistent) is bool and type(split.beta_clamped) is bool
-    assert wf.waterfill_points(table2_lb, [0.25, 0.5])[1] == point
+    # CSV and SVG bytes are the reprs of these: every curve point holds
+    # Python floats, the alpha = 0 head and the hull included
+    region = bounds.rate_region(table2_lb, [0.0, 0.25, 0.5, 0.995])
+    for curve in region.curves:
+        assert all(type(v) is float for p in curve.points for v in p), curve.label
