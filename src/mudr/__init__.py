@@ -13,14 +13,12 @@ from .bounds import (
     MultiTargetError,
     PentagonRegion,
     RateCurve,
-    RatePoint,
     RateRegion,
     comms_outer_rate,
     crb_delay_variance,
     est_outer_rate,
     estimation_entropy,
     int_plus_noise_variance,
-    interpolated_inner,
     ma_pentagon,
     rate_region,
     sic_comms_rate,
@@ -38,7 +36,6 @@ from .scenario import (
     LinkBudget,
     Scenario,
     ScenarioError,
-    SpectralShape,
     Target,
     bundled_scenario_path,
     delay_from_range,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -49,13 +49,6 @@ _log2 = _elementwise(math.log2)
 _square = _elementwise(lambda x: x**2)
 
 
-class RatePoint(NamedTuple):
-    """One (estimation rate, communications rate) pair in bits/s."""
-
-    r_est: float
-    r_com: float
-
-
 def check_rates(name: str, values) -> None:
     """Raise unless every rate in ``values`` (a float or an array of them)
     is finite and nonnegative."""
@@ -65,17 +58,18 @@ def check_rates(name: str, values) -> None:
         raise ValueError(f"{name} must be finite and nonnegative, got {float(v[bad][0])}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RateCurve:
-    """Labeled polyline of rate points."""
+    """Labeled polyline in bits/s: vertex ``i`` is (``r_est[i]``,
+    ``r_com[i]``), two float64 columns of one nonzero length."""
 
     label: str
-    points: tuple[RatePoint, ...]
+    r_est: np.ndarray
+    r_com: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.points) == 0:
-            raise ValueError("a rate curve needs at least one point")
-        object.__setattr__(self, "points", tuple(self.points))
+        if not 0 < len(self.r_est) == len(self.r_com):
+            raise ValueError("a rate curve needs two nonempty columns of one length")
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,13 +248,6 @@ def _require_single_target(lb: LinkBudget, what: str) -> None:
         )
 
 
-def interpolated_inner(lb: LinkBudget) -> RateCurve:
-    """Straight-line inner bound between the comms-alone point and the
-    full-cancellation vertex: the "interpolated" curve of :func:`rate_region`
-    on the vertex-only grid [0], which evaluates no waterfill point."""
-    return rate_region(lb, [0.0]).interpolated
-
-
 def rate_region(lb: LinkBudget, alpha_grid: Sequence[float]) -> RateRegion:
     """All displayed curves for one scenario, from one pass over the grid.
 
@@ -286,18 +273,18 @@ def rate_region(lb: LinkBudget, alpha_grid: Sequence[float]) -> RateRegion:
     if not n_zero and not keep.any():
         raise ValueError("no self-consistent waterfill point on the given grid; "
                          "a split alpha needs duty_factor <= 1 - alpha")
-    vertex = RatePoint(r_est, r_sic)
-    splits = (vertex,) * n_zero + tuple(
-        map(RatePoint, grid.r_est[keep].tolist(), grid.r_com_total[keep].tolist())
-    )
-    inner = (RatePoint(0.0, r_com), vertex)
+    split_est = np.concatenate((np.full(n_zero, r_est), grid.r_est[keep]))
+    split_com = np.concatenate((np.full(n_zero, r_sic), grid.r_com_total[keep]))
+    inner_est, inner_com = np.array([0.0, r_est]), np.array([r_com, r_sic])
+    outer_est, outer_com = np.array([0.0, r_est, r_est]), np.array([r_com, r_com, 0.0])
     return RateRegion(
-        outer=RateCurve(
-            "outer", (RatePoint(0.0, r_com), RatePoint(r_est, r_com), RatePoint(r_est, 0.0))
+        outer=RateCurve("outer", outer_est, outer_com),
+        sic=RateCurve("sic", inner_est, np.array([r_sic, r_sic])),
+        interpolated=RateCurve("interpolated", inner_est, inner_com),
+        waterfill=RateCurve("waterfill", split_est, split_com),
+        hull=waterfill.upper_convex_hull(
+            np.concatenate((inner_est, split_est)),
+            np.concatenate((inner_com, split_com)),
         ),
-        sic=RateCurve("sic", (RatePoint(0.0, r_sic), vertex)),
-        interpolated=RateCurve("interpolated", inner),
-        waterfill=RateCurve("waterfill", splits),
-        hull=waterfill.upper_convex_hull(inner + splits),
         grid=grid,
     )

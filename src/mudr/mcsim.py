@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import crb_delay_variance, int_plus_noise_variance, _require_single_target
-from .scenario import GAMMA_SQ, LinkBudget, SpectralShape
+from .scenario import GAMMA_SQ_FLAT, LinkBudget
 
 
 class ExperimentPreconditionError(ValueError):
@@ -362,5 +362,5 @@ def gamma_experiment(spec: WaveformSpec, trials: int, seed: int) -> McReport:
     if trials <= 0:
         raise ValueError("trials must be positive")
     empirical = float(np.mean(gamma_sq_trials(spec, trials, seed)))
-    analytic = GAMMA_SQ[SpectralShape.FLAT]
+    analytic = GAMMA_SQ_FLAT
     return _report("gamma", trials, seed, empirical, analytic, tolerance=0.05)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields, replace
-from enum import Enum
 from importlib import resources
 from pathlib import Path
 from typing import Callable
@@ -33,14 +32,9 @@ class ScenarioError(ValueError):
     """A scenario file failed to parse or a field failed validation."""
 
 
-class SpectralShape(Enum):
-    """Power-spectral-density shape of the radar waveform."""
-
-    FLAT = "flat"
-
-
-#: (2 pi B_rms)^2 = GAMMA_SQ[shape] * B^2 for a unit-variance waveform.
-GAMMA_SQ = {SpectralShape.FLAT: (2.0 * math.pi) ** 2 / 12.0}
+#: (2 pi B_rms)^2 = GAMMA_SQ_FLAT * B^2 for a unit-variance waveform with a
+#: flat spectrum over the band, the one spectral shape a scenario may name.
+GAMMA_SQ_FLAT = (2.0 * math.pi) ** 2 / 12.0
 
 #: Valid closed range of every numeric Scenario and Target field in SI units,
 #: with the scenario-file field it is read from. Inside these ranges every
@@ -112,7 +106,6 @@ class Scenario:
     targets: tuple[Target, ...]
     time_bandwidth: float
     duty_factor: float
-    spectral_shape: SpectralShape = SpectralShape.FLAT
 
     def __post_init__(self) -> None:
         _check_ranges(self)
@@ -206,7 +199,7 @@ def derive_link_budget(s: Scenario) -> LinkBudget:
         b_sq=b_sq,
         noise_power_w=noise_power(s.temperature_k, s.bandwidth_hz),
         sigma_tau_proc_sq=sigma_tau_proc_sq,
-        gamma_sq=GAMMA_SQ[s.spectral_shape],
+        gamma_sq=GAMMA_SQ_FLAT,
         bandwidth_hz=s.bandwidth_hz,
         time_bandwidth=s.time_bandwidth,
         duty_factor=s.duty_factor,
@@ -300,13 +293,10 @@ def load_scenario(path: str | Path) -> Scenario:
     radar = _object(_require(raw, "radar", ""), _RADAR_KEYS, "radar.")
 
     shape_name = _require(raw, "spectral_shape", "")
-    try:
-        shape = SpectralShape(str(shape_name).lower())
-    except ValueError:
-        valid = ", ".join(s.value for s in SpectralShape)
+    if str(shape_name).lower() != "flat":
         raise ScenarioError(
-            f"field 'spectral_shape' must be one of: {valid}; got {shape_name!r}"
-        ) from None
+            f"field 'spectral_shape' must be one of: flat; got {shape_name!r}"
+        )
 
     targets_raw = _require(raw, "targets", "")
     if not isinstance(targets_raw, list) or len(targets_raw) == 0:
@@ -337,7 +327,6 @@ def load_scenario(path: str | Path) -> Scenario:
         targets=tuple(targets),
         time_bandwidth=_number(radar, "time_bandwidth", "radar."),
         duty_factor=_number(radar, "duty_factor", "radar."),
-        spectral_shape=shape,
     )
 
 
@@ -353,7 +342,7 @@ def replace_scenario_field(s: Scenario, field: str, value: float) -> Scenario:
     applied to every target. Raises ScenarioError naming ``field`` for an
     unknown field or a value outside :data:`FIELD_RANGES`.
     """
-    scenario_fields = {f.name for f in fields(Scenario)} - {"targets", "spectral_shape"}
+    scenario_fields = {f.name for f in fields(Scenario)} - {"targets"}
     target_fields = {f.name for f in fields(Target)}
     if field not in scenario_fields | target_fields:
         valid = ", ".join(sorted(scenario_fields | target_fields))

@@ -30,7 +30,6 @@ import numpy as np
 
 from .bounds import (
     RateCurve,
-    RatePoint,
     _log2,
     _log_form_rate,
     _require_single_target,
@@ -45,8 +44,9 @@ class WaterfillGrid:
     """Every split of one alpha grid as columns, one array entry per alpha:
     the subband widths, the interference plus noise ``sigma_mix`` over the
     mixed subband, the channel gains, the water level, the power split,
-    the rates and the self-consistency flag; ``kappa`` is the waveform
-    integration held fixed across the grid."""
+    the rates (per subband, their sum ``r_com_total``, and ``r_est``) and
+    the self-consistency flag; ``kappa`` is the waveform integration held
+    fixed across the grid."""
 
     alpha: np.ndarray
     b_com: np.ndarray
@@ -61,13 +61,10 @@ class WaterfillGrid:
     p_com_mix: np.ndarray
     r_com_com: np.ndarray
     r_com_mix: np.ndarray
+    r_com_total: np.ndarray
     r_est: np.ndarray
     self_consistent: np.ndarray
     kappa: float
-
-    @property
-    def r_com_total(self) -> np.ndarray:
-        return self.r_com_com + self.r_com_mix
 
     def counters(self) -> dict[str, int]:
         """Splits evaluated, dropped as not self-consistent, and with beta
@@ -132,9 +129,10 @@ def waterfill_grid(lb: LinkBudget, alpha_grid: Sequence[float]) -> WaterfillGrid
     arg_com = p_com_com * lb.b_sq / (lb.kt_w_per_hz * b_com)
     r_com_com = b_com * _log2(1.0 + arg_com)
     r_com_mix = b_mix * _log2(1.0 + lb.b_sq * p_com_mix / sigma_mix)
+    r_com_total = r_com_com + r_com_mix
     r_est = _log_form_rate(lb, 0, b_mix, kappa)
     check_rates("r_est", r_est)
-    check_rates("r_com", r_com_com + r_com_mix)
+    check_rates("r_com", r_com_total)
 
     return WaterfillGrid(
         alpha=alpha,
@@ -150,6 +148,7 @@ def waterfill_grid(lb: LinkBudget, alpha_grid: Sequence[float]) -> WaterfillGrid
         p_com_mix=p_com_mix,
         r_com_com=r_com_com,
         r_com_mix=r_com_mix,
+        r_com_total=r_com_total,
         r_est=r_est,
         # pulse duration kappa/B_mix must not exceed T_pri = TB/(delta B)
         self_consistent=kappa * lb.duty_factor <= lb.time_bandwidth * (1.0 - alpha),
@@ -157,7 +156,7 @@ def waterfill_grid(lb: LinkBudget, alpha_grid: Sequence[float]) -> WaterfillGrid
     )
 
 
-def default_alpha_grid(n: int = 400) -> list[float]:
+def default_alpha_grid(n: int) -> list[float]:
     """Uniform alpha grid on (1e-4, 1 - 1e-4)."""
     if n < 1:
         raise ValueError("grid needs at least one point")
@@ -168,28 +167,24 @@ def default_alpha_grid(n: int = 400) -> list[float]:
     return [lo + i * step for i in range(n)]
 
 
-def upper_convex_hull(
-    points: Sequence[RatePoint], label: str = "hull"
-) -> RateCurve:
-    """Upper-left Pareto convex hull of a point cloud of (r_est, r_com)
-    pairs, made of the input point objects.
+def upper_convex_hull(r_est: np.ndarray, r_com: np.ndarray) -> RateCurve:
+    """Upper-left Pareto convex hull of the point cloud (``r_est[i]``,
+    ``r_com[i]``), as the "hull" curve of input points.
 
     Monotone chain over r_est keeping the concave upper envelope; strictly
     interior and collinear points are dropped, so a collinear input
     reduces to its endpoints. Of the points sharing an abscissa only the
-    first with the largest ordinate is kept.
+    one with the largest ordinate is kept.
     """
-    if len(points) < 2:
+    if len(r_est) < 2:
         raise ValueError("hull needs at least two points")
-    best: dict[float, RatePoint] = {}
-    for p in points:
-        x = p[0]
-        if x not in best or p[1] > best[x][1]:
-            best[x] = p
-    hull: list[RatePoint] = []
-    for x in sorted(best):
-        p = best[x]
-        y = p[1]
+    # sorted by abscissa, largest ordinate first within each run of one abscissa
+    order = np.lexsort((-r_com, r_est))
+    xs, ys = r_est[order], r_com[order]
+    first = np.ones(len(xs), dtype=bool)
+    first[1:] = xs[1:] != xs[:-1]
+    hull: list[tuple[float, float]] = []
+    for x, y in zip(xs[first].tolist(), ys[first].tolist()):
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
             # pop while the middle point is on or below the chord
@@ -197,5 +192,6 @@ def upper_convex_hull(
                 hull.pop()
             else:
                 break
-        hull.append(p)
-    return RateCurve(label=label, points=tuple(hull))
+        hull.append((x, y))
+    hull_x, hull_y = zip(*hull)
+    return RateCurve("hull", np.array(hull_x), np.array(hull_y))

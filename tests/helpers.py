@@ -119,11 +119,11 @@ def brute_force_total_comms_rate(lb: LinkBudget, alpha: float, n_beta: int = 10_
 
 def waterfill_row(lb: LinkBudget, alpha: float) -> SimpleNamespace:
     """One split of ``waterfill_grid(lb, [alpha])``: every column as a Python
-    scalar, with ``kappa`` and ``r_com_total``."""
+    scalar, with ``kappa``."""
     g = waterfill_grid(lb, [alpha])
     row = {f.name: getattr(g, f.name) for f in fields(g)}
     row = {k: v.tolist()[0] if isinstance(v, np.ndarray) else v for k, v in row.items()}
-    return SimpleNamespace(**row, r_com_total=row["r_com_com"] + row["r_com_mix"])
+    return SimpleNamespace(**row)
 
 
 # --- time-domain reference path of the Monte Carlo kernels ----------------------

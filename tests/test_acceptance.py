@@ -30,14 +30,15 @@ def report(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num}: {detail}"
 
 
-def hull_value_at(points, x):
-    for a, b in zip(points, points[1:]):
-        if a.r_est <= x <= b.r_est:
-            if b.r_est == a.r_est:
-                return max(a.r_com, b.r_com)
-            t = (x - a.r_est) / (b.r_est - a.r_est)
-            return a.r_com + t * (b.r_com - a.r_com)
-    return points[-1].r_com
+def hull_value_at(curve, x):
+    xs, ys = curve.r_est.tolist(), curve.r_com.tolist()
+    for i in range(len(xs) - 1):
+        if xs[i] <= x <= xs[i + 1]:
+            if xs[i + 1] == xs[i]:
+                return max(ys[i], ys[i + 1])
+            t = (x - xs[i]) / (xs[i + 1] - xs[i])
+            return ys[i] + t * (ys[i + 1] - ys[i])
+    return ys[-1]
 
 
 def test_criterion_01_region_curves(tmp_path, table2_lb):
@@ -53,15 +54,13 @@ def test_criterion_01_region_curves(tmp_path, table2_lb):
     sic = bounds.sic_comms_rate(table2_lb)
     outer = bounds.comms_outer_rate(table2_lb)
 
-    p0, p1 = region.interpolated.points
-    slope = (p1.r_com - p0.r_com) / (p1.r_est - p0.r_est)
-    exceeds = any(
-        p.r_com > p0.r_com + slope * p.r_est for p in region.waterfill.points
-    )
-    hull = region.hull.points
+    (e0, e1), (c0, c1) = region.interpolated.r_est, region.interpolated.r_com
+    slope = (c1 - c0) / (e1 - e0)
+    exceeds = bool(any(region.waterfill.r_com > c0 + slope * region.waterfill.r_est))
     dominated = all(
-        hull_value_at(hull, p.r_est) >= p.r_com - 1e-9
-        for p in list(region.interpolated.points) + list(region.waterfill.points)
+        hull_value_at(region.hull, r_est) >= r_com - 1e-9
+        for c in (region.interpolated, region.waterfill)
+        for r_est, r_com in zip(c.r_est.tolist(), c.r_com.tolist())
     )
     ok = elapsed < 5.0 and sic < outer and exceeds and dominated
     report(

@@ -241,24 +241,24 @@ def test_sic_equals_outer_iff_quiet(table2_lb):
 
 
 def test_interpolated_endpoints(table2_lb):
-    curve = bounds.interpolated_inner(table2_lb)
-    assert curve.points[0].r_est == 0.0
-    assert curve.points[0].r_com == pytest.approx(TABLE2_COMMS_OUTER_BPS, rel=1e-12)
-    assert curve.points[1].r_est == pytest.approx(TABLE2_EST_RATE_BPS, rel=1e-12)
-    assert curve.points[1].r_com == pytest.approx(TABLE2_SIC_RATE_BPS, rel=1e-12)
-    assert curve.points[0].r_com >= curve.points[1].r_com
+    curve = bounds.rate_region(table2_lb, [0.0]).interpolated
+    assert curve.r_est[0] == 0.0
+    assert curve.r_com[0] == pytest.approx(TABLE2_COMMS_OUTER_BPS, rel=1e-12)
+    assert curve.r_est[1] == pytest.approx(TABLE2_EST_RATE_BPS, rel=1e-12)
+    assert curve.r_com[1] == pytest.approx(TABLE2_SIC_RATE_BPS, rel=1e-12)
+    assert curve.r_com[0] >= curve.r_com[1]
 
 
 def test_interpolated_rejects_multi_target():
     with pytest.raises(bounds.MultiTargetError):
-        bounds.interpolated_inner(make_lb(n_targets=2))
+        bounds.rate_region(make_lb(n_targets=2), [0.0]).interpolated
 
 
 def test_interpolated_degenerate_radar(table2_lb):
     quiet = replace(table2_lb, sigma_tau_proc_sq=(0.0,))
-    curve = bounds.interpolated_inner(quiet)
-    assert curve.points[0].r_est == curve.points[1].r_est == 0.0
-    assert curve.points[0].r_com == pytest.approx(curve.points[1].r_com, rel=1e-12)
+    curve = bounds.rate_region(quiet, [0.0]).interpolated
+    assert curve.r_est[0] == curve.r_est[1] == 0.0
+    assert curve.r_com[0] == pytest.approx(curve.r_com[1], rel=1e-12)
 
 
 def test_rate_region_curve_inventory(table2_lb):
@@ -274,30 +274,31 @@ def test_rate_region_curve_inventory(table2_lb):
 
 def test_rate_region_alpha_zero_is_vertex(table2_lb):
     wf = bounds.rate_region(table2_lb, [0.0]).waterfill
-    assert len(wf.points) == 1
-    assert wf.points[0].r_est == pytest.approx(TABLE2_EST_RATE_BPS, rel=1e-12)
-    assert wf.points[0].r_com == pytest.approx(TABLE2_SIC_RATE_BPS, rel=1e-12)
+    assert len(wf.r_est) == 1
+    assert wf.r_est[0] == pytest.approx(TABLE2_EST_RATE_BPS, rel=1e-12)
+    assert wf.r_com[0] == pytest.approx(TABLE2_SIC_RATE_BPS, rel=1e-12)
 
 
 def test_rate_region_hull_concave(table2_lb):
-    hull = bounds.rate_region(table2_lb, np.linspace(0.01, 0.99, 100)).hull.points
+    hull = bounds.rate_region(table2_lb, np.linspace(0.01, 0.99, 100)).hull
+    x, y = hull.r_est.tolist(), hull.r_com.tolist()
     slopes = [
-        (b.r_com - a.r_com) / (b.r_est - a.r_est)
-        for a, b in zip(hull, hull[1:])
-        if b.r_est > a.r_est
+        (y[i + 1] - y[i]) / (x[i + 1] - x[i])
+        for i in range(len(x) - 1)
+        if x[i + 1] > x[i]
     ]
     assert all(s2 <= s1 + 1e-9 for s1, s2 in zip(slopes, slopes[1:]))
 
 
 def test_rate_region_waterfill_beats_interpolation(table2_lb):
     region = bounds.rate_region(table2_lb, np.linspace(0.01, 0.99, 200))
-    p0, p1 = region.interpolated.points
-    slope = (p1.r_com - p0.r_com) / (p1.r_est - p0.r_est)
+    (e0, e1), (c0, c1) = region.interpolated.r_est, region.interpolated.r_com
+    slope = (c1 - c0) / (e1 - e0)
 
     def interp(r_est):
-        return p0.r_com + slope * r_est
+        return c0 + slope * r_est
 
-    assert any(p.r_com > interp(p.r_est) for p in region.waterfill.points)
+    assert any(region.waterfill.r_com > interp(region.waterfill.r_est))
 
 
 def test_rate_region_rejects_bad_grid(table2_lb):

@@ -487,7 +487,8 @@ def test_region_csv_rows_equal_the_library(tmp_path):
             want += zip(["waterfill"] * len(g.alpha), g.alpha.tolist(), g.r_est.tolist(),
                         g.r_com_total.tolist(), g.self_consistent.tolist())
         else:
-            want += [(curve.label, None, r_est, r_com, True) for r_est, r_com in curve.points]
+            want += [(curve.label, None, r_est, r_com, True)
+                     for r_est, r_com in zip(curve.r_est.tolist(), curve.r_com.tolist())]
     # each CSV number parses back to the library's float exactly
     got = [
         (r["curve_label"],

@@ -254,6 +254,6 @@ def test_gain_underflow_named(tmp_path, section, key, value, field):
 
 
 def test_gamma_sq_flat_value():
-    assert sc.GAMMA_SQ[sc.SpectralShape.FLAT] == pytest.approx(
+    assert sc.GAMMA_SQ_FLAT == pytest.approx(
         (2 * math.pi) ** 2 / 12, rel=0
     )

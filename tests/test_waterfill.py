@@ -23,7 +23,7 @@ from helpers import (
     waterfill_row,
 )
 from mudr import bounds, waterfill as wf
-from mudr.bounds import MultiTargetError, RatePoint
+from mudr.bounds import MultiTargetError
 
 alphas = st.floats(min_value=1e-3, max_value=1.0 - 1e-3)
 
@@ -178,15 +178,15 @@ def test_waterfill_curve_filters_inconsistent_points(table2_lb):
     points = wf.waterfill_grid(table2_lb, grid)
     assert points.self_consistent.tolist() == [True, True, False]
     curve = bounds.rate_region(table2_lb, grid).waterfill
-    assert len(curve.points) == 2
+    assert len(curve.r_est) == 2
 
 
 def test_waterfill_singleton_grid(table2_lb):
     curve = bounds.rate_region(table2_lb, [0.5]).waterfill
     p = waterfill_row(table2_lb, 0.5)
-    assert len(curve.points) == 1
-    assert curve.points[0].r_est == p.r_est
-    assert curve.points[0].r_com == p.r_com_total
+    assert len(curve.r_est) == 1
+    assert curve.r_est[0] == p.r_est
+    assert curve.r_com[0] == p.r_com_total
 
 
 def test_waterfill_grid_validation(table2_lb):
@@ -211,18 +211,24 @@ def test_waterfill_optimality_against_grid(seed):
 # --- upper convex hull ------------------------------------------------------------
 
 
+def _hull(points):
+    """The hull of a list of (r_est, r_com) pairs, as a list of pairs."""
+    r_est, r_com = np.array(points, dtype=float).reshape(-1, 2).T
+    hull = wf.upper_convex_hull(r_est, r_com)
+    return list(zip(hull.r_est.tolist(), hull.r_com.tolist()))
+
+
 def test_hull_collinear_reduces_to_endpoints():
-    pts = [RatePoint(float(i), 10.0 - i) for i in range(6)]
-    hull = wf.upper_convex_hull(pts)
-    assert len(hull.points) == 2
-    assert hull.points[0] == RatePoint(0.0, 10.0)
-    assert hull.points[-1] == RatePoint(5.0, 5.0)
+    pts = [(float(i), 10.0 - i) for i in range(6)]
+    hull = _hull(pts)
+    assert len(hull) == 2
+    assert hull[0] == (0.0, 10.0)
+    assert hull[-1] == (5.0, 5.0)
 
 
 def test_hull_keeps_dominating_bump():
-    pts = [RatePoint(0.0, 1.0), RatePoint(1.0, 0.0), RatePoint(0.5, 0.9)]
-    hull = wf.upper_convex_hull(pts)
-    assert [(p.r_est, p.r_com) for p in hull.points] == [
+    pts = [(0.0, 1.0), (1.0, 0.0), (0.5, 0.9)]
+    assert _hull(pts) == [
         (0.0, 1.0),
         (0.5, 0.9),
         (1.0, 0.0),
@@ -230,52 +236,77 @@ def test_hull_keeps_dominating_bump():
 
 
 def test_hull_drops_dominated_point():
-    pts = [RatePoint(0.0, 1.0), RatePoint(0.5, 0.3), RatePoint(1.0, 0.0)]
-    hull = wf.upper_convex_hull(pts)
-    assert len(hull.points) == 2
+    pts = [(0.0, 1.0), (0.5, 0.3), (1.0, 0.0)]
+    assert len(_hull(pts)) == 2
 
 
 def test_hull_keeps_input_points_largest_ordinate_per_abscissa():
-    low, high, end = RatePoint(0.0, 0.5), RatePoint(0.0, 1.0), RatePoint(1.0, 0.0)
-    hull = wf.upper_convex_hull([low, end, high])
-    assert hull.points == (high, end)
-    assert hull.points[0] is high and hull.points[1] is end
+    low, high, end = (0.0, 0.5), (0.0, 1.0), (1.0, 0.0)
+    assert _hull([low, end, high]) == [high, end]
 
 
 def test_hull_requires_two_points():
     with pytest.raises(ValueError):
-        wf.upper_convex_hull([RatePoint(0.0, 1.0)])
+        _hull([(0.0, 1.0)])
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, 20)), min_size=2, max_size=40
+    )
+)
+def test_hull_of_integer_clouds(cloud):
+    # small integer coordinates: repeated abscissae, duplicate points, and
+    # cross products that are exact in floating point
+    hull = _hull(cloud)
+    xs, ys = zip(*hull)
+    assert set(hull) <= set(cloud)
+    assert all(a < b for a, b in zip(xs, xs[1:]))
+    for (x1, y1), (x2, y2), (x3, y3) in zip(hull, hull[1:], hull[2:]):
+        assert (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1) < 0  # strict right turn
+    for x, y in cloud:
+        i = max(i for i, hx in enumerate(xs) if hx <= x)
+        if i == len(hull) - 1:
+            assert x == xs[i] and y <= ys[i]
+        else:
+            (x1, y1), (x2, y2) = hull[i], hull[i + 1]
+            assert (x2 - x1) * (y - y1) <= (y2 - y1) * (x - x1)
+    for x, y in hull:
+        assert y == max(cy for cx, cy in cloud if cx == x)
 
 
 def _hull_value_at(hull, x):
-    pts = hull.points
-    for a, b in zip(pts, pts[1:]):
-        if a.r_est <= x <= b.r_est:
-            if b.r_est == a.r_est:
-                return max(a.r_com, b.r_com)
-            t = (x - a.r_est) / (b.r_est - a.r_est)
-            return a.r_com + t * (b.r_com - a.r_com)
-    return pts[-1].r_com
+    xs, ys = hull.r_est.tolist(), hull.r_com.tolist()
+    for i in range(len(xs) - 1):
+        if xs[i] <= x <= xs[i + 1]:
+            if xs[i + 1] == xs[i]:
+                return max(ys[i], ys[i + 1])
+            t = (x - xs[i]) / (xs[i + 1] - xs[i])
+            return ys[i] + t * (ys[i + 1] - ys[i])
+    return ys[-1]
 
 
 def test_hull_dominates_contributors(table2_lb):
     grid = np.linspace(0.02, 0.98, 150)
     curve = bounds.rate_region(table2_lb, grid).waterfill
-    interp = bounds.interpolated_inner(table2_lb)
-    hull = wf.upper_convex_hull(list(interp.points) + list(curve.points))
-    for p in list(interp.points) + list(curve.points):
-        assert _hull_value_at(hull, p.r_est) >= p.r_com - 1e-9
+    interp = bounds.rate_region(table2_lb, [0.0]).interpolated
+    r_est = np.concatenate((interp.r_est, curve.r_est))
+    r_com = np.concatenate((interp.r_com, curve.r_com))
+    hull = wf.upper_convex_hull(r_est, r_com)
+    for x, y in zip(r_est.tolist(), r_com.tolist()):
+        assert _hull_value_at(hull, x) >= y - 1e-9
 
 
 def test_hull_anchors(table2_lb):
     grid = np.linspace(0.02, 0.98, 50)
     curve = bounds.rate_region(table2_lb, grid).waterfill
-    interp = bounds.interpolated_inner(table2_lb)
-    hull = wf.upper_convex_hull(list(interp.points) + list(curve.points))
-    all_pts = list(interp.points) + list(curve.points)
-    assert hull.points[0].r_est == 0.0
-    assert hull.points[0].r_com == max(p.r_com for p in all_pts)
-    assert hull.points[-1].r_est == max(p.r_est for p in all_pts)
+    interp = bounds.rate_region(table2_lb, [0.0]).interpolated
+    r_est = np.concatenate((interp.r_est, curve.r_est))
+    r_com = np.concatenate((interp.r_com, curve.r_com))
+    hull = wf.upper_convex_hull(r_est, r_com)
+    assert hull.r_est[0] == 0.0
+    assert hull.r_com[0] == max(r_com)
+    assert hull.r_est[-1] == max(r_est)
 
 
 # --- split bookkeeping -------------------------------------------------------------
@@ -351,9 +382,14 @@ def assert_kernel_matches_scalar_forms(lb, n):
     published = [
         (e, c) for e, c, ok in zip(want["r_est"], r_com, want["self_consistent"]) if ok
     ]
-    assert list(region.waterfill.points) == published
-    hull = wf.upper_convex_hull(list(region.interpolated.points) + published)
-    assert region.hull.points == hull.points
+    waterfill = region.waterfill
+    assert list(zip(waterfill.r_est.tolist(), waterfill.r_com.tolist())) == published
+    hull = wf.upper_convex_hull(
+        np.concatenate((region.interpolated.r_est, [e for e, _ in published])),
+        np.concatenate((region.interpolated.r_com, [c for _, c in published])),
+    )
+    assert region.hull.r_est.tolist() == hull.r_est.tolist()
+    assert region.hull.r_com.tolist() == hull.r_com.tolist()
 
 
 def test_kernel_matches_scalar_forms_table2(table2_lb):
@@ -372,8 +408,11 @@ def test_scalar_views_return_python_floats(table2_lb):
         bounds.est_outer_rate_log_form(table2_lb),
     ]
     assert all(type(v) is float for v in values)
-    # CSV and SVG bytes are the reprs of these: every curve point holds
-    # Python floats, the alpha = 0 head and the hull included
+    # CSV and SVG bytes are the reprs of these: every curve is two float64
+    # columns whose tolist() coordinates are Python floats, the alpha = 0
+    # head and the hull included
     region = bounds.rate_region(table2_lb, [0.0, 0.25, 0.5, 0.995])
     for curve in region.curves:
-        assert all(type(v) is float for p in curve.points for v in p), curve.label
+        assert curve.r_est.dtype == curve.r_com.dtype == np.float64, curve.label
+        coords = curve.r_est.tolist() + curve.r_com.tolist()
+        assert all(type(v) is float for v in coords), curve.label
