@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .scenario import LinkBudget
+from .scenario import GAMMA_SQ_FLAT, LinkBudget
 
 if TYPE_CHECKING:
     from .waterfill import WaterfillGrid
@@ -138,7 +138,7 @@ def crb_delay_variance(lb: LinkBudget, target_idx: int = 0) -> float:
             f"target {target_idx} has a^2*P_radar = 0; delay variance is unbounded"
         )
     return lb.kt_w_per_hz / (
-        lb.gamma_sq * lb.bandwidth_hz * lb.time_bandwidth * a_sq * lb.radar_power_w
+        GAMMA_SQ_FLAT * lb.bandwidth_hz * lb.time_bandwidth * a_sq * lb.radar_power_w
     )
 
 
@@ -175,7 +175,7 @@ def _log_form_rate(lb: LinkBudget, m: int, bandwidth_hz, kappa: float):
     is a float or an array of them."""
     snr = (
         lb.sigma_tau_proc_sq[m]
-        * lb.gamma_sq
+        * GAMMA_SQ_FLAT
         * bandwidth_hz
         * kappa
         * lb.a_sq[m]
@@ -213,7 +213,7 @@ def int_plus_noise_variance(lb: LinkBudget, bandwidth_hz):
         )
     bw_sq = _square(bandwidth_hz)
     residual = lb.radar_power_w * sum(
-        a_sq * lb.gamma_sq * bw_sq * proc_sq
+        a_sq * GAMMA_SQ_FLAT * bw_sq * proc_sq
         for a_sq, proc_sq in zip(lb.a_sq, lb.sigma_tau_proc_sq)
     )
     return residual + lb.kt_w_per_hz * bandwidth_hz

@@ -142,16 +142,10 @@ def _region_rows(region: bounds.RateRegion) -> Iterator[list[str]]:
 
 
 def _region_files(prefix: str, region: bounds.RateRegion) -> dict[str, str]:
-    # the CSV text is built before the SVG's per-point pairs exist: the other
-    # order fragments the heap, and repeated 100k-point calls then peaked
-    # about 9 MB higher in RSS
     return {
         f"{prefix}.csv": csv_text(REGION_CSV_HEADER, _region_rows(region)),
         f"{prefix}.svg": render_curves_svg(
-            [
-                (c.label, list(zip(c.r_est.tolist(), c.r_com.tolist())))
-                for c in region.curves
-            ],
+            [(c.label, c.r_est, c.r_com) for c in region.curves],
             x_label="estimation rate (bits/s)",
             y_label="communications rate (bits/s)",
         ),
@@ -172,30 +166,24 @@ def cmd_pentagon(args: argparse.Namespace) -> Outcome:
         check_range(name, getattr(args, name), *SNR_DB_RANGE)
     region = bounds.ma_pentagon(db_to_linear(args.snr1_db), db_to_linear(args.snr2_db))
 
-    va, vb = region.vertex_a, region.vertex_b
-    boundary = [
-        (0.0, 0.0),
-        (0.0, region.r2_max),
-        va,
-        vb,
-        (region.r1_max, 0.0),
-        (0.0, 0.0),
+    (a1, a2), (b1, b2) = region.vertex_a, region.vertex_b
+    r1, r2, s = region.r1_max, region.r2_max, region.sum_max
+    # (label, r1 column, r2 column): the vertex rows, then the drawn curves
+    curves = [
+        ("vertex_a", [a1], [a2]),
+        ("vertex_b", [b1], [b2]),
+        ("boundary", [0.0, 0.0, a1, b1, r1, 0.0], [0.0, r2, a2, b2, 0.0, 0.0]),
+        ("r1_max", [r1, r1], [0.0, r2]),
+        ("r2_max", [0.0, r1], [r2, r2]),
+        ("sum_max", [0.0, s], [s, 0.0]),
     ]
-    lines = [
-        ("r1_max", [(region.r1_max, 0.0), (region.r1_max, region.r2_max)]),
-        ("r2_max", [(0.0, region.r2_max), (region.r1_max, region.r2_max)]),
-        ("sum_max", [(0.0, region.sum_max), (region.sum_max, 0.0)]),
+    rows = [
+        [label, fmt_float(x), fmt_float(y)]
+        for label, xs, ys in curves
+        for x, y in zip(xs, ys)
     ]
-    rows = [["vertex_a", fmt_float(va[0]), fmt_float(va[1])],
-            ["vertex_b", fmt_float(vb[0]), fmt_float(vb[1])]]
-    for x, y in boundary:
-        rows.append(["boundary", fmt_float(x), fmt_float(y)])
-    for label, pts in lines:
-        for x, y in pts:
-            rows.append([label, fmt_float(x), fmt_float(y)])
-
     svg = render_curves_svg(
-        [("boundary", boundary)] + lines,
+        curves[2:],
         x_label="user 1 rate (bits/use)",
         y_label="user 2 rate (bits/use)",
     )
@@ -251,7 +239,10 @@ def cmd_sweep(args: argparse.Namespace) -> Outcome:
     files: dict[str, str] = {}
     summary_rows, counters = [], []
     for i, (value, variant) in enumerate(zip(values, variants)):
-        region = _region(variant, args.alpha_points)
+        try:
+            region = _region(variant, args.alpha_points)
+        except ValueError as exc:
+            raise ValueError(f"sweep field '{args.vary}' = {value!r}: {exc}") from None
         files.update(_region_files(f"sweep_{i:03d}_region", region))
         counters.append(region.grid.counters())
         # outer's corner is (est_outer_rate, comms_outer_rate); sic is flat

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 from xml.sax.saxutils import escape
 
-CurvePoints = Sequence[tuple[float, float]]
+import numpy as np
 
 _PALETTE = (
     "#c62828",  # red
@@ -78,30 +78,30 @@ def write_manifest(
     atomic_write_text(path, json.dumps(manifest, indent=2) + "\n")
 
 
-def _ticks(limit: float, count: int = 5) -> list[float]:
-    if limit <= 0:
-        limit = 1.0
-    return [limit * i / (count - 1) for i in range(count)]
+def _ticks(limit: float) -> list[float]:
+    return [limit * i / 4 for i in range(5)]
 
 
 def render_curves_svg(
-    curves: Sequence[tuple[str, CurvePoints]],
+    curves: Sequence[tuple[str, Sequence[float], Sequence[float]]],
     x_label: str,
     y_label: str,
 ) -> str:
-    """800x600 linear-axes plot with one path per labeled curve."""
+    """800x600 linear-axes plot with one path per ``(label, xs, ys)`` curve;
+    the columns are float64 arrays or lists of floats."""
     width, height = 800, 600
     left, right, top, bottom = 80.0, 630.0, 30.0, 540.0
 
-    x_max = max((x for _, pts in curves for x, _ in pts), default=1.0)
-    y_max = max((y for _, pts in curves for _, y in pts), default=1.0)
+    x_max = max(float(np.max(xs)) for _, xs, _ in curves)
+    y_max = max(float(np.max(ys)) for _, _, ys in curves)
     x_span = x_max * 1.05 if x_max > 0 else 1.0
     y_span = y_max * 1.05 if y_max > 0 else 1.0
 
-    def sx(x: float) -> float:
+    # each scales a float or, element by element, a float64 array
+    def sx(x):
         return left + (right - left) * x / x_span
 
-    def sy(y: float) -> float:
+    def sy(y):
         return bottom - (bottom - top) * y / y_span
 
     parts = [
@@ -144,9 +144,11 @@ def render_curves_svg(
         f"{escape(y_label)}</text>"
     )
 
-    for i, (label, pts) in enumerate(curves):
+    for i, (label, xs, ys) in enumerate(curves):
         color = _PALETTE[i % len(_PALETTE)]
-        coords = " L ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts)
+        path_x = sx(np.asarray(xs, dtype=float)).tolist()
+        path_y = sy(np.asarray(ys, dtype=float)).tolist()
+        coords = " L ".join(f"{x:.2f},{y:.2f}" for x, y in zip(path_x, path_y))
         parts.append(
             f'<path id="{escape(label)}" d="M {coords}" fill="none" '
             f'stroke="{color}" stroke-width="2"/>'

@@ -5,7 +5,8 @@ gains in dBi, ranges in meters). Everything downstream works in linear SI
 units, so loading converts once and validation happens here. The derived
 ``LinkBudget`` bundles the handful of numbers every rate bound consumes:
 per-target two-way gain, communications path gain, thermal noise power,
-per-target process-delay variance, and the spectral-shape constant.
+and per-target process-delay variance. The one spectral shape is flat, so
+its constant is the module constant ``GAMMA_SQ_FLAT``.
 
 Propagation model: the per-target gain uses the monostatic radar range
 equation; the communications path gain uses free-space loss with the
@@ -127,7 +128,6 @@ class LinkBudget:
     b_sq: float
     noise_power_w: float
     sigma_tau_proc_sq: tuple[float, ...]
-    gamma_sq: float
     bandwidth_hz: float
     time_bandwidth: float
     duty_factor: float
@@ -199,7 +199,6 @@ def derive_link_budget(s: Scenario) -> LinkBudget:
         b_sq=b_sq,
         noise_power_w=noise_power(s.temperature_k, s.bandwidth_hz),
         sigma_tau_proc_sq=sigma_tau_proc_sq,
-        gamma_sq=GAMMA_SQ_FLAT,
         bandwidth_hz=s.bandwidth_hz,
         time_bandwidth=s.time_bandwidth,
         duty_factor=s.duty_factor,

@@ -69,7 +69,6 @@ def make_lb(
         b_sq=b_sq,
         noise_power_w=noise_power_w,
         sigma_tau_proc_sq=(sigma_tau_proc_sq,) * n_targets,
-        gamma_sq=GAMMA_SQ_FLAT,
         bandwidth_hz=bandwidth_hz,
         time_bandwidth=time_bandwidth,
         duty_factor=duty_factor,
@@ -104,7 +103,7 @@ def brute_force_total_comms_rate(lb: LinkBudget, alpha: float, n_beta: int = 10_
     sigma_int = (
         lb.a_sq[0]
         * lb.radar_power_w
-        * lb.gamma_sq
+        * GAMMA_SQ_FLAT
         * b_mix**2
         * lb.sigma_tau_proc_sq[0]
         + kt * b_mix

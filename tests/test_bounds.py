@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (
+    GAMMA_SQ_FLAT,
     TABLE2_COMMS_OUTER_BPS,
     TABLE2_CRB_S2,
     TABLE2_EST_RATE_BPS,
@@ -90,7 +91,7 @@ def test_crb_closed_forms_agree(seed):
     lb = random_lb(np.random.default_rng(seed))
     direct = bounds.crb_delay_variance(lb)
     via_noise = lb.noise_power_w / (
-        lb.gamma_sq
+        GAMMA_SQ_FLAT
         * lb.bandwidth_hz**2
         * lb.time_bandwidth
         * lb.a_sq[0]

@@ -351,7 +351,8 @@ def test_sweep_unknown_field_exit_2(tmp_path, capsys):
     assert "--values" in capsys.readouterr().err
     # a value outside the field's valid range names the varied field
     for field, value in (("radar_antenna_gain_lin", "1e-200"),
-                         ("cross_section_m2", "1e-320")):
+                         ("cross_section_m2", "1e-320"),
+                         ("duty_factor", "0.5,1.0")):
         rc = run("sweep", "--scenario", bundled_scenario_path(), "--vary", field,
                  "--values", value, "--alpha-points", 5, "--out", tmp_path)
         assert rc == 2

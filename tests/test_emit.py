@@ -1,5 +1,7 @@
 import os
+import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from mudr import emit
@@ -38,3 +40,21 @@ def test_atomic_write_text_umask_mode(tmp_path):
     finally:
         os.umask(umask)
     assert (tmp_path / "out.csv").stat().st_mode & 0o777 == 0o640
+
+
+def test_render_curves_svg_geometry():
+    # both maxima are 2, so each span is 2.1; on the 80..630 by 540..30 plot
+    # x maps to 80 + 550 x / 2.1 and y to 540 - 510 y / 2.1
+    curves = [("a", [0.0, 1.0, 2.0], [0.0, 2.0, 1.0]), ("b", [0.5, 2.0], [1.5, 0.0])]
+    svg = emit.render_curves_svg(curves, x_label="x", y_label="y")
+    root = ET.fromstring(svg)
+    ns = {"svg": "http://www.w3.org/2000/svg"}
+    paths = {p.get("id"): p.get("d") for p in root.iterfind("svg:path", ns)}
+    assert paths == {
+        "a": "M 80.00,540.00 L 341.90,54.29 L 603.81,297.14",
+        "b": "M 210.95,175.71 L 603.81,540.00",
+    }
+    ticks = [t.text for t in root.iterfind("svg:text", ns) if t.get("font-size") == "12"]
+    assert ticks == ["0", "0.525", "1.05", "1.575", "2.1"] * 2
+    as_arrays = [(label, np.array(xs), np.array(ys)) for label, xs, ys in curves]
+    assert emit.render_curves_svg(as_arrays, x_label="x", y_label="y") == svg

@@ -36,7 +36,7 @@ def test_table2_link_budget_frozen_values(table2_lb):
     assert lb.sigma_tau_proc_sq[0] == pytest.approx(
         TABLE2_SIGMA_TAU_PROC_SQ, rel=1e-12
     )
-    assert lb.gamma_sq == pytest.approx(GAMMA_SQ_FLAT, rel=1e-15)
+    assert sc.GAMMA_SQ_FLAT == pytest.approx(GAMMA_SQ_FLAT, rel=1e-15)
     # coarse cross-check against a two-digit hand estimate
     assert lb.a_sq[0] == pytest.approx(5.04e-19, rel=0.01)
     assert lb.noise_power_w == pytest.approx(6.903e-14, rel=1e-3)

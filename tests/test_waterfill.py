@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (
+    GAMMA_SQ_FLAT,
     TABLE2_EST_RATE_BPS,
     TABLE2_SIC_RATE_BPS,
     WF_ALPHAS,
@@ -337,7 +338,7 @@ def scalar_reference_rows(lb, alphas):
     plain ``math``, operation for operation, one alpha at a time."""
     kappa = lb.time_bandwidth
     bw, kt, b_sq, p = lb.bandwidth_hz, lb.kt_w_per_hz, lb.b_sq, lb.comms_power_w
-    a_sq, proc_sq, gamma_sq = lb.a_sq[0], lb.sigma_tau_proc_sq[0], lb.gamma_sq
+    a_sq, proc_sq, gamma_sq = lb.a_sq[0], lb.sigma_tau_proc_sq[0], GAMMA_SQ_FLAT
     rows = []
     for alpha in alphas:
         b_com = alpha * bw
