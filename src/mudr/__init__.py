@@ -26,7 +26,6 @@ from .bounds import (
 from .mcsim import (
     ExperimentPreconditionError,
     McReport,
-    WaveformSpec,
     crb_experiment,
     gamma_experiment,
     generate_waveform,

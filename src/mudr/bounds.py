@@ -168,21 +168,22 @@ def est_outer_rate(lb: LinkBudget) -> float:
     return total
 
 
-def _log_form_rate(lb: LinkBudget, m: int, bandwidth_hz, kappa: float):
+def _log_form_rate(lb: LinkBudget, m: int, bandwidth_hz):
     """Estimation rate of target ``m`` in bits/s for a radar on bandwidth bw
-    with waveform integration kappa: bw log2(1 + sigma_proc^2 gamma^2 bw
-    kappa a^2 P_radar / (k_B T_temp)) raised to delta/kappa. ``bandwidth_hz``
-    is a float or an array of them."""
+    with the scenario's waveform integration TB: bw log2(1 + sigma_proc^2
+    gamma^2 bw TB a^2 P_radar / (k_B T_temp)) raised to delta/TB.
+    ``bandwidth_hz`` is a float or an array of them."""
+    tb = lb.time_bandwidth
     snr = (
         lb.sigma_tau_proc_sq[m]
         * GAMMA_SQ_FLAT
         * bandwidth_hz
-        * kappa
+        * tb
         * lb.a_sq[m]
         * lb.radar_power_w
         / lb.kt_w_per_hz
     )
-    return bandwidth_hz * (lb.duty_factor / kappa) * _log2(1.0 + snr)
+    return bandwidth_hz * (lb.duty_factor / tb) * _log2(1.0 + snr)
 
 
 def est_outer_rate_log_form(lb: LinkBudget) -> float:
@@ -191,8 +192,7 @@ def est_outer_rate_log_form(lb: LinkBudget) -> float:
     The log form over the full band B with integration TB, summed over
     targets. Kept separate so the two printed forms can be cross-checked.
     """
-    b, tb = lb.bandwidth_hz, lb.time_bandwidth
-    return sum(_log_form_rate(lb, m, b, tb) for m in range(lb.n_targets))
+    return sum(_log_form_rate(lb, m, lb.bandwidth_hz) for m in range(lb.n_targets))
 
 
 def int_plus_noise_variance(lb: LinkBudget, bandwidth_hz):
@@ -256,25 +256,21 @@ def rate_region(lb: LinkBudget, alpha_grid: Sequence[float]) -> RateRegion:
     comms-alone point to the cancellation vertex, "waterfill" the
     self-consistent splits of :func:`mudr.waterfill.waterfill_grid` over
     ``alpha_grid`` and "hull" the upper convex hull of the two inner
-    curves. Leading grid values of exactly 0 map to the analytic limit of
-    the waterfill point, which is the cancellation vertex.
+    curves.
     """
     from . import waterfill
 
     _require_single_target(lb, "rate region")
-    alphas = list(alpha_grid)
-    n_zero = next((i for i, a in enumerate(alphas) if a != 0.0), len(alphas))
-    grid = waterfill.waterfill_grid(lb, alphas[n_zero:])
+    grid = waterfill.waterfill_grid(lb, alpha_grid)
 
     r_est, r_com, r_sic = est_outer_rate(lb), comms_outer_rate(lb), sic_comms_rate(lb)
     check_rates("r_est", r_est)
     check_rates("r_com", (r_sic, r_com))
     keep = grid.self_consistent
-    if not n_zero and not keep.any():
+    if not keep.any():
         raise ValueError("no self-consistent waterfill point on the given grid; "
                          "a split alpha needs duty_factor <= 1 - alpha")
-    split_est = np.concatenate((np.full(n_zero, r_est), grid.r_est[keep]))
-    split_com = np.concatenate((np.full(n_zero, r_sic), grid.r_com_total[keep]))
+    split_est, split_com = grid.r_est[keep], grid.r_com_total[keep]
     inner_est, inner_com = np.array([0.0, r_est]), np.array([r_com, r_sic])
     outer_est, outer_com = np.array([0.0, r_est, r_est]), np.array([r_com, r_com, 0.0])
     return RateRegion(

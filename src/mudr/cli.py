@@ -26,7 +26,7 @@ from .emit import (
     render_curves_svg,
     write_manifest,
 )
-from .mcsim import ExperimentPreconditionError, WaveformSpec
+from .mcsim import ExperimentPreconditionError
 from .scenario import (
     Scenario,
     check_range,
@@ -203,13 +203,12 @@ def cmd_validate(args: argparse.Namespace) -> Outcome:
         print("no --seed given; using seed 0")
     scenario = load_scenario(args.scenario)
     lb = derive_link_budget(scenario)
-    spec = WaveformSpec()
     if args.experiment == "crb":
-        report = mcsim.crb_experiment(lb, spec, args.trials, seed)
+        report = mcsim.crb_experiment(lb, args.trials, seed)
     elif args.experiment == "residual":
-        report = mcsim.residual_experiment(lb, spec, args.trials, seed)
+        report = mcsim.residual_experiment(lb, args.trials, seed)
     else:
-        report = mcsim.gamma_experiment(spec, args.trials, seed)
+        report = mcsim.gamma_experiment(args.trials, seed)
 
     status = "pass" if report.passed else "FAIL"
     report_json = json.dumps(report.to_json_dict(), indent=2) + "\n"

@@ -11,13 +11,13 @@ Three seeded experiments back the closed-form bounds:
   formula behind the interference-plus-noise variance.
 * ``gamma_experiment`` measures the waveform's spectral-shape constant.
 
-The kernels work on the in-band DFT coefficients of an n-sample waveform:
-independent complex Gaussian coefficients on the in-band bins give
-Gaussian time samples with a flat band-limited spectrum, set to unit
-sample variance by Parseval (mean |s|^2 = sum |c|^2 / n^2). Fractional
-delays are phase ramps on the coefficients, exact for these (circular)
-band-limited signals, so discretization never competes with the
-variances under test. Delay-trial receiver noise is drawn on every bin,
+The kernels work on the in-band DFT coefficients of an n-sample waveform
+(n = ``N_SAMPLES``): independent complex Gaussian coefficients on the
+in-band bins give Gaussian time samples with a flat band-limited spectrum,
+set to unit sample variance by Parseval (mean |s|^2 = sum |c|^2 / n^2).
+Fractional delays are phase ramps on the coefficients, exact for these
+(circular) band-limited signals, so discretization never competes with
+the variances under test. Delay-trial receiver noise is drawn on every bin,
 exactly as white noise per time sample; only its in-band part reaches
 the matched filter, whose output is the one inverse FFT of a delay
 trial. Residual power and the spectral-shape constant are sums over the
@@ -56,22 +56,12 @@ class ExperimentPreconditionError(ValueError):
     """Scenario falls outside the regime the analytic claim covers."""
 
 
-@dataclass(frozen=True)
-class WaveformSpec:
-    """Sampled-waveform description: ``oversample`` samples per 1/B."""
-
-    n_samples: int = 2048
-    oversample: int = 8
-
-    def __post_init__(self) -> None:
-        if self.n_samples <= 0 or self.oversample <= 0:
-            raise ValueError("n_samples and oversample must be positive")
-        if self.n_samples // self.oversample < 4:
-            raise ValueError("need at least 4 in-band frequency bins")
-
-    @property
-    def n_band_bins(self) -> int:
-        return self.n_samples // self.oversample
+# The one numerical waveform of the experiments: N_SAMPLES complex samples,
+# OVERSAMPLE of them per 1/B, so N_SAMPLES // OVERSAMPLE in-band bins. The
+# delay-trial noise is scaled to the scenario's integrated SNR, so the
+# analytic claims under test do not depend on either number.
+N_SAMPLES = 2048
+OVERSAMPLE = 8
 
 
 @dataclass(frozen=True)
@@ -132,10 +122,10 @@ def _signed_bins(n: int) -> np.ndarray:
     return ((np.arange(n) + n // 2) % n) - n // 2
 
 
-def _band_bins(spec: WaveformSpec) -> tuple[np.ndarray, np.ndarray]:
-    """DFT indices of the in-band bins in FFT order, and their frequencies
-    in cycles per sample."""
-    n, nb = spec.n_samples, spec.n_band_bins
+def _band_bins(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """DFT indices of the in-band bins of an n-sample waveform in FFT order,
+    and their frequencies in cycles per sample."""
+    nb = n // OVERSAMPLE
     signed = _signed_bins(n)
     band = np.flatnonzero((signed >= -(nb // 2)) & (signed < nb - nb // 2))
     return band, signed[band] / n
@@ -150,26 +140,34 @@ def _coefficients(re: np.ndarray, im: np.ndarray, n: int) -> np.ndarray:
     return coeffs / (np.sqrt(power) / n)
 
 
-def generate_waveform(spec: WaveformSpec, seed: int) -> np.ndarray:
+def generate_waveform(n_samples: int, seed: int) -> np.ndarray:
     """Complex time samples of one flat-spectrum band-limited waveform with
-    unit sample variance; deterministic in ``seed``."""
-    band, _ = _band_bins(spec)
+    unit sample variance and ``OVERSAMPLE`` samples per 1/B; deterministic
+    in ``seed``."""
+    if n_samples // OVERSAMPLE < 4:
+        raise ValueError(
+            f"need at least 4 in-band bins: n_samples >= {4 * OVERSAMPLE}, "
+            f"got {n_samples}"
+        )
+    band, _ = _band_bins(n_samples)
     rng = np.random.default_rng(seed)
     re, im = rng.standard_normal(len(band)), rng.standard_normal(len(band))
-    coeffs = np.zeros(spec.n_samples, dtype=complex)
-    coeffs[band] = _coefficients(re, im, spec.n_samples)
+    coeffs = np.zeros(n_samples, dtype=complex)
+    coeffs[band] = _coefficients(re, im, n_samples)
     return np.fft.ifft(coeffs)
 
 
-def _trial_draws(seed: int, trials: int, n: int, k: int, draw_extra=None):
-    """The unit-variance in-band coefficients of trials 0..trials-1, one
-    chunk of at most ``_CHUNK`` trials at a time.
+def _trial_draws(seed: int, trials: int, draw_extra=None):
+    """The unit-variance in-band coefficients of the ``N_SAMPLES``-sample
+    waveforms of trials 0..trials-1, one chunk of at most ``_CHUNK`` trials
+    at a time.
 
     Yields the chunk's slice of the trial axis and its ``(rows, k)``
-    coefficients. Each trial draws from its own generator: the k real
-    parts, the k imaginary parts, then whatever ``draw_extra(rng, row)``
-    draws into the caller's per-chunk arrays.
+    coefficients, k = N_SAMPLES // OVERSAMPLE. Each trial draws from its
+    own generator: the k real parts, the k imaginary parts, then whatever
+    ``draw_extra(rng, row)`` draws into the caller's per-chunk arrays.
     """
+    k = N_SAMPLES // OVERSAMPLE
     re, im = np.empty((_CHUNK, k)), np.empty((_CHUNK, k))
     for start in range(0, trials, _CHUNK):
         rows = min(_CHUNK, trials - start)
@@ -179,7 +177,7 @@ def _trial_draws(seed: int, trials: int, n: int, k: int, draw_extra=None):
             rng.standard_normal(out=im[row])
             if draw_extra is not None:
                 draw_extra(rng, row)
-        yield slice(start, start + rows), _coefficients(re[:rows], im[:rows], n)
+        yield slice(start, start + rows), _coefficients(re[:rows], im[:rows], N_SAMPLES)
 
 
 def _gamma_sq(f: np.ndarray, power: np.ndarray) -> np.ndarray:
@@ -203,16 +201,13 @@ def _parabolic_peaks(corr: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return (lo - 1 + i) + np.clip(ratio, -0.5, 0.5)
 
 
-def integrated_snr(lb: LinkBudget, target_idx: int = 0) -> float:
-    """Post-pulse-compression SNR: TB a^2 P_radar / noise power."""
-    return (
-        lb.time_bandwidth * lb.a_sq[target_idx] * lb.radar_power_w / lb.noise_power_w
-    )
+def integrated_snr(lb: LinkBudget) -> float:
+    """Post-pulse-compression SNR of the first target: TB a^2 P_radar / noise
+    power."""
+    return lb.time_bandwidth * lb.a_sq[0] * lb.radar_power_w / lb.noise_power_w
 
 
-def delay_error_trials(
-    lb: LinkBudget, spec: WaveformSpec, trials: int, seed: int
-) -> np.ndarray:
+def delay_error_trials(lb: LinkBudget, trials: int, seed: int) -> np.ndarray:
     """Per-trial delay-estimation errors in seconds.
 
     Each trial draws a fresh waveform (known at the receiver), a uniform
@@ -221,8 +216,8 @@ def delay_error_trials(
     integrated SNR. The matched-filter output is the inverse FFT of the
     in-band cross-spectrum of observation and reference.
     """
-    n = spec.n_samples
-    fs = spec.oversample * lb.bandwidth_hz
+    n = N_SAMPLES
+    fs = OVERSAMPLE * lb.bandwidth_hz
     isnr = integrated_snr(lb)
     # Noise is scaled so the scenario's integrated SNR is realized per
     # quadrature component: total complex noise variance 2n/ISNR for a
@@ -231,10 +226,10 @@ def delay_error_trials(
     # matched-filter model.
     noise_var = 2.0 * n / isnr
     freq_noise_scale = math.sqrt(n * noise_var / 2.0)
-    band, f_band = _band_bins(spec)
+    band, f_band = _band_bins(n)
     phase = -2j * np.pi * f_band
     center = n // 4
-    lo, hi = center - 2 * spec.oversample, center + 2 * spec.oversample + 1
+    lo, hi = center - 2 * OVERSAMPLE, center + 2 * OVERSAMPLE + 1
 
     shift = np.empty(_CHUNK)
     noise_re, noise_im = np.empty((_CHUNK, len(band))), np.empty((_CHUNK, len(band)))
@@ -250,7 +245,7 @@ def delay_error_trials(
 
     cross = np.empty((_CHUNK, n), dtype=complex)
     errors = np.empty(trials)
-    for trial, coeffs in _trial_draws(seed, trials, n, len(band), draw_delay_and_noise):
+    for trial, coeffs in _trial_draws(seed, trials, draw_delay_and_noise):
         rows = len(coeffs)
         true_lag = center + shift[:rows]
         ramp = np.exp(np.multiply(phase, true_lag[:, None]))
@@ -264,9 +259,7 @@ def delay_error_trials(
     return errors
 
 
-def crb_experiment(
-    lb: LinkBudget, spec: WaveformSpec, trials: int, seed: int
-) -> McReport:
+def crb_experiment(lb: LinkBudget, trials: int, seed: int) -> McReport:
     """Empirical delay-estimation variance vs the analytic floor.
 
     Rejects scenarios with integrated SNR below 10, where the matched
@@ -284,26 +277,23 @@ def crb_experiment(
             "variance-efficient there, so the comparison would be meaningless. "
             "Raise radar power, antenna gain, or time-bandwidth."
         )
-    errors = delay_error_trials(lb, spec, trials, seed)
+    errors = delay_error_trials(lb, trials, seed)
     empirical = float(np.mean(errors**2))
     analytic = crb_delay_variance(lb, 0)
     tolerance = 0.15 if isnr >= 1e4 else 0.25
     return _report("crb", trials, seed, empirical, analytic, tolerance)
 
 
-def residual_power_trials(
-    lb: LinkBudget, spec: WaveformSpec, trials: int, seed: int
-) -> np.ndarray:
+def residual_power_trials(lb: LinkBudget, trials: int, seed: int) -> np.ndarray:
     """Per-trial received residual power a^2 P_radar |s(t-tau) - s(t-tau_pre)|^2.
 
     The shift by the drawn process jitter is applied exactly as a phase
     ramp on the in-band coefficients; no derivative approximation enters.
     """
-    n = spec.n_samples
-    fs = spec.oversample * lb.bandwidth_hz
+    fs = OVERSAMPLE * lb.bandwidth_hz
     sigma_tau = math.sqrt(lb.sigma_tau_proc_sq[0])
     scale = lb.a_sq[0] * lb.radar_power_w
-    _, f_band = _band_bins(spec)
+    _, f_band = _band_bins(N_SAMPLES)
     phase = -2j * np.pi * f_band
 
     jitter = np.empty(_CHUNK)
@@ -312,17 +302,15 @@ def residual_power_trials(
         jitter[row] = rng.normal(0.0, sigma_tau)
 
     powers = np.empty(trials)
-    for trial, coeffs in _trial_draws(seed, trials, n, len(f_band), draw_jitter):
+    for trial, coeffs in _trial_draws(seed, trials, draw_jitter):
         jitter_lag = jitter[: len(coeffs)] * fs
         shifted = np.exp(np.multiply(phase, jitter_lag[:, None]))
         diff = np.multiply(coeffs, shifted - 1.0)
-        powers[trial] = scale * (np.sum(np.abs(diff) ** 2, axis=1) / n**2)
+        powers[trial] = scale * (np.sum(np.abs(diff) ** 2, axis=1) / N_SAMPLES**2)
     return powers
 
 
-def residual_experiment(
-    lb: LinkBudget, spec: WaveformSpec, trials: int, seed: int
-) -> McReport:
+def residual_experiment(lb: LinkBudget, trials: int, seed: int) -> McReport:
     """Measured interference-plus-noise power vs the derivative formula.
 
     Valid while the process jitter stays well inside one over the
@@ -339,28 +327,25 @@ def residual_experiment(
             "approximation only covers jitter well inside one over the bandwidth."
         )
     analytic = int_plus_noise_variance(lb, lb.bandwidth_hz)
-    if sigma_tau_b == 0.0:
-        empirical = lb.noise_power_w
-    else:
-        powers = residual_power_trials(lb, spec, trials, seed)
-        empirical = float(np.mean(powers)) + lb.noise_power_w
+    powers = residual_power_trials(lb, trials, seed)
+    empirical = float(np.mean(powers)) + lb.noise_power_w
     return _report("residual", trials, seed, empirical, analytic, tolerance=0.10)
 
 
-def gamma_sq_trials(spec: WaveformSpec, trials: int, seed: int) -> np.ndarray:
+def gamma_sq_trials(trials: int, seed: int) -> np.ndarray:
     """Per-trial spectral-shape constant of one waveform realization."""
-    _, f_band = _band_bins(spec)
-    f = f_band * spec.oversample  # in units of B
+    _, f_band = _band_bins(N_SAMPLES)
+    f = f_band * OVERSAMPLE  # in units of B
     measured = np.empty(trials)
-    for trial, coeffs in _trial_draws(seed, trials, spec.n_samples, len(f)):
+    for trial, coeffs in _trial_draws(seed, trials):
         measured[trial] = _gamma_sq(f, np.abs(coeffs) ** 2)
     return measured
 
 
-def gamma_experiment(spec: WaveformSpec, trials: int, seed: int) -> McReport:
+def gamma_experiment(trials: int, seed: int) -> McReport:
     """Measured spectral-shape constant vs (2 pi)^2 / 12 for a flat band."""
     if trials <= 0:
         raise ValueError("trials must be positive")
-    empirical = float(np.mean(gamma_sq_trials(spec, trials, seed)))
+    empirical = float(np.mean(gamma_sq_trials(trials, seed)))
     analytic = GAMMA_SQ_FLAT
     return _report("gamma", trials, seed, empirical, analytic, tolerance=0.05)

@@ -11,8 +11,8 @@ that channel's inverse gain,
 
 Below the threshold all power goes to the clean subband (beta = 1).
 
-The radar's waveform integration kappa = (1 - alpha) T B is held constant
-over an alpha sweep, so the pulse duration implicitly stretches as the
+The radar's waveform integration kappa = T B is held constant over an
+alpha sweep, so the pulse duration implicitly stretches as the
 mixed subband narrows; points where it would exceed the pulse repetition
 interval are flagged not self-consistent and dropped from published
 curves.
@@ -45,8 +45,7 @@ class WaterfillGrid:
     the subband widths, the interference plus noise ``sigma_mix`` over the
     mixed subband, the channel gains, the water level, the power split,
     the rates (per subband, their sum ``r_com_total``, and ``r_est``) and
-    the self-consistency flag; ``kappa`` is the waveform integration held
-    fixed across the grid."""
+    the self-consistency flag."""
 
     alpha: np.ndarray
     b_com: np.ndarray
@@ -64,7 +63,6 @@ class WaterfillGrid:
     r_com_total: np.ndarray
     r_est: np.ndarray
     self_consistent: np.ndarray
-    kappa: float
 
     def counters(self) -> dict[str, int]:
         """Splits evaluated, dropped as not self-consistent, and with beta
@@ -101,7 +99,6 @@ def waterfill_grid(lb: LinkBudget, alpha_grid: Sequence[float]) -> WaterfillGrid
     equals the scalar closed form evaluated per alpha, bit for bit.
     """
     _require_single_target(lb, "subband split")
-    kappa = lb.time_bandwidth
     alpha = np.array(alpha_grid, dtype=float)
     outside = ~((0.0 < alpha) & (alpha < 1.0))
     if outside.any():
@@ -130,7 +127,7 @@ def waterfill_grid(lb: LinkBudget, alpha_grid: Sequence[float]) -> WaterfillGrid
     r_com_com = b_com * _log2(1.0 + arg_com)
     r_com_mix = b_mix * _log2(1.0 + lb.b_sq * p_com_mix / sigma_mix)
     r_com_total = r_com_com + r_com_mix
-    r_est = _log_form_rate(lb, 0, b_mix, kappa)
+    r_est = _log_form_rate(lb, 0, b_mix)
     check_rates("r_est", r_est)
     check_rates("r_com", r_com_total)
 
@@ -150,21 +147,20 @@ def waterfill_grid(lb: LinkBudget, alpha_grid: Sequence[float]) -> WaterfillGrid
         r_com_mix=r_com_mix,
         r_com_total=r_com_total,
         r_est=r_est,
-        # pulse duration kappa/B_mix must not exceed T_pri = TB/(delta B)
-        self_consistent=kappa * lb.duty_factor <= lb.time_bandwidth * (1.0 - alpha),
-        kappa=kappa,
+        # pulse duration TB/B_mix must not exceed T_pri = TB/(delta B)
+        self_consistent=(
+            lb.time_bandwidth * lb.duty_factor <= lb.time_bandwidth * (1.0 - alpha)
+        ),
     )
 
 
-def default_alpha_grid(n: int) -> list[float]:
-    """Uniform alpha grid on (1e-4, 1 - 1e-4)."""
+def default_alpha_grid(n: int) -> np.ndarray:
+    """Uniform alpha grid of n points on (1e-4, 1 - 1e-4), as float64."""
     if n < 1:
         raise ValueError("grid needs at least one point")
-    if n == 1:
-        return [1e-4]
     lo, hi = 1e-4, 1.0 - 1e-4
-    step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
+    step = (hi - lo) / max(n - 1, 1)  # one point: just lo
+    return lo + np.arange(n) * step
 
 
 def upper_convex_hull(r_est: np.ndarray, r_com: np.ndarray) -> RateCurve:

@@ -21,7 +21,6 @@ from helpers import (
     waterfill_row,
 )
 from mudr import bounds, cli, mcsim, waterfill as wf
-from mudr.mcsim import WaveformSpec
 from mudr.scenario import bundled_scenario_path
 
 
@@ -125,11 +124,10 @@ def _lb_at_isnr(target: float):
 
 
 def test_criterion_05_crb_monte_carlo():
-    spec = WaveformSpec()
     results = []
     for isnr, tol in ((100.0, 0.25), (1e4, 0.15)):
         t0 = time.perf_counter()
-        rep = mcsim.crb_experiment(_lb_at_isnr(isnr), spec, 10_000, 42)
+        rep = mcsim.crb_experiment(_lb_at_isnr(isnr), 10_000, 42)
         elapsed = time.perf_counter() - t0
         results.append((isnr, rep, elapsed, tol))
     ok = all(
@@ -150,16 +148,15 @@ def _lb_at_sigma_b(x: float, radar_power_w: float = 2e7):
 
 
 def test_criterion_06_residual_monte_carlo():
-    spec = WaveformSpec()
     t0 = time.perf_counter()
-    rep = mcsim.residual_experiment(_lb_at_sigma_b(0.05), spec, 10_000, 42)
+    rep = mcsim.residual_experiment(_lb_at_sigma_b(0.05), 10_000, 42)
     head_ok = rep.rel_error <= 0.10
 
     rels, ses = [], []
     for x in (0.1, 0.03, 0.01):
         lb = _lb_at_sigma_b(x)
-        r = mcsim.residual_experiment(lb, spec, 10_000, 42)
-        powers = mcsim.residual_power_trials(lb, spec, 10_000, 42)
+        r = mcsim.residual_experiment(lb, 10_000, 42)
+        powers = mcsim.residual_power_trials(lb, 10_000, 42)
         se = float(np.std(powers) / math.sqrt(len(powers))) / r.analytic
         rels.append(r.rel_error)
         ses.append(se)
@@ -177,9 +174,8 @@ def test_criterion_06_residual_monte_carlo():
 
 
 def test_criterion_07_gamma_validation():
-    spec = WaveformSpec(n_samples=100_000, oversample=8)
-    w = mcsim.generate_waveform(spec, 42)
-    measured = measured_gamma_sq(w, spec.oversample)
+    w = mcsim.generate_waveform(100_000, 42)
+    measured = measured_gamma_sq(w, mcsim.OVERSAMPLE)
     analytic = (2 * math.pi) ** 2 / 12
     rel = abs(measured - analytic) / analytic
     ok = rel <= 0.05

@@ -242,7 +242,7 @@ def test_sic_equals_outer_iff_quiet(table2_lb):
 
 
 def test_interpolated_endpoints(table2_lb):
-    curve = bounds.rate_region(table2_lb, [0.0]).interpolated
+    curve = bounds.rate_region(table2_lb, [0.5]).interpolated
     assert curve.r_est[0] == 0.0
     assert curve.r_com[0] == pytest.approx(TABLE2_COMMS_OUTER_BPS, rel=1e-12)
     assert curve.r_est[1] == pytest.approx(TABLE2_EST_RATE_BPS, rel=1e-12)
@@ -252,12 +252,12 @@ def test_interpolated_endpoints(table2_lb):
 
 def test_interpolated_rejects_multi_target():
     with pytest.raises(bounds.MultiTargetError):
-        bounds.rate_region(make_lb(n_targets=2), [0.0]).interpolated
+        bounds.rate_region(make_lb(n_targets=2), [0.5]).interpolated
 
 
 def test_interpolated_degenerate_radar(table2_lb):
     quiet = replace(table2_lb, sigma_tau_proc_sq=(0.0,))
-    curve = bounds.rate_region(quiet, [0.0]).interpolated
+    curve = bounds.rate_region(quiet, [0.5]).interpolated
     assert curve.r_est[0] == curve.r_est[1] == 0.0
     assert curve.r_com[0] == pytest.approx(curve.r_com[1], rel=1e-12)
 
@@ -271,13 +271,6 @@ def test_rate_region_curve_inventory(table2_lb):
         "waterfill",
         "hull",
     ]
-
-
-def test_rate_region_alpha_zero_is_vertex(table2_lb):
-    wf = bounds.rate_region(table2_lb, [0.0]).waterfill
-    assert len(wf.r_est) == 1
-    assert wf.r_est[0] == pytest.approx(TABLE2_EST_RATE_BPS, rel=1e-12)
-    assert wf.r_com[0] == pytest.approx(TABLE2_SIC_RATE_BPS, rel=1e-12)
 
 
 def test_rate_region_hull_concave(table2_lb):
@@ -307,6 +300,8 @@ def test_rate_region_rejects_bad_grid(table2_lb):
         bounds.rate_region(table2_lb, [0.5, 0.1])
     with pytest.raises(ValueError):
         bounds.rate_region(table2_lb, [0.5, 1.0])
+    with pytest.raises(ValueError, match="strictly inside"):
+        bounds.rate_region(table2_lb, [0.0, 0.5])
 
 
 # --- sanity direction: enumerated mutual information stays below the bound -----

@@ -278,8 +278,8 @@ def test_validate_failure_exit_1(tmp_path, monkeypatch):
     # force a failing tolerance check by shrinking it
     real = mcsim.gamma_experiment
 
-    def strict(spec, trials, seed):
-        rep = real(spec, trials, seed)
+    def strict(trials, seed):
+        rep = real(trials, seed)
         return replace(rep, tolerance=1e-9, passed=False)
 
     monkeypatch.setattr(cli.mcsim, "gamma_experiment", strict)

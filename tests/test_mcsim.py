@@ -8,7 +8,7 @@ import pytest
 from helpers import GAMMA_SQ_FLAT, make_lb, matched_filter_delay, measured_gamma_sq
 from mudr import mcsim
 from mudr.bounds import MultiTargetError
-from mudr.mcsim import ExperimentPreconditionError, WaveformSpec
+from mudr.mcsim import ExperimentPreconditionError
 
 
 def lb_at_isnr(isnr: float):
@@ -29,19 +29,17 @@ def lb_at_sigma_b(x: float, radar_power_w: float = 1000.0):
 
 
 def test_waveform_unit_variance_and_determinism():
-    spec = WaveformSpec(n_samples=100_000, oversample=8)
-    w1 = mcsim.generate_waveform(spec, 123)
-    w2 = mcsim.generate_waveform(spec, 123)
+    w1 = mcsim.generate_waveform(100_000, 123)
+    w2 = mcsim.generate_waveform(100_000, 123)
     assert np.array_equal(w1, w2)
     var = float(np.mean(np.abs(w1) ** 2))
     assert 0.99 <= var <= 1.01
-    w3 = mcsim.generate_waveform(spec, 124)
+    w3 = mcsim.generate_waveform(100_000, 124)
     assert not np.array_equal(w1, w3)
 
 
 def test_waveform_band_limited():
-    spec = WaveformSpec(n_samples=4096, oversample=8)
-    w = mcsim.generate_waveform(spec, 5)
+    w = mcsim.generate_waveform(4096, 5)
     power = np.abs(np.fft.fft(w)) ** 2
     f = mcsim._signed_bins(4096) / 4096
     out_of_band = power[np.abs(f) > 0.5 / 8 + 1e-12]
@@ -49,17 +47,16 @@ def test_waveform_band_limited():
 
 
 def test_measured_gamma_sq_flat():
-    spec = WaveformSpec(n_samples=100_000, oversample=8)
-    w = mcsim.generate_waveform(spec, 7)
+    w = mcsim.generate_waveform(100_000, 7)
     measured = measured_gamma_sq(w, 8)
     assert 0.95 * GAMMA_SQ_FLAT <= measured <= 1.05 * GAMMA_SQ_FLAT
 
 
-def test_waveform_spec_validation():
+def test_waveform_needs_four_in_band_bins():
     with pytest.raises(ValueError):
-        WaveformSpec(n_samples=0)
+        mcsim.generate_waveform(0, 0)
     with pytest.raises(ValueError):
-        WaveformSpec(n_samples=16, oversample=8)
+        mcsim.generate_waveform(16, 0)
 
 
 # --- matched-filter delay estimator ------------------------------------------------
@@ -72,8 +69,7 @@ def _delayed(coeffs: np.ndarray, lag: float) -> np.ndarray:
 
 
 def test_integer_delay_exact_recovery():
-    spec = WaveformSpec(n_samples=1024, oversample=8)
-    reference = mcsim.generate_waveform(spec, 1)
+    reference = mcsim.generate_waveform(1024, 1)
     coeffs = np.fft.fft(reference)
     observed = _delayed(coeffs, 37.0)
     est = matched_filter_delay(observed, reference, (0, 128))
@@ -81,8 +77,7 @@ def test_integer_delay_exact_recovery():
 
 
 def test_half_sample_delay_with_dense_oracle():
-    spec = WaveformSpec(n_samples=1024, oversample=8)
-    reference = mcsim.generate_waveform(spec, 2)
+    reference = mcsim.generate_waveform(1024, 2)
     coeffs = np.fft.fft(reference)
     true_lag = 40.5
     observed = _delayed(coeffs, true_lag)
@@ -106,8 +101,7 @@ def test_half_sample_delay_with_dense_oracle():
 
 
 def test_matched_filter_window_and_degenerate_input():
-    spec = WaveformSpec(n_samples=256, oversample=8)
-    reference = mcsim.generate_waveform(spec, 3)
+    reference = mcsim.generate_waveform(256, 3)
     with pytest.raises(ValueError):
         matched_filter_delay(reference, reference, (10, 10))
     with pytest.raises(ValueError):
@@ -118,8 +112,7 @@ def test_matched_filter_window_and_degenerate_input():
 
 
 def test_delay_in_seconds_scaling():
-    spec = WaveformSpec(n_samples=1024, oversample=8)
-    reference = mcsim.generate_waveform(spec, 4)
+    reference = mcsim.generate_waveform(1024, 4)
     coeffs = np.fft.fft(reference)
     observed = _delayed(coeffs, 16.0)
     est_s = matched_filter_delay(observed, reference, (0, 64), sample_rate_hz=4e7)
@@ -130,7 +123,7 @@ def test_delay_in_seconds_scaling():
 
 
 def test_crb_experiment_passes_at_moderate_isnr():
-    rep = mcsim.crb_experiment(lb_at_isnr(1000.0), WaveformSpec(), 2000, 11)
+    rep = mcsim.crb_experiment(lb_at_isnr(1000.0), 2000, 11)
     assert rep.passed
     assert rep.tolerance == 0.25
     assert rep.experiment == "crb"
@@ -138,19 +131,19 @@ def test_crb_experiment_passes_at_moderate_isnr():
 
 def test_crb_experiment_rejects_low_isnr():
     with pytest.raises(ExperimentPreconditionError, match="integrated SNR"):
-        mcsim.crb_experiment(lb_at_isnr(5.0), WaveformSpec(), 100, 0)
+        mcsim.crb_experiment(lb_at_isnr(5.0), 100, 0)
 
 
 def test_crb_experiment_rejects_multi_target():
     lb = make_lb(n_targets=2)
     with pytest.raises(MultiTargetError):
-        mcsim.crb_experiment(lb, WaveformSpec(), 100, 0)
+        mcsim.crb_experiment(lb, 100, 0)
 
 
 def test_crb_experiment_deterministic():
     lb = lb_at_isnr(500.0)
-    r1 = mcsim.crb_experiment(lb, WaveformSpec(), 300, 9)
-    r2 = mcsim.crb_experiment(lb, WaveformSpec(), 300, 9)
+    r1 = mcsim.crb_experiment(lb, 300, 9)
+    r2 = mcsim.crb_experiment(lb, 300, 9)
     assert r1 == r2
 
 
@@ -158,20 +151,20 @@ def test_trial_streams_are_order_independent():
     # the first k trials of a longer run are bit-identical to a run of k
     # trials, because each trial is keyed on (seed, trial index)
     lb = lb_at_isnr(500.0)
-    short = mcsim.delay_error_trials(lb, WaveformSpec(), 50, 21)
-    long = mcsim.delay_error_trials(lb, WaveformSpec(), 100, 21)
+    short = mcsim.delay_error_trials(lb, 50, 21)
+    long = mcsim.delay_error_trials(lb, 100, 21)
     assert np.array_equal(short, long[:50])
 
 
 def test_aggregate_matches_compensated_sum():
     lb = lb_at_isnr(500.0)
-    errors = mcsim.delay_error_trials(lb, WaveformSpec(), 400, 33)
+    errors = mcsim.delay_error_trials(lb, 400, 33)
     sq = errors**2
     assert float(np.mean(sq)) == pytest.approx(math.fsum(sq) / len(sq), rel=1e-12)
 
 
 def test_crb_one_sidedness():
-    rep = mcsim.crb_experiment(lb_at_isnr(1000.0), WaveformSpec(), 4000, 42)
+    rep = mcsim.crb_experiment(lb_at_isnr(1000.0), 4000, 42)
     se = rep.empirical * math.sqrt(2.0 / rep.trials)
     assert rep.empirical >= rep.analytic - 3 * se
 
@@ -181,7 +174,7 @@ def test_crb_one_sidedness():
 
 def test_residual_experiment_zero_jitter_is_thermal():
     lb = lb_at_sigma_b(0.0)
-    rep = mcsim.residual_experiment(lb, WaveformSpec(), 100, 0)
+    rep = mcsim.residual_experiment(lb, 100, 0)
     assert rep.empirical == lb.noise_power_w
     assert rep.analytic == pytest.approx(lb.noise_power_w, rel=1e-12)
     assert rep.rel_error == pytest.approx(0.0, abs=1e-12)
@@ -191,13 +184,13 @@ def test_residual_experiment_zero_jitter_is_thermal():
 def test_residual_experiment_rejects_wide_jitter():
     lb = lb_at_sigma_b(0.5)
     with pytest.raises(ExperimentPreconditionError, match="0.5"):
-        mcsim.residual_experiment(lb, WaveformSpec(), 100, 0)
+        mcsim.residual_experiment(lb, 100, 0)
 
 
 def test_residual_experiment_passes_when_interference_dominates():
     # radar power cranked so the residual term is comparable to thermal noise
     lb = lb_at_sigma_b(0.05, radar_power_w=2e7)
-    rep = mcsim.residual_experiment(lb, WaveformSpec(), 2000, 42)
+    rep = mcsim.residual_experiment(lb, 2000, 42)
     assert rep.passed
     assert rep.tolerance == 0.10
 
@@ -205,9 +198,9 @@ def test_residual_experiment_passes_when_interference_dominates():
 def test_residual_trials_deterministic_and_prefix_stable():
     lb = lb_at_sigma_b(0.05, radar_power_w=2e7)
     for trials_of in (
-        lambda k: mcsim.residual_power_trials(lb, WaveformSpec(), k, 5),
-        lambda k: mcsim.gamma_sq_trials(WaveformSpec(), k, 5),
-        lambda k: mcsim.delay_error_trials(lb_at_isnr(500.0), WaveformSpec(), k, 5),
+        lambda k: mcsim.residual_power_trials(lb, k, 5),
+        lambda k: mcsim.gamma_sq_trials(k, 5),
+        lambda k: mcsim.delay_error_trials(lb_at_isnr(500.0), k, 5),
     ):
         assert np.array_equal(trials_of(60), trials_of(120)[:60])
         # prefixes that end inside a chunk
@@ -224,11 +217,11 @@ CHUNK_SIZES = (1, 64)
 @pytest.mark.parametrize(
     "trials_of",
     [
-        lambda k: mcsim.delay_error_trials(lb_at_isnr(1000.0), WaveformSpec(), k, 3),
+        lambda k: mcsim.delay_error_trials(lb_at_isnr(1000.0), k, 3),
         lambda k: mcsim.residual_power_trials(
-            lb_at_sigma_b(0.05, radar_power_w=2e7), WaveformSpec(), k, 3
+            lb_at_sigma_b(0.05, radar_power_w=2e7), k, 3
         ),
-        lambda k: mcsim.gamma_sq_trials(WaveformSpec(), k, 3),
+        lambda k: mcsim.gamma_sq_trials(k, 3),
     ],
     ids=["crb", "residual", "gamma"],
 )
@@ -245,7 +238,7 @@ def test_chunked_kernels_equal_one_trial_path(trials_of, monkeypatch):
 
 
 def test_gamma_experiment_passes():
-    rep = mcsim.gamma_experiment(WaveformSpec(), trials=300, seed=0)
+    rep = mcsim.gamma_experiment(trials=300, seed=0)
     assert rep.passed
     assert rep.analytic == pytest.approx(GAMMA_SQ_FLAT, rel=1e-15)
     assert rep.rel_error < 0.05
@@ -263,8 +256,8 @@ def test_gamma_experiment_passes():
 EQUIV_TRIALS, EQUIV_SEED = 64, 17
 
 
-def _time_domain_coeffs(spec: WaveformSpec, rng: np.random.Generator) -> np.ndarray:
-    n, nb = spec.n_samples, spec.n_band_bins
+def _time_domain_coeffs(rng: np.random.Generator) -> np.ndarray:
+    n, nb = mcsim.N_SAMPLES, mcsim.N_SAMPLES // mcsim.OVERSAMPLE
     signed = mcsim._signed_bins(n)
     in_band = (signed >= -(nb // 2)) & (signed < nb - nb // 2)
     k = int(in_band.sum())
@@ -280,17 +273,17 @@ def _within_4_ulp(new: np.ndarray, old: list[float]) -> bool:
 
 
 def test_delay_kernel_matches_time_domain_path():
-    spec, lb = WaveformSpec(), lb_at_isnr(1000.0)
-    n = spec.n_samples
-    fs = spec.oversample * lb.bandwidth_hz
+    lb = lb_at_isnr(1000.0)
+    n = mcsim.N_SAMPLES
+    fs = mcsim.OVERSAMPLE * lb.bandwidth_hz
     f = mcsim._signed_bins(n) / n
     center = n // 4
-    window = (center - 2 * spec.oversample, center + 2 * spec.oversample + 1)
+    window = (center - 2 * mcsim.OVERSAMPLE, center + 2 * mcsim.OVERSAMPLE + 1)
     noise_scale = math.sqrt(n * (2.0 * n / mcsim.integrated_snr(lb)) / 2.0)
-    errors = mcsim.delay_error_trials(lb, spec, EQUIV_TRIALS, EQUIV_SEED)
+    errors = mcsim.delay_error_trials(lb, EQUIV_TRIALS, EQUIV_SEED)
     for t in range(EQUIV_TRIALS):
         rng = np.random.default_rng([EQUIV_SEED, t])
-        coeffs = _time_domain_coeffs(spec, rng)
+        coeffs = _time_domain_coeffs(rng)
         true_lag = center + rng.uniform(-0.5, 0.5)
         noise = noise_scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         observed = np.fft.ifft(coeffs * np.exp(-2j * np.pi * f * true_lag) + noise)
@@ -299,35 +292,34 @@ def test_delay_kernel_matches_time_domain_path():
 
 
 def test_residual_kernel_matches_time_domain_path():
-    spec, lb = WaveformSpec(), lb_at_sigma_b(0.05, radar_power_w=2e7)
-    n = spec.n_samples
+    lb = lb_at_sigma_b(0.05, radar_power_w=2e7)
+    n = mcsim.N_SAMPLES
     f = mcsim._signed_bins(n) / n
-    fs = spec.oversample * lb.bandwidth_hz
+    fs = mcsim.OVERSAMPLE * lb.bandwidth_hz
     old = []
     for t in range(EQUIV_TRIALS):
         rng = np.random.default_rng([EQUIV_SEED, t])
-        coeffs = _time_domain_coeffs(spec, rng)
+        coeffs = _time_domain_coeffs(rng)
         lag = rng.normal(0.0, math.sqrt(lb.sigma_tau_proc_sq[0])) * fs
         diff = np.fft.ifft(coeffs * (np.exp(-2j * np.pi * f * lag) - 1.0))
         old.append(lb.a_sq[0] * lb.radar_power_w * float(np.mean(np.abs(diff) ** 2)))
-    new = mcsim.residual_power_trials(lb, spec, EQUIV_TRIALS, EQUIV_SEED)
+    new = mcsim.residual_power_trials(lb, EQUIV_TRIALS, EQUIV_SEED)
     assert _within_4_ulp(new, old)
 
 
 def test_gamma_kernel_matches_time_domain_path():
-    spec = WaveformSpec()
     old = []
     for t in range(EQUIV_TRIALS):
-        coeffs = _time_domain_coeffs(spec, np.random.default_rng([EQUIV_SEED, t]))
-        old.append(measured_gamma_sq(np.fft.ifft(coeffs), spec.oversample))
-    assert _within_4_ulp(mcsim.gamma_sq_trials(spec, EQUIV_TRIALS, EQUIV_SEED), old)
+        coeffs = _time_domain_coeffs(np.random.default_rng([EQUIV_SEED, t]))
+        old.append(measured_gamma_sq(np.fft.ifft(coeffs), mcsim.OVERSAMPLE))
+    assert _within_4_ulp(mcsim.gamma_sq_trials(EQUIV_TRIALS, EQUIV_SEED), old)
 
 
 # --- report container --------------------------------------------------------------------
 
 
 def test_mcreport_json_shape():
-    rep = mcsim.gamma_experiment(WaveformSpec(), trials=20, seed=1)
+    rep = mcsim.gamma_experiment(trials=20, seed=1)
     payload = rep.to_json_dict()
     assert set(payload) == {
         "experiment",

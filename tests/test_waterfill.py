@@ -143,7 +143,6 @@ def test_waterfill_point_frozen_at_half(table2_lb):
     assert p.r_com_com == pytest.approx(WF_R_COM_COM_05, rel=1e-12)
     assert p.r_com_mix == pytest.approx(WF_R_COM_MIX_05, rel=1e-12)
     assert p.r_est == pytest.approx(WF_R_EST_05, rel=1e-12)
-    assert p.kappa == table2_lb.time_bandwidth
     assert p.self_consistent
 
 
@@ -290,7 +289,7 @@ def _hull_value_at(hull, x):
 def test_hull_dominates_contributors(table2_lb):
     grid = np.linspace(0.02, 0.98, 150)
     curve = bounds.rate_region(table2_lb, grid).waterfill
-    interp = bounds.rate_region(table2_lb, [0.0]).interpolated
+    interp = bounds.rate_region(table2_lb, [0.5]).interpolated
     r_est = np.concatenate((interp.r_est, curve.r_est))
     r_com = np.concatenate((interp.r_com, curve.r_com))
     hull = wf.upper_convex_hull(r_est, r_com)
@@ -301,7 +300,7 @@ def test_hull_dominates_contributors(table2_lb):
 def test_hull_anchors(table2_lb):
     grid = np.linspace(0.02, 0.98, 50)
     curve = bounds.rate_region(table2_lb, grid).waterfill
-    interp = bounds.rate_region(table2_lb, [0.0]).interpolated
+    interp = bounds.rate_region(table2_lb, [0.5]).interpolated
     r_est = np.concatenate((interp.r_est, curve.r_est))
     r_com = np.concatenate((interp.r_com, curve.r_com))
     hull = wf.upper_convex_hull(r_est, r_com)
@@ -371,7 +370,7 @@ def scalar_reference_rows(lb, alphas):
 
 
 def assert_kernel_matches_scalar_forms(lb, n):
-    alphas = wf.default_alpha_grid(n)
+    alphas = wf.default_alpha_grid(n).tolist()
     want = dict(zip(KERNEL_COLUMNS, map(list, zip(*scalar_reference_rows(lb, alphas)))))
     region = bounds.rate_region(lb, alphas)
     grid = region.grid
@@ -393,6 +392,15 @@ def assert_kernel_matches_scalar_forms(lb, n):
     assert region.hull.r_com.tolist() == hull.r_com.tolist()
 
 
+def test_default_alpha_grid_is_the_scalar_grid():
+    lo, hi = 1e-4, 1.0 - 1e-4
+    for n in (1, 2, 400, 100_000):
+        want = [lo] if n == 1 else [lo + i * ((hi - lo) / (n - 1)) for i in range(n)]
+        grid = wf.default_alpha_grid(n)
+        assert grid.dtype == np.float64
+        assert grid.tolist() == want, n  # bit for bit
+
+
 def test_kernel_matches_scalar_forms_table2(table2_lb):
     for n in (400, 100_000):
         assert_kernel_matches_scalar_forms(table2_lb, n)
@@ -410,9 +418,8 @@ def test_scalar_views_return_python_floats(table2_lb):
     ]
     assert all(type(v) is float for v in values)
     # CSV and SVG bytes are the reprs of these: every curve is two float64
-    # columns whose tolist() coordinates are Python floats, the alpha = 0
-    # head and the hull included
-    region = bounds.rate_region(table2_lb, [0.0, 0.25, 0.5, 0.995])
+    # columns whose tolist() coordinates are Python floats, the hull included
+    region = bounds.rate_region(table2_lb, [0.25, 0.5, 0.995])
     for curve in region.curves:
         assert curve.r_est.dtype == curve.r_com.dtype == np.float64, curve.label
         coords = curve.r_est.tolist() + curve.r_com.tolist()
