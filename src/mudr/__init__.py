@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .bounds import (
     DegenerateLinkError,
-    MultiTargetError,
     PentagonRegion,
     RateCurve,
     RateRegion,
@@ -26,6 +25,7 @@ from .bounds import (
 from .mcsim import (
     ExperimentPreconditionError,
     McReport,
+    MultiTargetError,
     crb_experiment,
     gamma_experiment,
     generate_waveform,

@@ -26,10 +26,6 @@ class DegenerateLinkError(ValueError):
     """Radar link has zero received power; delay variance is unbounded."""
 
 
-class MultiTargetError(ValueError):
-    """Operation is defined for single-target link budgets only."""
-
-
 def _elementwise(fn):
     """``fn`` applied to each element of an array, giving a float array; a
     scalar gives a Python float. Closed forms that take either use it for
@@ -168,22 +164,22 @@ def est_outer_rate(lb: LinkBudget) -> float:
     return total
 
 
-def _log_form_rate(lb: LinkBudget, m: int, bandwidth_hz):
-    """Estimation rate of target ``m`` in bits/s for a radar on bandwidth bw
-    with the scenario's waveform integration TB: bw log2(1 + sigma_proc^2
-    gamma^2 bw TB a^2 P_radar / (k_B T_temp)) raised to delta/TB.
-    ``bandwidth_hz`` is a float or an array of them."""
+def _log_form_rate(lb: LinkBudget, bandwidth_hz):
+    """Estimation rate in bits/s, summed over targets, for a radar on
+    bandwidth bw with the scenario's waveform integration TB: per target
+    bw log2(1 + sigma_proc^2 gamma^2 bw TB a^2 P_radar / (k_B T_temp))
+    raised to delta/TB. ``bandwidth_hz`` is a float or an array of them."""
     tb = lb.time_bandwidth
-    snr = (
-        lb.sigma_tau_proc_sq[m]
-        * GAMMA_SQ_FLAT
-        * bandwidth_hz
-        * tb
-        * lb.a_sq[m]
-        * lb.radar_power_w
-        / lb.kt_w_per_hz
+    return sum(
+        bandwidth_hz
+        * (lb.duty_factor / tb)
+        * _log2(
+            1.0
+            + proc_sq * GAMMA_SQ_FLAT * bandwidth_hz * tb * a_sq * lb.radar_power_w
+            / lb.kt_w_per_hz
+        )
+        for a_sq, proc_sq in zip(lb.a_sq, lb.sigma_tau_proc_sq)
     )
-    return bandwidth_hz * (lb.duty_factor / tb) * _log2(1.0 + snr)
 
 
 def est_outer_rate_log_form(lb: LinkBudget) -> float:
@@ -192,7 +188,7 @@ def est_outer_rate_log_form(lb: LinkBudget) -> float:
     The log form over the full band B with integration TB, summed over
     targets. Kept separate so the two printed forms can be cross-checked.
     """
-    return sum(_log_form_rate(lb, m, lb.bandwidth_hz) for m in range(lb.n_targets))
+    return _log_form_rate(lb, lb.bandwidth_hz)
 
 
 def int_plus_noise_variance(lb: LinkBudget, bandwidth_hz):
@@ -241,13 +237,6 @@ def sic_comms_rate(lb: LinkBudget) -> float:
     )
 
 
-def _require_single_target(lb: LinkBudget, what: str) -> None:
-    if lb.n_targets != 1:
-        raise MultiTargetError(
-            f"{what} is defined for a single target; got {lb.n_targets}"
-        )
-
-
 def rate_region(lb: LinkBudget, alpha_grid: Sequence[float]) -> RateRegion:
     """All displayed curves for one scenario, from one pass over the grid.
 
@@ -260,7 +249,6 @@ def rate_region(lb: LinkBudget, alpha_grid: Sequence[float]) -> RateRegion:
     """
     from . import waterfill
 
-    _require_single_target(lb, "rate region")
     grid = waterfill.waterfill_grid(lb, alpha_grid)
 
     r_est, r_com, r_sic = est_outer_rate(lb), comms_outer_rate(lb), sic_comms_rate(lb)

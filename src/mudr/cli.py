@@ -40,6 +40,12 @@ from .scenario import (
 #: enough for any link, and narrow enough that 1 + snr1 + snr2 stays finite.
 SNR_DB_RANGE = (-300.0, 300.0)
 
+#: Largest ``--alpha-points`` and ``--trials``: a 10^6-point region already
+#: writes a 116 MB CSV, and far larger requests would run out of memory in
+#: numpy instead of failing here with the flag named.
+MAX_ALPHA_POINTS = 10**6
+MAX_TRIALS = 10**7
+
 REGION_CSV_HEADER = (
     "curve_label",
     "alpha_or_nan",
@@ -64,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     alpha_points_kwargs = dict(
         type=int,
         default=400,
-        help="number of bandwidth-split grid points (default 400)",
+        help="number of bandwidth-split grid points "
+        f"(default 400, at most {MAX_ALPHA_POINTS})",
     )
 
     p_region = sub.add_parser("region", help="compute the rate-region curves")
@@ -85,7 +92,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument(
         "--experiment", required=True, choices=("crb", "residual", "gamma")
     )
-    p_val.add_argument("--trials", type=int, default=10000)
+    p_val.add_argument(
+        "--trials",
+        type=int,
+        default=10000,
+        help=f"Monte Carlo trials (default 10000, at most {MAX_TRIALS})",
+    )
     p_val.add_argument("--seed", type=int, default=None)
     p_val.add_argument("--out", **out_kwargs)
 
@@ -116,9 +128,8 @@ class Outcome:
     passed: bool = True
 
 
-def _region(scenario: Scenario, alpha_points: int) -> bounds.RateRegion:
-    lb = derive_link_budget(scenario)
-    return bounds.rate_region(lb, waterfill.default_alpha_grid(alpha_points))
+def _region(scenario: Scenario, alpha_grid: np.ndarray) -> bounds.RateRegion:
+    return bounds.rate_region(derive_link_budget(scenario), alpha_grid)
 
 
 def _region_rows(region: bounds.RateRegion) -> Iterator[list[str]]:
@@ -153,7 +164,8 @@ def _region_files(prefix: str, region: bounds.RateRegion) -> dict[str, str]:
 
 
 def cmd_region(args: argparse.Namespace) -> Outcome:
-    region = _region(load_scenario(args.scenario), args.alpha_points)
+    alpha_grid = waterfill.default_alpha_grid(args.alpha_points)
+    region = _region(load_scenario(args.scenario), alpha_grid)
     return Outcome(
         files=_region_files("region", region),
         parameters={"alpha_points": args.alpha_points},
@@ -234,12 +246,13 @@ def cmd_sweep(args: argparse.Namespace) -> Outcome:
     if not values:
         raise ValueError("--values must contain at least one number")
     variants = [replace_scenario_field(scenario, args.vary, v) for v in values]
+    alpha_grid = waterfill.default_alpha_grid(args.alpha_points)
 
     files: dict[str, str] = {}
     summary_rows, counters = [], []
     for i, (value, variant) in enumerate(zip(values, variants)):
         try:
-            region = _region(variant, args.alpha_points)
+            region = _region(variant, alpha_grid)
         except ValueError as exc:
             raise ValueError(f"sweep field '{args.vary}' = {value!r}: {exc}") from None
         files.update(_region_files(f"sweep_{i:03d}_region", region))
@@ -275,10 +288,19 @@ def main(argv: list[str] | None = None) -> int:
     write the manifest last."""
     args = build_parser().parse_args(argv)
     try:
-        for flag, least in (("alpha_points", 1), ("trials", 1), ("seed", 0)):
+        for flag, least, most in (
+            ("alpha_points", 1, MAX_ALPHA_POINTS),
+            ("trials", 1, MAX_TRIALS),
+            ("seed", 0, None),
+        ):
             value = getattr(args, flag, None)
-            if value is not None and value < least:
-                raise ValueError(f"--{flag.replace('_', '-')} must be at least {least}")
+            if value is None:
+                continue
+            name = f"--{flag.replace('_', '-')}"
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}")
+            if most is not None and value > most:
+                raise ValueError(f"{name} must be at most {most}")
         outcome = COMMANDS[args.command](args)
     except ExperimentPreconditionError as exc:
         print(f"precondition not met: {exc}", file=sys.stderr)

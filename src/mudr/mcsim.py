@@ -48,12 +48,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import crb_delay_variance, int_plus_noise_variance, _require_single_target
+from .bounds import crb_delay_variance, int_plus_noise_variance
 from .scenario import GAMMA_SQ_FLAT, LinkBudget
 
 
 class ExperimentPreconditionError(ValueError):
     """Scenario falls outside the regime the analytic claim covers."""
+
+
+class MultiTargetError(ValueError):
+    """Experiment tests a single-target claim; the link budget has more."""
+
+
+def _require_single_target(lb: LinkBudget, what: str) -> None:
+    if lb.n_targets != 1:
+        raise MultiTargetError(
+            f"{what} is defined for a single target; got {lb.n_targets}"
+        )
 
 
 # The one numerical waveform of the experiments: N_SAMPLES complex samples,

@@ -329,9 +329,9 @@ def load_scenario(path: str | Path) -> Scenario:
     )
 
 
-def bundled_scenario_path(name: str = "table2") -> Path:
-    """Path to a scenario file shipped with the package."""
-    return Path(str(resources.files("mudr").joinpath(f"data/{name}.json")))
+def bundled_scenario_path() -> Path:
+    """Path to the example scenario shipped with the package."""
+    return Path(str(resources.files("mudr").joinpath("data/table2.json")))
 
 
 def replace_scenario_field(s: Scenario, field: str, value: float) -> Scenario:

@@ -32,7 +32,6 @@ from .bounds import (
     RateCurve,
     _log2,
     _log_form_rate,
-    _require_single_target,
     check_rates,
     int_plus_noise_variance,
 )
@@ -44,8 +43,8 @@ class WaterfillGrid:
     """Every split of one alpha grid as columns, one array entry per alpha:
     the subband widths, the interference plus noise ``sigma_mix`` over the
     mixed subband, the channel gains, the water level, the power split,
-    the rates (per subband, their sum ``r_com_total``, and ``r_est``) and
-    the self-consistency flag."""
+    the rates (per subband, their sum ``r_com_total``, and ``r_est``, summed
+    over targets) and the self-consistency flag."""
 
     alpha: np.ndarray
     b_com: np.ndarray
@@ -84,8 +83,9 @@ def waterfill_grid(lb: LinkBudget, alpha_grid: Sequence[float]) -> WaterfillGrid
     """Water-fill the communications power across the two subbands for
     every split of ``alpha_grid`` at once, as arrays.
 
-    mu_com sees thermal noise over the clean subband; mu_mix sees the
-    residual radar interference plus thermal noise over the mixed subband.
+    mu_com sees thermal noise over the clean subband; mu_mix sees every
+    target's residual radar interference plus thermal noise over the mixed
+    subband.
     Above the dual-use threshold the water level is
     nu = P_com + 1/mu_com + 1/mu_mix and the clean-band power fraction is
     beta = alpha + ((alpha - 1)/mu_com + alpha/mu_mix) / P_com; otherwise
@@ -98,7 +98,6 @@ def waterfill_grid(lb: LinkBudget, alpha_grid: Sequence[float]) -> WaterfillGrid
     kappa/B_mix stays within the pulse repetition interval. Every column
     equals the scalar closed form evaluated per alpha, bit for bit.
     """
-    _require_single_target(lb, "subband split")
     alpha = np.array(alpha_grid, dtype=float)
     outside = ~((0.0 < alpha) & (alpha < 1.0))
     if outside.any():
@@ -127,7 +126,7 @@ def waterfill_grid(lb: LinkBudget, alpha_grid: Sequence[float]) -> WaterfillGrid
     r_com_com = b_com * _log2(1.0 + arg_com)
     r_com_mix = b_mix * _log2(1.0 + lb.b_sq * p_com_mix / sigma_mix)
     r_com_total = r_com_com + r_com_mix
-    r_est = _log_form_rate(lb, 0, b_mix)
+    r_est = _log_form_rate(lb, b_mix)
     check_rates("r_est", r_est)
     check_rates("r_com", r_com_total)
 

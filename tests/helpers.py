@@ -10,13 +10,13 @@ Rerun those scripts if the bundled example scenario changes.
 from __future__ import annotations
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
 
 from mudr.mcsim import _signed_bins
-from mudr.scenario import LinkBudget
+from mudr.scenario import LinkBudget, Scenario, Target, derive_link_budget
 from mudr.waterfill import waterfill_grid
 
 # scripts/oracle_link_budget.py
@@ -50,6 +50,13 @@ WF_R_COM_COM_05 = 2468801.471067336
 WF_R_COM_MIX_05 = 2017092.9366050991
 WF_R_EST_05 = 960.5452560196853
 
+# scripts/oracle_waterfill.py, example plus a second target (range_m 150e3,
+# cross_section_m2 5, process_range_std_m 50) at alpha 0.5; r_est is the sum
+WF2_MU_MIX_05 = 16.11774514853892
+WF2_BETA_05 = 0.5373104345544609
+WF2_R_COM_MIX_05 = 2009620.0140569822
+WF2_R_EST_05 = 1063.2482258493706
+
 
 def make_lb(
     a_sq: float = TABLE2_A_SQ,
@@ -75,6 +82,16 @@ def make_lb(
         comms_power_w=comms_power_w,
         radar_power_w=radar_power_w,
     )
+
+
+def with_second_target(scenario: Scenario, cross_section_m2: float = 5.0) -> LinkBudget:
+    """Link budget of ``scenario`` with a second target appended: the
+    oracle's two-target case (range_m 150e3, process_range_std_m 50) at
+    ``cross_section_m2``."""
+    second = Target(
+        range_m=150e3, cross_section_m2=cross_section_m2, process_range_std_m=50.0
+    )
+    return derive_link_budget(replace(scenario, targets=(*scenario.targets, second)))
 
 
 def random_lb(rng: np.random.Generator) -> LinkBudget:

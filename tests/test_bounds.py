@@ -15,8 +15,9 @@ from helpers import (
     TABLE2_SIC_RATE_BPS,
     make_lb,
     random_lb,
+    with_second_target,
 )
-from mudr import bounds
+from mudr import bounds, waterfill as wf
 
 snrs = st.floats(min_value=0.0, max_value=1e6)
 positive_snrs = st.floats(min_value=1e-9, max_value=1e6)
@@ -250,11 +251,6 @@ def test_interpolated_endpoints(table2_lb):
     assert curve.r_com[0] >= curve.r_com[1]
 
 
-def test_interpolated_rejects_multi_target():
-    with pytest.raises(bounds.MultiTargetError):
-        bounds.rate_region(make_lb(n_targets=2), [0.5]).interpolated
-
-
 def test_interpolated_degenerate_radar(table2_lb):
     quiet = replace(table2_lb, sigma_tau_proc_sq=(0.0,))
     curve = bounds.rate_region(quiet, [0.5]).interpolated
@@ -293,6 +289,21 @@ def test_rate_region_waterfill_beats_interpolation(table2_lb):
         return c0 + slope * r_est
 
     assert any(region.waterfill.r_com > interp(region.waterfill.r_est))
+
+
+def test_rate_region_ignores_negligible_second_target(table2_lb, table2_scenario):
+    # a second target at the cross-section floor adds only rounding-level
+    # estimation rate and interference to every curve and split
+    grid = wf.default_alpha_grid(400)
+    one = bounds.rate_region(table2_lb, grid)
+    two = bounds.rate_region(with_second_target(table2_scenario, 1e-12), grid)
+    for a, b in zip(one.curves, two.curves):
+        np.testing.assert_allclose(b.r_est, a.r_est, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(b.r_com, a.r_com, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(two.grid.r_est, one.grid.r_est, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(
+        two.grid.r_com_total, one.grid.r_com_total, rtol=1e-9, atol=0
+    )
 
 
 def test_rate_region_rejects_bad_grid(table2_lb):

@@ -91,6 +91,33 @@ def test_region_quiet_radar_collapses_to_axis(tmp_path):
             assert float(r["r_est_bps"]) == 0.0
 
 
+def test_two_target_region_and_sweep_sum_over_targets(tmp_path, capsys):
+    raw = json.loads(bundled_scenario_path().read_text())
+    second = {"range_m": 150e3, "cross_section_m2": 5, "process_range_std_m": 50}
+    scenario = write_variant(tmp_path, "two.json", targets=[*raw["targets"], second])
+    two = sc.load_scenario(scenario)
+    out = tmp_path / "region"
+    assert run("region", "--scenario", scenario, "--alpha-points", 50, "--out", out) == 0
+    outer = [r for r in read_csv(out / "region.csv") if r["curve_label"] == "outer"]
+    assert float(outer[1]["r_est_bps"]) == bounds.est_outer_rate(
+        sc.derive_link_budget(two)
+    )
+    # a swept target field is set on every target
+    out = tmp_path / "sweep"
+    assert run("sweep", "--scenario", scenario, "--vary", "cross_section_m2",
+               "--values", "1,20", "--alpha-points", 10, "--out", out) == 0
+    for row, value in zip(read_csv(out / "sweep_summary.csv"), (1.0, 20.0)):
+        lb = sc.derive_link_budget(sc.replace_scenario_field(two, "cross_section_m2", value))
+        assert float(row["est_outer_rate_bps"]) == bounds.est_outer_rate(lb)
+    # the crb and residual experiments test single-target claims
+    capsys.readouterr()
+    for experiment in ("crb", "residual"):
+        rc = run("validate", "--scenario", scenario, "--experiment", experiment,
+                 "--trials", 10, "--seed", 0, "--out", tmp_path / "validate")
+        assert rc == 2
+        assert "single target; got 2" in capsys.readouterr().err
+
+
 def test_region_invalid_scenario_exit_2(tmp_path, capsys):
     cases = [
         ("radar.duty_factor", 0, "duty_factor"),
@@ -115,10 +142,11 @@ def test_region_invalid_scenario_exit_2(tmp_path, capsys):
                  "--out", tmp_path / "out")
         assert rc == 2
         assert named in capsys.readouterr().err
-    rc = run("region", "--scenario", bundled_scenario_path(), "--alpha-points", 0,
-             "--out", tmp_path / "out")
-    assert rc == 2
-    assert "--alpha-points" in capsys.readouterr().err
+    for points in (0, cli.MAX_ALPHA_POINTS + 1):
+        rc = run("region", "--scenario", bundled_scenario_path(), "--alpha-points",
+                 points, "--out", tmp_path / "out")
+        assert rc == 2
+        assert "--alpha-points" in capsys.readouterr().err
 
 
 def test_region_missing_file_exit_2(tmp_path, capsys):
@@ -230,10 +258,11 @@ def test_validate_crb_low_isnr_exit_2(tmp_path, capsys):
     assert rc == 2
     assert "integrated SNR" in capsys.readouterr().err
     for experiment in ("crb", "residual", "gamma"):
-        rc = run("validate", "--scenario", bundled_scenario_path(), "--experiment",
-                 experiment, "--trials", 0, "--seed", 1, "--out", tmp_path)
-        assert rc == 2
-        assert "--trials" in capsys.readouterr().err
+        for trials in (0, cli.MAX_TRIALS + 1):
+            rc = run("validate", "--scenario", bundled_scenario_path(), "--experiment",
+                     experiment, "--trials", trials, "--seed", 1, "--out", tmp_path)
+            assert rc == 2
+            assert "--trials" in capsys.readouterr().err
     rc = run("validate", "--scenario", bundled_scenario_path(), "--experiment",
              "gamma", "--trials", 10, "--seed", -1, "--out", tmp_path)
     assert rc == 2
@@ -357,10 +386,12 @@ def test_sweep_unknown_field_exit_2(tmp_path, capsys):
                  "--values", value, "--alpha-points", 5, "--out", tmp_path)
         assert rc == 2
         assert f"sweep field '{field}'" in capsys.readouterr().err
-    rc = run("sweep", "--scenario", bundled_scenario_path(), "--vary", "radar_power_w",
-             "--values", "100", "--alpha-points", 0, "--out", tmp_path)
-    assert rc == 2
-    assert "--alpha-points" in capsys.readouterr().err
+    for points in (0, cli.MAX_ALPHA_POINTS + 1):
+        rc = run("sweep", "--scenario", bundled_scenario_path(), "--vary",
+                 "radar_power_w", "--values", "100", "--alpha-points", points,
+                 "--out", tmp_path)
+        assert rc == 2
+        assert "--alpha-points" in capsys.readouterr().err
 
 
 # --- determinism and env var -------------------------------------------------------

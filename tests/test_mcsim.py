@@ -7,8 +7,7 @@ import pytest
 
 from helpers import GAMMA_SQ_FLAT, make_lb, matched_filter_delay, measured_gamma_sq
 from mudr import mcsim
-from mudr.bounds import MultiTargetError
-from mudr.mcsim import ExperimentPreconditionError
+from mudr.mcsim import ExperimentPreconditionError, MultiTargetError
 
 
 def lb_at_isnr(isnr: float):
@@ -185,6 +184,11 @@ def test_residual_experiment_rejects_wide_jitter():
     lb = lb_at_sigma_b(0.5)
     with pytest.raises(ExperimentPreconditionError, match="0.5"):
         mcsim.residual_experiment(lb, 100, 0)
+
+
+def test_residual_experiment_rejects_multi_target():
+    with pytest.raises(MultiTargetError, match="single target; got 2"):
+        mcsim.residual_experiment(make_lb(n_targets=2), 100, 0)
 
 
 def test_residual_experiment_passes_when_interference_dominates():

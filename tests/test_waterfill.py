@@ -18,13 +18,16 @@ from helpers import (
     WF_R_COM_COM_05,
     WF_R_COM_MIX_05,
     WF_R_EST_05,
+    WF2_BETA_05,
+    WF2_MU_MIX_05,
+    WF2_R_COM_MIX_05,
+    WF2_R_EST_05,
     brute_force_total_comms_rate,
-    make_lb,
     random_lb,
     waterfill_row,
+    with_second_target,
 )
 from mudr import bounds, waterfill as wf
-from mudr.bounds import MultiTargetError
 
 alphas = st.floats(min_value=1e-3, max_value=1.0 - 1e-3)
 
@@ -50,12 +53,10 @@ def test_channels_diverge_as_alpha_vanishes(table2_lb):
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
-def test_channels_reject_boundary_and_multi_target(table2_lb):
+def test_channels_reject_boundary(table2_lb):
     for a in (0.0, 1.0, -0.1, 1.1):
         with pytest.raises(ValueError):
             wf.waterfill_grid(table2_lb, [a])
-    with pytest.raises(MultiTargetError):
-        wf.waterfill_grid(make_lb(n_targets=2), [0.5])
 
 
 # --- power split ----------------------------------------------------------------
@@ -144,6 +145,15 @@ def test_waterfill_point_frozen_at_half(table2_lb):
     assert p.r_com_mix == pytest.approx(WF_R_COM_MIX_05, rel=1e-12)
     assert p.r_est == pytest.approx(WF_R_EST_05, rel=1e-12)
     assert p.self_consistent
+
+
+def test_two_target_split_frozen_at_half(table2_scenario):
+    # sigma_mix carries both targets' residuals; r_est is the sum of theirs
+    p = waterfill_row(with_second_target(table2_scenario), 0.5)
+    assert p.mu_mix == pytest.approx(WF2_MU_MIX_05, rel=1e-12)
+    assert p.beta == pytest.approx(WF2_BETA_05, rel=1e-12)
+    assert p.r_com_mix == pytest.approx(WF2_R_COM_MIX_05, rel=1e-12)
+    assert p.r_est == pytest.approx(WF2_R_EST_05, rel=1e-12)
 
 
 def test_waterfill_endpoint_is_sic_vertex(table2_lb):
