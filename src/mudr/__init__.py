@@ -16,7 +16,6 @@ from .bounds import (
     comms_outer_rate,
     crb_delay_variance,
     est_outer_rate,
-    estimation_entropy,
     int_plus_noise_variance,
     ma_pentagon,
     rate_region,
@@ -41,6 +40,5 @@ from .scenario import (
     derive_link_budget,
     load_scenario,
     noise_power,
-    range_from_delay,
 )
 from .waterfill import WaterfillGrid, upper_convex_hull, waterfill_grid

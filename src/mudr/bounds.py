@@ -5,7 +5,11 @@ bits per channel use with noise normalized to unit variance. Estimation
 rate treats each tracked target as an information channel whose input is
 the Gaussian delay-process deviation and whose output is the delay
 estimate; the per-observation information is the entropy gap between the
-process-plus-estimation uncertainty and the estimation uncertainty alone.
+process-plus-estimation uncertainty and the estimation uncertainty alone,
+log2(1 + sigma_proc^2 / CRB) per pulse repetition interval. It is written
+once, in that log form: where sigma_proc^2 is small against the CRB, the
+difference of two entropies loses more digits to cancellation. Every
+communications rate is bw log2(1 + b^2 P / noise) from one helper.
 """
 
 from __future__ import annotations
@@ -138,32 +142,6 @@ def crb_delay_variance(lb: LinkBudget, target_idx: int = 0) -> float:
     )
 
 
-def estimation_entropy(variance_s2: float) -> float:
-    """Differential entropy log2(pi e sigma^2) in bits (complex-Gaussian convention)."""
-    if not variance_s2 > 0:
-        raise ValueError(f"variance must be positive, got {variance_s2}")
-    return math.log2(math.pi * math.e * variance_s2)
-
-
-def est_outer_rate(lb: LinkBudget) -> float:
-    """Estimation-rate outer bound in bits/s, summed over targets.
-
-    Per target: (entropy of process-plus-estimation error minus entropy of
-    estimation error) per pulse repetition interval, with the repetition
-    interval tied to the pulse duration by the duty factor.
-    """
-    pulse_duration_s = lb.time_bandwidth / lb.bandwidth_hz
-    t_pri_s = pulse_duration_s / lb.duty_factor
-    total = 0.0
-    for m in range(lb.n_targets):
-        proc = lb.sigma_tau_proc_sq[m]
-        if proc == 0.0:
-            continue
-        est = crb_delay_variance(lb, m)
-        total += (estimation_entropy(proc + est) - estimation_entropy(est)) / t_pri_s
-    return total
-
-
 def _log_form_rate(lb: LinkBudget, bandwidth_hz):
     """Estimation rate in bits/s, summed over targets, for a radar on
     bandwidth bw with the scenario's waveform integration TB: per target
@@ -182,12 +160,11 @@ def _log_form_rate(lb: LinkBudget, bandwidth_hz):
     )
 
 
-def est_outer_rate_log_form(lb: LinkBudget) -> float:
-    """Algebraically equivalent closed form of :func:`est_outer_rate`.
-
-    The log form over the full band B with integration TB, summed over
-    targets. Kept separate so the two printed forms can be cross-checked.
-    """
+def est_outer_rate(lb: LinkBudget) -> float:
+    """Estimation-rate outer bound in bits/s, summed over targets: per
+    target log2(1 + sigma_proc^2 / CRB) per pulse repetition interval, the
+    radar on the full band B. A target with no process jitter or no
+    received power adds 0."""
     return _log_form_rate(lb, lb.bandwidth_hz)
 
 
@@ -215,11 +192,15 @@ def int_plus_noise_variance(lb: LinkBudget, bandwidth_hz):
     return residual + lb.kt_w_per_hz * bandwidth_hz
 
 
+def _shannon_rate(lb: LinkBudget, bandwidth_hz, power_w, noise_w):
+    """Communications rate bw log2(1 + b^2 P / noise) in bits/s; floats or
+    arrays of them."""
+    return bandwidth_hz * _log2(1.0 + lb.b_sq * power_w / noise_w)
+
+
 def comms_outer_rate(lb: LinkBudget) -> float:
     """Communications rate bound with no radar in band, bits/s."""
-    return lb.bandwidth_hz * math.log2(
-        1.0 + lb.b_sq * lb.comms_power_w / lb.noise_power_w
-    )
+    return _shannon_rate(lb, lb.bandwidth_hz, lb.comms_power_w, lb.noise_power_w)
 
 
 def sic_comms_rate(lb: LinkBudget) -> float:
@@ -229,12 +210,8 @@ def sic_comms_rate(lb: LinkBudget) -> float:
     subtracted, so it sees the full band with the predicted radar return
     removed: interference-plus-noise instead of noise alone.
     """
-    return lb.bandwidth_hz * math.log2(
-        1.0
-        + lb.b_sq
-        * lb.comms_power_w
-        / int_plus_noise_variance(lb, lb.bandwidth_hz)
-    )
+    noise_w = int_plus_noise_variance(lb, lb.bandwidth_hz)
+    return _shannon_rate(lb, lb.bandwidth_hz, lb.comms_power_w, noise_w)
 
 
 def rate_region(lb: LinkBudget, alpha_grid: Sequence[float]) -> RateRegion:

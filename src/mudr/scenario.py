@@ -159,13 +159,6 @@ def delay_from_range(range_m: float) -> float:
     return 2.0 * range_m / SPEED_OF_LIGHT_M_S
 
 
-def range_from_delay(delay_s: float) -> float:
-    """Inverse of :func:`delay_from_range`."""
-    if not delay_s > 0:
-        raise ScenarioError(f"delay_s must be positive, got {delay_s}")
-    return delay_s * SPEED_OF_LIGHT_M_S / 2.0
-
-
 def noise_power(temperature_k: float, bandwidth_hz: float) -> float:
     """Thermal noise power k_B * T * B in watts."""
     if not temperature_k > 0:

@@ -30,8 +30,8 @@ import numpy as np
 
 from .bounds import (
     RateCurve,
-    _log2,
     _log_form_rate,
+    _shannon_rate,
     check_rates,
     int_plus_noise_variance,
 )
@@ -122,9 +122,8 @@ def waterfill_grid(lb: LinkBudget, alpha_grid: Sequence[float]) -> WaterfillGrid
     p_com_com = beta * p
     p_com_mix = (1.0 - beta) * p
 
-    arg_com = p_com_com * lb.b_sq / (lb.kt_w_per_hz * b_com)
-    r_com_com = b_com * _log2(1.0 + arg_com)
-    r_com_mix = b_mix * _log2(1.0 + lb.b_sq * p_com_mix / sigma_mix)
+    r_com_com = _shannon_rate(lb, b_com, p_com_com, lb.kt_w_per_hz * b_com)
+    r_com_mix = _shannon_rate(lb, b_mix, p_com_mix, sigma_mix)
     r_com_total = r_com_com + r_com_mix
     r_est = _log_form_rate(lb, b_mix)
     check_rates("r_est", r_est)

@@ -15,6 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from mudr.bounds import crb_delay_variance
 from mudr.mcsim import _signed_bins
 from mudr.scenario import LinkBudget, Scenario, Target, derive_link_budget
 from mudr.waterfill import waterfill_grid
@@ -108,6 +109,31 @@ def random_lb(rng: np.random.Generator) -> LinkBudget:
         comms_power_w=0.1 * scale(0.1, 10),
         radar_power_w=1000.0 * scale(0.1, 10),
     )
+
+
+def estimation_entropy(variance_s2: float) -> float:
+    """Differential entropy log2(pi e sigma^2) in bits (complex-Gaussian convention)."""
+    if not variance_s2 > 0:
+        raise ValueError(f"variance must be positive, got {variance_s2}")
+    return math.log2(math.pi * math.e * variance_s2)
+
+
+def entropy_form_est_rate(lb: LinkBudget) -> float:
+    """Estimation-rate outer bound in bits/s, summed over targets, in the
+    entropy form: per target, the entropy of process-plus-estimation error
+    minus the entropy of estimation error, per pulse repetition interval.
+    It loses digits to cancellation where the process variance is small
+    against the delay-variance floor, so it is a cross-check, not a
+    reference value."""
+    t_pri_s = lb.time_bandwidth / lb.bandwidth_hz / lb.duty_factor
+    total = 0.0
+    for m in range(lb.n_targets):
+        proc = lb.sigma_tau_proc_sq[m]
+        if proc == 0.0:
+            continue
+        est = crb_delay_variance(lb, m)
+        total += (estimation_entropy(proc + est) - estimation_entropy(est)) / t_pri_s
+    return total
 
 
 def brute_force_total_comms_rate(lb: LinkBudget, alpha: float, n_beta: int = 10_000):

@@ -15,6 +15,7 @@ import numpy as np
 
 from helpers import (
     brute_force_total_comms_rate,
+    entropy_form_est_rate,
     make_lb,
     measured_gamma_sq,
     random_lb,
@@ -202,8 +203,8 @@ def test_criterion_09_rate_cross_form():
     worst = 0.0
     for _ in range(1000):
         lb = random_lb(rng)
-        a = bounds.est_outer_rate(lb)
-        b = bounds.est_outer_rate_log_form(lb)
+        a = entropy_form_est_rate(lb)
+        b = bounds.est_outer_rate(lb)
         worst = max(worst, abs(a - b) / b)
     ok = worst <= 1e-10
     report(9, ok, f"1000 draws; worst cross-form gap {worst:.2e}")

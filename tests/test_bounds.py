@@ -13,11 +13,13 @@ from helpers import (
     TABLE2_EST_RATE_BPS,
     TABLE2_INT_PLUS_NOISE_W,
     TABLE2_SIC_RATE_BPS,
+    entropy_form_est_rate,
+    estimation_entropy,
     make_lb,
     random_lb,
     with_second_target,
 )
-from mudr import bounds, waterfill as wf
+from mudr import bounds, scenario as sc, waterfill as wf
 
 snrs = st.floats(min_value=0.0, max_value=1e6)
 positive_snrs = st.floats(min_value=1e-9, max_value=1e6)
@@ -105,17 +107,16 @@ def test_crb_degenerate_link():
     lb = make_lb(a_sq=0.0)
     with pytest.raises(bounds.DegenerateLinkError):
         bounds.crb_delay_variance(lb)
+    # no received power: the target carries no information, as in the
+    # waterfill r_est column
+    assert bounds.est_outer_rate(lb) == 0.0
 
 
 def test_estimation_entropy_anchors():
-    assert bounds.estimation_entropy(1 / (math.pi * math.e)) == pytest.approx(
-        0.0, abs=1e-12
-    )
-    assert bounds.estimation_entropy(4 / (math.pi * math.e)) == pytest.approx(
-        2.0, rel=1e-12
-    )
+    assert estimation_entropy(1 / (math.pi * math.e)) == pytest.approx(0.0, abs=1e-12)
+    assert estimation_entropy(4 / (math.pi * math.e)) == pytest.approx(2.0, rel=1e-12)
     with pytest.raises(ValueError):
-        bounds.estimation_entropy(0.0)
+        estimation_entropy(0.0)
 
 
 @given(
@@ -123,7 +124,7 @@ def test_estimation_entropy_anchors():
     st.floats(min_value=1e-20, max_value=1e6),
 )
 def test_entropy_difference_identity(proc, est):
-    gap = bounds.estimation_entropy(proc + est) - bounds.estimation_entropy(est)
+    gap = estimation_entropy(proc + est) - estimation_entropy(est)
     assert gap == pytest.approx(math.log2(1 + proc / est), rel=1e-9, abs=1e-9)
 
 
@@ -131,9 +132,20 @@ def test_entropy_difference_identity(proc, est):
 
 
 def test_est_outer_rate_frozen(table2_lb):
-    assert bounds.est_outer_rate(table2_lb) == pytest.approx(
-        TABLE2_EST_RATE_BPS, rel=1e-12
+    assert bounds.est_outer_rate(table2_lb) == TABLE2_EST_RATE_BPS
+
+
+def test_est_outer_rate_small_process_keeps_digits(table2_scenario):
+    # at 1 m of process jitter sigma_proc^2/CRB is 2.7e-3: a difference of
+    # two entropies near -43 bits each loses four digits to cancellation
+    # there, log2(1 + x) about two, log1p none
+    lb = sc.derive_link_budget(
+        sc.replace_scenario_field(table2_scenario, "process_range_std_m", 1.0)
     )
+    proc, crb = lb.sigma_tau_proc_sq[0], bounds.crb_delay_variance(lb)
+    t_pri = lb.time_bandwidth / lb.bandwidth_hz / lb.duty_factor
+    want = math.log1p(proc / crb) / math.log(2) / t_pri
+    assert bounds.est_outer_rate(lb) == pytest.approx(want, rel=1e-13)
 
 
 def test_est_outer_rate_zero_process(table2_lb):
@@ -154,7 +166,7 @@ def test_est_outer_rate_two_targets_doubles(table2_lb):
 def test_est_outer_rate_cross_form(seed):
     lb = random_lb(np.random.default_rng(seed))
     assert bounds.est_outer_rate(lb) == pytest.approx(
-        bounds.est_outer_rate_log_form(lb), rel=1e-10
+        entropy_form_est_rate(lb), rel=1e-10
     )
 
 

@@ -424,7 +424,9 @@ def test_kernel_matches_scalar_forms_random_scenarios():
 def test_scalar_views_return_python_floats(table2_lb):
     values = [
         bounds.int_plus_noise_variance(table2_lb, 1e6),
-        bounds.est_outer_rate_log_form(table2_lb),
+        bounds.est_outer_rate(table2_lb),
+        bounds.comms_outer_rate(table2_lb),
+        bounds.sic_comms_rate(table2_lb),
     ]
     assert all(type(v) is float for v in values)
     # CSV and SVG bytes are the reprs of these: every curve is two float64
