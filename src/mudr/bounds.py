@@ -32,15 +32,16 @@ class DegenerateLinkError(ValueError):
 
 def _elementwise(fn):
     """``fn`` applied to each element of an array, giving a float array; a
-    scalar gives a Python float. Closed forms that take either use it for
+    scalar goes to ``fn`` directly and gives a Python float. Closed forms that take either use it for
     ``log2`` and powers: numpy's SIMD ``log2`` and ``x**2`` differ from
     ``math.log2`` and CPython's float pow by up to a few ulp, and every
     array element must equal the scalar formula's value bit for bit."""
     ufunc = np.frompyfunc(fn, 1, 1)
 
     def apply(x):
-        out = ufunc(x)
-        return out.astype(float) if isinstance(out, np.ndarray) else out
+        if isinstance(x, np.ndarray) and x.ndim:
+            return ufunc(x).astype(float)
+        return fn(float(x))
 
     return apply
 
@@ -75,13 +76,19 @@ class RateCurve:
 @dataclass(frozen=True, eq=False)
 class RateRegion:
     """The displayed curves of one scenario and the waterfill ``grid`` they
-    came from, which keeps every evaluated split, self-consistent or not."""
+    came from, which keeps every evaluated split, self-consistent or not.
+
+    ``hull_index`` holds the hull's vertices as indices into the cloud of
+    the two interpolated points followed by the waterfill points: cloud
+    index ``i >= 2`` is grid index ``flatnonzero(grid.self_consistent)[i - 2]``.
+    """
 
     outer: RateCurve
     sic: RateCurve
     interpolated: RateCurve
     waterfill: RateCurve
     hull: RateCurve
+    hull_index: np.ndarray
     grid: WaterfillGrid
 
     @property
@@ -238,14 +245,15 @@ def rate_region(lb: LinkBudget, alpha_grid: Sequence[float]) -> RateRegion:
     split_est, split_com = grid.r_est[keep], grid.r_com_total[keep]
     inner_est, inner_com = np.array([0.0, r_est]), np.array([r_com, r_sic])
     outer_est, outer_com = np.array([0.0, r_est, r_est]), np.array([r_com, r_com, 0.0])
+    cloud_est = np.concatenate((inner_est, split_est))
+    cloud_com = np.concatenate((inner_com, split_com))
+    hull_index = waterfill.upper_convex_hull(cloud_est, cloud_com)
     return RateRegion(
         outer=RateCurve("outer", outer_est, outer_com),
         sic=RateCurve("sic", inner_est, np.array([r_sic, r_sic])),
         interpolated=RateCurve("interpolated", inner_est, inner_com),
         waterfill=RateCurve("waterfill", split_est, split_com),
-        hull=waterfill.upper_convex_hull(
-            np.concatenate((inner_est, split_est)),
-            np.concatenate((inner_com, split_com)),
-        ),
+        hull=RateCurve("hull", cloud_est[hull_index], cloud_com[hull_index]),
+        hull_index=hull_index,
         grid=grid,
     )

@@ -13,8 +13,8 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -132,29 +132,46 @@ def _region(scenario: Scenario, alpha_grid: np.ndarray) -> bounds.RateRegion:
     return bounds.rate_region(derive_link_budget(scenario), alpha_grid)
 
 
-def _region_rows(region: bounds.RateRegion) -> Iterator[list[str]]:
-    """CSV rows per curve vertex; waterfill rows keep every grid point,
-    flagged by self-consistency."""
-    g = region.grid
-    for c in region.curves:
-        if c is region.waterfill:
-            alpha, r_est, r_com, ok = g.alpha, g.r_est, g.r_com_total, g.self_consistent
-        else:
-            alpha, r_est, r_com = np.full(len(c.r_est), np.nan), c.r_est, c.r_com
-            ok = np.ones(len(c.r_est), dtype=bool)
-        # repr of the Python floats from tolist() is fmt_float's format
-        for a, e, r, flag in zip(
-            map(repr, alpha.tolist()),
-            map(repr, r_est.tolist()),
-            map(repr, r_com.tolist()),
-            ok.tolist(),
-        ):
-            yield [c.label, a, e, r, "true" if flag else "false"]
+def _region_csv(region: bounds.RateRegion) -> str:
+    """CSV text, one row per curve vertex; waterfill rows keep every grid
+    point, flagged by self-consistency, and hull rows reuse the text of
+    the points they pick."""
+    g, inner = region.grid, region.interpolated
+    # "r_est,r_com" of the two interpolated points, then of every grid
+    # point, each formatted once: repr of tolist()'s Python floats is
+    # fmt_float's format
+    pairs = [
+        f"{e!r},{r!r}"
+        for e, r in zip(
+            np.concatenate((inner.r_est, g.r_est)).tolist(),
+            np.concatenate((inner.r_com, g.r_com_total)).tolist(),
+        )
+    ]
+    lines = [",".join(REGION_CSV_HEADER)]
+    for c in (region.outer, region.sic, inner):
+        lines.extend(
+            f"{c.label},nan,{e!r},{r!r},true"
+            for e, r in zip(c.r_est.tolist(), c.r_com.tolist())
+        )
+    lines.extend(
+        f"waterfill,{a!r},{pair},{'true' if ok else 'false'}"
+        for a, pair, ok in zip(
+            g.alpha.tolist(), islice(pairs, 2, None), g.self_consistent.tolist()
+        )
+    )
+    # hull cloud index i >= 2 is the (i - 2)-th self-consistent grid point
+    at = np.concatenate(([0, 1], 2 + np.flatnonzero(g.self_consistent)))
+    lines.extend(f"hull,nan,{pairs[i]},true" for i in at[region.hull_index].tolist())
+    # drop the pair text before the join allocates the file's, and end the
+    # file with a newline without copying the joined text
+    del pairs
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _region_files(prefix: str, region: bounds.RateRegion) -> dict[str, str]:
     return {
-        f"{prefix}.csv": csv_text(REGION_CSV_HEADER, _region_rows(region)),
+        f"{prefix}.csv": _region_csv(region),
         f"{prefix}.svg": render_curves_svg(
             [(c.label, c.r_est, c.r_com) for c in region.curves],
             x_label="estimation rate (bits/s)",

@@ -29,7 +29,6 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import (
-    RateCurve,
     _log_form_rate,
     _shannon_rate,
     check_rates,
@@ -161,14 +160,20 @@ def default_alpha_grid(n: int) -> np.ndarray:
     return lo + np.arange(n) * step
 
 
-def upper_convex_hull(r_est: np.ndarray, r_com: np.ndarray) -> RateCurve:
-    """Upper-left Pareto convex hull of the point cloud (``r_est[i]``,
-    ``r_com[i]``), as the "hull" curve of input points.
+def upper_convex_hull(r_est: np.ndarray, r_com: np.ndarray) -> np.ndarray:
+    """Indices into the point cloud (``r_est[i]``, ``r_com[i]``) of the
+    vertices of its upper-left Pareto convex hull, in abscissa order.
 
     Monotone chain over r_est keeping the concave upper envelope; strictly
     interior and collinear points are dropped, so a collinear input
     reduces to its endpoints. Of the points sharing an abscissa only the
     one with the largest ordinate is kept.
+
+    Fast path: when no consecutive triple of the sorted, de-duplicated
+    points meets the chain's pop predicate (the middle point on or below
+    the chord of its neighbours), the chain would pop nothing, so every
+    such point is a vertex and the chain is skipped. numpy's float64
+    ``-`` and ``*`` round as Python's do, so both paths give one answer.
     """
     if len(r_est) < 2:
         raise ValueError("hull needs at least two points")
@@ -177,15 +182,19 @@ def upper_convex_hull(r_est: np.ndarray, r_com: np.ndarray) -> RateCurve:
     xs, ys = r_est[order], r_com[order]
     first = np.ones(len(xs), dtype=bool)
     first[1:] = xs[1:] != xs[:-1]
-    hull: list[tuple[float, float]] = []
-    for x, y in zip(xs[first].tolist(), ys[first].tolist()):
+    index, xs, ys = order[first], xs[first], ys[first]
+    x1, x2, x = xs[:-2], xs[1:-1], xs[2:]
+    y1, y2, y = ys[:-2], ys[1:-1], ys[2:]
+    if not np.any((x2 - x1) * (y - y1) - (y2 - y1) * (x - x1) >= 0):
+        return index
+    hull: list[tuple[int, float, float]] = []
+    for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
         while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            (_, x1, y1), (_, x2, y2) = hull[-2], hull[-1]
             # pop while the middle point is on or below the chord
             if (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1) >= 0:
                 hull.pop()
             else:
                 break
-        hull.append((x, y))
-    hull_x, hull_y = zip(*hull)
-    return RateCurve("hull", np.array(hull_x), np.array(hull_y))
+        hull.append((i, x, y))
+    return index[[i for i, _, _ in hull]]

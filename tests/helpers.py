@@ -15,7 +15,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from mudr.bounds import crb_delay_variance
+from mudr import cli
+from mudr.bounds import RateRegion, crb_delay_variance
+from mudr.emit import csv_text
 from mudr.mcsim import _signed_bins
 from mudr.scenario import LinkBudget, Scenario, Target, derive_link_budget
 from mudr.waterfill import waterfill_grid
@@ -166,6 +168,58 @@ def waterfill_row(lb: LinkBudget, alpha: float) -> SimpleNamespace:
     row = {f.name: getattr(g, f.name) for f in fields(g)}
     row = {k: v.tolist()[0] if isinstance(v, np.ndarray) else v for k, v in row.items()}
     return SimpleNamespace(**row)
+
+
+# --- reference hull and region CSV ------------------------------------------------
+
+
+def chain_hull(r_est: np.ndarray, r_com: np.ndarray) -> list[tuple[float, float]]:
+    """Upper-left Pareto convex hull of the cloud (``r_est[i]``, ``r_com[i]``)
+    as its vertex points in abscissa order: Andrew's monotone chain over
+    every sorted point, largest ordinate first per abscissa, with no fast
+    path."""
+    if len(r_est) < 2:
+        raise ValueError("hull needs at least two points")
+    order = np.lexsort((-r_com, r_est))
+    xs, ys = r_est[order], r_com[order]
+    first = np.ones(len(xs), dtype=bool)
+    first[1:] = xs[1:] != xs[:-1]
+    hull: list[tuple[float, float]] = []
+    for x, y in zip(xs[first].tolist(), ys[first].tolist()):
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            # pop while the middle point is on or below the chord
+            if (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1) >= 0:
+                hull.pop()
+            else:
+                break
+        hull.append((x, y))
+    return hull
+
+
+def region_csv_text(region: RateRegion) -> str:
+    """``region.csv`` built curve by curve, every value formatted where its
+    row is: waterfill rows keep every grid point, flagged by
+    self-consistency, and the other curves' rows print their columns."""
+    g = region.grid
+
+    def rows():
+        for c in region.curves:
+            if c is region.waterfill:
+                alpha, r_est, r_com = g.alpha, g.r_est, g.r_com_total
+                ok = g.self_consistent
+            else:
+                alpha, r_est, r_com = np.full(len(c.r_est), np.nan), c.r_est, c.r_com
+                ok = np.ones(len(c.r_est), dtype=bool)
+            for a, e, r, flag in zip(
+                map(repr, alpha.tolist()),
+                map(repr, r_est.tolist()),
+                map(repr, r_com.tolist()),
+                ok.tolist(),
+            ):
+                yield [c.label, a, e, r, "true" if flag else "false"]
+
+    return csv_text(cli.REGION_CSV_HEADER, rows())
 
 
 # --- time-domain reference path of the Monte Carlo kernels ----------------------

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import region_csv_text, with_second_target
 from mudr import bounds, cli, mcsim, scenario as sc, waterfill
+from mudr.emit import render_curves_svg
 from mudr.scenario import bundled_scenario_path
 
 SVG_NS = {"svg": "http://www.w3.org/2000/svg"}
@@ -416,6 +418,30 @@ def test_byte_identical_reruns(tmp_path):
         payload = (a / name).read_bytes()
         assert payload == (b / name).read_bytes()
         assert b"\r" not in payload  # LF line endings only
+
+
+@pytest.mark.parametrize("case", ["table2", "two_targets", "hot_radar"])
+def test_region_files_equal_per_curve_oracle(table2_scenario, case):
+    if case == "two_targets":
+        lb = with_second_target(table2_scenario)
+    else:
+        variant = table2_scenario
+        if case == "hot_radar":
+            variant = sc.replace_scenario_field(variant, "radar_power_w", 1e5)
+        lb = sc.derive_link_budget(variant)
+    region = bounds.rate_region(lb, waterfill.default_alpha_grid(400))
+    cloud_points = 2 + len(region.waterfill.r_est)
+    if case == "hot_radar":
+        assert len(region.hull_index) < cloud_points  # the chain's fallback
+    else:
+        assert len(region.hull_index) == cloud_points  # the fast path
+    files = cli._region_files("region", region)
+    assert files["region.csv"] == region_csv_text(region)
+    assert files["region.svg"] == render_curves_svg(
+        [(c.label, c.r_est, c.r_com) for c in region.curves],
+        x_label="estimation rate (bits/s)",
+        y_label="communications rate (bits/s)",
+    )
 
 
 # --- computed once ------------------------------------------------------------------

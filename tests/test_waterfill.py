@@ -23,6 +23,7 @@ from helpers import (
     WF2_R_COM_MIX_05,
     WF2_R_EST_05,
     brute_force_total_comms_rate,
+    chain_hull,
     random_lb,
     waterfill_row,
     with_second_target,
@@ -222,10 +223,16 @@ def test_waterfill_optimality_against_grid(seed):
 
 
 def _hull(points):
-    """The hull of a list of (r_est, r_com) pairs, as a list of pairs."""
+    """The hull of a list of (r_est, r_com) pairs, as a list of pairs picked
+    by the returned vertex indices."""
     r_est, r_com = np.array(points, dtype=float).reshape(-1, 2).T
-    hull = wf.upper_convex_hull(r_est, r_com)
-    return list(zip(hull.r_est.tolist(), hull.r_com.tolist()))
+    index = wf.upper_convex_hull(r_est, r_com)
+    return list(zip(r_est[index].tolist(), r_com[index].tolist()))
+
+
+def _oracle(points):
+    r_est, r_com = np.array(points, dtype=float).reshape(-1, 2).T
+    return chain_hull(r_est, r_com)
 
 
 def test_hull_collinear_reduces_to_endpoints():
@@ -260,6 +267,45 @@ def test_hull_requires_two_points():
         _hull([(0.0, 1.0)])
 
 
+def test_hull_returns_indices_in_abscissa_order():
+    r_est = np.array([2.0, 0.0, 1.0, 1.0])
+    r_com = np.array([0.0, 2.0, 1.0, 1.5])
+    index = wf.upper_convex_hull(r_est, r_com)
+    assert index.dtype.kind == "i"
+    assert index.tolist() == [1, 3, 0]
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        # a point below the chord of its neighbours
+        [(0.0, 1.0), (0.5, 0.3), (1.0, 0.0), (0.25, 0.9)],
+        # three collinear points: the cross product is exactly 0
+        [(0.0, 2.0), (1.0, 1.0), (2.0, 0.0)],
+        # ties on one abscissa, whose top points are collinear
+        [(0.0, 2.0), (0.0, 1.0), (1.0, 1.0), (1.0, 0.5), (2.0, 0.0), (2.0, -1.0)],
+    ],
+    ids=["below_chord", "collinear", "abscissa_ties"],
+)
+def test_hull_chain_fallback_equals_oracle(points):
+    hull = _hull(points)
+    # fewer vertices than abscissae: the chain popped, so the fast path
+    # could not have answered
+    assert len(hull) < len({x for x, _ in points})
+    assert hull == _oracle(points)
+
+
+def test_hull_fast_path_on_strictly_concave_cloud():
+    # a quarter circle, shuffled, with points below it on shared abscissae
+    x = np.linspace(0.0, 1.0, 50)
+    arc = list(zip(x.tolist(), np.sqrt(1.0 - x**2).tolist()))
+    below = [(px, py / 2) for px, py in arc[::7]]
+    points = [arc[i] for i in np.random.default_rng(0).permutation(len(arc))] + below
+    hull = _hull(points)
+    assert hull == arc  # every distinct abscissa is a vertex
+    assert hull == _oracle(points)
+
+
 @given(
     st.lists(
         st.tuples(st.integers(0, 6), st.integers(0, 20)), min_size=2, max_size=40
@@ -269,6 +315,7 @@ def test_hull_of_integer_clouds(cloud):
     # small integer coordinates: repeated abscissae, duplicate points, and
     # cross products that are exact in floating point
     hull = _hull(cloud)
+    assert hull == _oracle(cloud)
     xs, ys = zip(*hull)
     assert set(hull) <= set(cloud)
     assert all(a < b for a, b in zip(xs, xs[1:]))
@@ -286,7 +333,7 @@ def test_hull_of_integer_clouds(cloud):
 
 
 def _hull_value_at(hull, x):
-    xs, ys = hull.r_est.tolist(), hull.r_com.tolist()
+    xs, ys = zip(*hull)
     for i in range(len(xs) - 1):
         if xs[i] <= x <= xs[i + 1]:
             if xs[i + 1] == xs[i]:
@@ -296,27 +343,28 @@ def _hull_value_at(hull, x):
     return ys[-1]
 
 
-def test_hull_dominates_contributors(table2_lb):
-    grid = np.linspace(0.02, 0.98, 150)
-    curve = bounds.rate_region(table2_lb, grid).waterfill
-    interp = bounds.rate_region(table2_lb, [0.5]).interpolated
+def _contributors(lb, grid):
+    """The interpolated and waterfill points of ``grid`` as one cloud."""
+    curve = bounds.rate_region(lb, grid).waterfill
+    interp = bounds.rate_region(lb, [0.5]).interpolated
     r_est = np.concatenate((interp.r_est, curve.r_est))
     r_com = np.concatenate((interp.r_com, curve.r_com))
-    hull = wf.upper_convex_hull(r_est, r_com)
-    for x, y in zip(r_est.tolist(), r_com.tolist()):
+    return list(zip(r_est.tolist(), r_com.tolist()))
+
+
+def test_hull_dominates_contributors(table2_lb):
+    cloud = _contributors(table2_lb, np.linspace(0.02, 0.98, 150))
+    hull = _hull(cloud)
+    for x, y in cloud:
         assert _hull_value_at(hull, x) >= y - 1e-9
 
 
 def test_hull_anchors(table2_lb):
-    grid = np.linspace(0.02, 0.98, 50)
-    curve = bounds.rate_region(table2_lb, grid).waterfill
-    interp = bounds.rate_region(table2_lb, [0.5]).interpolated
-    r_est = np.concatenate((interp.r_est, curve.r_est))
-    r_com = np.concatenate((interp.r_com, curve.r_com))
-    hull = wf.upper_convex_hull(r_est, r_com)
-    assert hull.r_est[0] == 0.0
-    assert hull.r_com[0] == max(r_com)
-    assert hull.r_est[-1] == max(r_est)
+    cloud = _contributors(table2_lb, np.linspace(0.02, 0.98, 50))
+    hull = _hull(cloud)
+    assert hull[0][0] == 0.0
+    assert hull[0][1] == max(y for _, y in cloud)
+    assert hull[-1][0] == max(x for x, _ in cloud)
 
 
 # --- split bookkeeping -------------------------------------------------------------
@@ -394,12 +442,14 @@ def assert_kernel_matches_scalar_forms(lb, n):
     ]
     waterfill = region.waterfill
     assert list(zip(waterfill.r_est.tolist(), waterfill.r_com.tolist())) == published
-    hull = wf.upper_convex_hull(
-        np.concatenate((region.interpolated.r_est, [e for e, _ in published])),
-        np.concatenate((region.interpolated.r_com, [c for _, c in published])),
-    )
-    assert region.hull.r_est.tolist() == hull.r_est.tolist()
-    assert region.hull.r_com.tolist() == hull.r_com.tolist()
+    cloud_est = np.concatenate((region.interpolated.r_est, [e for e, _ in published]))
+    cloud_com = np.concatenate((region.interpolated.r_com, [c for _, c in published]))
+    index = wf.upper_convex_hull(cloud_est, cloud_com)
+    assert region.hull_index.tolist() == index.tolist()
+    assert region.hull.r_est.tolist() == cloud_est[index].tolist()
+    assert region.hull.r_com.tolist() == cloud_com[index].tolist()
+    hull = list(zip(region.hull.r_est.tolist(), region.hull.r_com.tolist()))
+    assert hull == chain_hull(cloud_est, cloud_com)
 
 
 def test_default_alpha_grid_is_the_scalar_grid():
