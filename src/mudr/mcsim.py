@@ -23,9 +23,13 @@ the matched filter, whose output is the one inverse FFT of a delay
 trial. Residual power and the spectral-shape constant are sums over the
 in-band coefficients.
 
-Each trial draws from its own generator seeded by (seed, trial index), so
+Each trial draws from its own generator keyed on (seed, trial index), so
 results do not depend on execution order, and per-trial statistics are
 reduced with numpy's pairwise summation over the trial-indexed array.
+Trial t's stream is exactly ``np.random.default_rng([seed, t])``'s, so any
+single trial can be reproduced by hand from that call. Only the seeding is
+batched: the SeedSequence words of a block of trials come from one numpy
+pass over the trial axis, and numpy's PCG64 seeds each stream from its row.
 
 Draws are made per trial, arithmetic per chunk. A kernel walks the trials
 in chunks of ``_CHUNK``: each trial of a chunk writes its draws into one
@@ -43,7 +47,9 @@ of arrays are therefore written ``np.multiply(a, b)``.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,10 +129,102 @@ def _report(
 # cross-spectra at 16) grow with it and raise peak memory.
 _CHUNK = 16
 
+# Trials whose seed words are computed in one numpy pass: 32 KiB of words,
+# so memory stays flat however many trials run.
+_SEED_BLOCK = 64 * _CHUNK
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    # stream keyed on (seed, trial) so execution order never matters
-    return np.random.default_rng([seed, trial])
+# numpy's SeedSequence constants (``numpy/random/bit_generator.pyx``), which
+# NEP 19 keeps stable along with PCG64's seeding.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _hashmix(init: int, mult: int):
+    """SeedSequence's hashmix with its own running hash constant, which
+    starts at ``init`` and is multiplied by ``mult`` at every call."""
+    hash_const = init
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _seed_words(seed: int, first: int, stop: int) -> np.ndarray:
+    """``SeedSequence([seed, t]).generate_state(4, np.uint64)`` for every
+    trial t in [first, stop), one row each, in one uint32 numpy pass.
+
+    The entropy is the seed's 32-bit little-endian words, then t, so
+    trial indices must fit one word (t < 2^32).
+    """
+    if not 0 <= first <= stop <= 2**32:
+        raise ValueError(f"trial indices must lie in [0, 2^32); got [{first}, {stop})")
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative; got {seed}")
+    entropy = [
+        np.uint32(seed >> shift & _MASK32)
+        for shift in range(0, max(seed.bit_length(), 1), 32)
+    ]
+    entropy.append(np.arange(first, stop, dtype=np.uint32))
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ result >> 16
+
+    state = np.empty((stop - first, 2 * _POOL_SIZE), dtype=np.uint32)
+    with np.errstate(over="ignore"):
+        # SeedSequence.mix_entropy
+        pool = [hashmix(entropy[i] if i < len(entropy) else np.uint32(0))
+                for i in range(_POOL_SIZE)]
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in entropy[_POOL_SIZE:]:
+            for dst in range(_POOL_SIZE):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        # SeedSequence.generate_state: 8 uint32 words, cycling over the pool
+        output = _hashmix(_INIT_B, _MULT_B)
+        for i in range(2 * _POOL_SIZE):
+            state[:, i] = output(pool[i % _POOL_SIZE])
+    return state.view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """The ISeedSequence that hands ``np.random.PCG64`` one trial's
+    precomputed words: PCG64's C code asks for ``generate_state(4,
+    np.uint64)`` and seeds the stream from them as from a SeedSequence.
+    Built on first use, so importing this module does not import
+    ``numpy.random``."""
+
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedWords
+
+
+def _trial_rngs(seed: int, trials: int):
+    """The generators of trials 0..trials-1, in order: trial t's stream is
+    exactly ``np.random.default_rng([seed, t])``'s, keyed on (seed, t) so
+    execution order never matters."""
+    seed_words = _seed_words_type()
+    for first in range(0, trials, _SEED_BLOCK):
+        for words in _seed_words(seed, first, min(first + _SEED_BLOCK, trials)):
+            yield np.random.default_rng(np.random.PCG64(seed_words(words)))
 
 
 def _signed_bins(n: int) -> np.ndarray:
@@ -180,10 +278,10 @@ def _trial_draws(seed: int, trials: int, draw_extra=None):
     """
     k = N_SAMPLES // OVERSAMPLE
     re, im = np.empty((_CHUNK, k)), np.empty((_CHUNK, k))
+    rngs = _trial_rngs(seed, trials)
     for start in range(0, trials, _CHUNK):
         rows = min(_CHUNK, trials - start)
-        for row in range(rows):
-            rng = _trial_rng(seed, start + row)
+        for row, rng in zip(range(rows), rngs):
             rng.standard_normal(out=re[row])
             rng.standard_normal(out=im[row])
             if draw_extra is not None:

@@ -1,6 +1,10 @@
 import json
 import math
+import subprocess
+import sys
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,6 +159,44 @@ def test_trial_streams_are_order_independent():
     assert np.array_equal(short, long[:50])
 
 
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 1])
+def test_trial_streams_equal_default_rng(seed):
+    # numpy's SeedSequence and default_rng are the oracle, for seeds of 1, 2,
+    # 3 and 5 32-bit words, at every trial on both sides of a block edge
+    block = mcsim._SEED_BLOCK
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t, rng in enumerate(mcsim._trial_rngs(seed, block + 40)):
+            if t < block - 40:
+                continue
+            words = rng.bit_generator.seed_seq.generate_state(4, np.uint64)
+            expected = np.random.SeedSequence([seed, t]).generate_state(4, np.uint64)
+            assert np.array_equal(words, expected), t
+            oracle = np.random.default_rng([seed, t])
+            assert np.array_equal(rng.standard_normal(8), oracle.standard_normal(8)), t
+
+
+def test_seed_words_reject_out_of_range_indices_and_seeds():
+    last = mcsim._seed_words(7, 2**32 - 2, 2**32)[-1]
+    assert np.array_equal(
+        last, np.random.SeedSequence([7, 2**32 - 1]).generate_state(4, np.uint64)
+    )
+    with pytest.raises(ValueError, match="2\\^32"):
+        mcsim._seed_words(7, 2**32 - 2, 2**32 + 1)
+    with pytest.raises(ValueError, match="non-negative"):
+        mcsim._seed_words(-1, 0, 4)
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # importing numpy.random costs about 3 MB and 14 ms; region, sweep and
+    # pentagon never draw, so the seeding helpers load it on first use only
+    src = str(Path(mcsim.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import mudr.cli; " \
+        "print('numpy.random' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "False"
+
+
 def test_aggregate_matches_compensated_sum():
     lb = lb_at_isnr(500.0)
     errors = mcsim.delay_error_trials(lb, 400, 33)
@@ -209,6 +251,9 @@ def test_residual_trials_deterministic_and_prefix_stable():
         assert np.array_equal(trials_of(60), trials_of(120)[:60])
         # prefixes that end inside a chunk
         assert np.array_equal(trials_of(17), trials_of(40)[:17])
+        # and inside the second block of seed words
+        block = mcsim._SEED_BLOCK
+        assert np.array_equal(trials_of(block + 17), trials_of(2 * block)[: block + 17])
 
 
 # Chunk sizes the kernels must agree across. At 64 rows a chunk's 256
