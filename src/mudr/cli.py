@@ -116,7 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
 @dataclass(frozen=True)
 class Outcome:
     """What a command computed: output name -> text in write order, the
-    manifest fields (``counters`` for the region grids), and for
+    manifest fields (``counters`` for the region grids and the Monte Carlo
+    worker processes), and for
     ``validate`` a line to print once all is written and whether the check
     passed."""
 
@@ -245,6 +246,7 @@ def cmd_validate(args: argparse.Namespace) -> Outcome:
         files={f"validate_{args.experiment}.json": report_json},
         parameters={"experiment": args.experiment, "trials": args.trials},
         seed=seed,
+        counters={"workers": mcsim.trial_workers(args.trials)},
         summary=(
             f"{args.experiment}: empirical={report.empirical!r} "
             f"analytic={report.analytic!r} rel_error={report.rel_error:.4g} "

@@ -43,13 +43,28 @@ expression: complex multiplication is not bitwise commutative where numpy
 uses fused multiply-add, and for arrays of 256 KiB or more numpy may run
 ``a * (b - 1.0)`` as ``tmp *= a``, swapping the operands. Complex products
 of arrays are therefore written ``np.multiply(a, b)``.
+
+Trials also run across processes. A kernel splits its trials into one
+contiguous range per usable core (``trial_workers``), on ``_CHUNK``
+boundaries. The calling process runs the first range and an ``os.fork``ed
+child each other one; every process writes its trials' values into one
+trial-indexed float64 array in anonymous shared memory, and the caller
+reduces that array as if it had run every trial itself. A range's streams
+start at its first trial, so the array is the same, bit for bit, for any
+number of workers.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import mmap
 import operator
+import os
+import signal
+import threading
+import traceback
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,14 +232,88 @@ def _seed_words_type() -> type:
     return SeedWords
 
 
-def _trial_rngs(seed: int, trials: int):
-    """The generators of trials 0..trials-1, in order: trial t's stream is
-    exactly ``np.random.default_rng([seed, t])``'s, keyed on (seed, t) so
+def _trial_rngs(seed: int, first: int, stop: int):
+    """The generators of trials first..stop-1, in order: trial t's stream
+    is exactly ``np.random.default_rng([seed, t])``'s, keyed on (seed, t) so
     execution order never matters."""
     seed_words = _seed_words_type()
-    for first in range(0, trials, _SEED_BLOCK):
-        for words in _seed_words(seed, first, min(first + _SEED_BLOCK, trials)):
+    for block in range(first, stop, _SEED_BLOCK):
+        for words in _seed_words(seed, block, min(block + _SEED_BLOCK, stop)):
             yield np.random.default_rng(np.random.PCG64(seed_words(words)))
+
+
+def trial_workers(trials: int) -> int:
+    """Processes the Monte Carlo kernels split ``trials`` trials across: one
+    per usable core, and at most one per ``_SEED_BLOCK`` trials, so a fork
+    never costs more than it saves. 1 where ``os.fork`` or
+    ``os.sched_getaffinity`` is missing, and while another Python thread is
+    alive: a forked child would deadlock on any lock that thread holds."""
+    if (
+        not hasattr(os, "fork")
+        or not hasattr(os, "sched_getaffinity")
+        or threading.active_count() > 1
+    ):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), trials // _SEED_BLOCK))
+
+
+def _split_trials(body, trials: int) -> np.ndarray:
+    """The trial-indexed values of trials 0..trials-1, where
+    ``body(first, stop, out)`` writes those of trials first..stop-1 into
+    ``out[first:stop]``.
+
+    The trials are split into ``trial_workers(trials)`` contiguous ranges
+    on ``_CHUNK`` boundaries. The parent runs the first range; a forked
+    child runs each other range, writing into the same array, which lives
+    in anonymous shared memory. Raises ``RuntimeError`` naming the range of
+    a child that failed; no child outlives the call.
+    """
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative; got {trials}")
+    out = np.frombuffer(mmap.mmap(-1, 8 * max(trials, 1)), np.float64, trials)
+    workers = trial_workers(trials)
+    edges = [trials * i // workers // _CHUNK * _CHUNK for i in range(workers)]
+    edges.append(trials)
+    children: dict[int, tuple[int, int]] = {}
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on a fork while other threads run. No other
+            # Python thread is alive here (trial_workers), so those are
+            # numpy's BLAS threads, and the children never call BLAS.
+            warnings.filterwarnings(
+                "ignore", r".*use of fork\(\) may lead to deadlocks", DeprecationWarning
+            )
+            for first, stop in zip(edges[1:-1], edges[2:]):
+                pid = os.fork()
+                if pid == 0:
+                    # the child never returns into the caller's stack
+                    code = 1
+                    try:
+                        body(first, stop, out)
+                        code = 0
+                    except BaseException:
+                        traceback.print_exc()
+                        raise
+                    finally:
+                        os._exit(code)
+                children[pid] = (first, stop)
+        body(0, edges[1], out)
+    except BaseException:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        codes = {
+            pid: os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in children
+        }
+    for pid, code in codes.items():
+        if code != 0:
+            first, stop = children[pid]
+            raise RuntimeError(
+                f"Monte Carlo trials [{first}, {stop}) failed in worker process "
+                f"{pid} (exit code {code})"
+            )
+    return out
 
 
 def _signed_bins(n: int) -> np.ndarray:
@@ -266,10 +355,10 @@ def generate_waveform(n_samples: int, seed: int) -> np.ndarray:
     return np.fft.ifft(coeffs)
 
 
-def _trial_draws(seed: int, trials: int, draw_extra=None):
+def _trial_draws(seed: int, first: int, stop: int, draw_extra=None):
     """The unit-variance in-band coefficients of the ``N_SAMPLES``-sample
-    waveforms of trials 0..trials-1, one chunk of at most ``_CHUNK`` trials
-    at a time.
+    waveforms of trials first..stop-1, one chunk of at most ``_CHUNK``
+    trials at a time.
 
     Yields the chunk's slice of the trial axis and its ``(rows, k)``
     coefficients, k = N_SAMPLES // OVERSAMPLE. Each trial draws from its
@@ -278,9 +367,9 @@ def _trial_draws(seed: int, trials: int, draw_extra=None):
     """
     k = N_SAMPLES // OVERSAMPLE
     re, im = np.empty((_CHUNK, k)), np.empty((_CHUNK, k))
-    rngs = _trial_rngs(seed, trials)
-    for start in range(0, trials, _CHUNK):
-        rows = min(_CHUNK, trials - start)
+    rngs = _trial_rngs(seed, first, stop)
+    for start in range(first, stop, _CHUNK):
+        rows = min(_CHUNK, stop - start)
         for row, rng in zip(range(rows), rngs):
             rng.standard_normal(out=re[row])
             rng.standard_normal(out=im[row])
@@ -325,6 +414,13 @@ def delay_error_trials(lb: LinkBudget, trials: int, seed: int) -> np.ndarray:
     integrated SNR. The matched-filter output is the inverse FFT of the
     in-band cross-spectrum of observation and reference.
     """
+    return _split_trials(functools.partial(_delay_errors, lb, seed), trials)
+
+
+def _delay_errors(
+    lb: LinkBudget, seed: int, first: int, stop: int, errors: np.ndarray
+) -> None:
+    """``delay_error_trials`` of trials first..stop-1, into ``errors``."""
     n = N_SAMPLES
     fs = OVERSAMPLE * lb.bandwidth_hz
     isnr = integrated_snr(lb)
@@ -353,8 +449,7 @@ def delay_error_trials(lb: LinkBudget, trials: int, seed: int) -> np.ndarray:
         np.take(every_bin, band, out=noise_im[row])
 
     cross = np.empty((_CHUNK, n), dtype=complex)
-    errors = np.empty(trials)
-    for trial, coeffs in _trial_draws(seed, trials, draw_delay_and_noise):
+    for trial, coeffs in _trial_draws(seed, first, stop, draw_delay_and_noise):
         rows = len(coeffs)
         true_lag = center + shift[:rows]
         ramp = np.exp(np.multiply(phase, true_lag[:, None]))
@@ -365,7 +460,6 @@ def delay_error_trials(lb: LinkBudget, trials: int, seed: int) -> np.ndarray:
         corr[:, band] = np.multiply(observed, np.conj(coeffs))
         np.fft.ifft(corr, axis=1, out=corr)  # in place: the matched-filter outputs
         errors[trial] = _parabolic_peaks(corr, lo, hi) / fs - true_lag / fs
-    return errors
 
 
 def crb_experiment(lb: LinkBudget, trials: int, seed: int) -> McReport:
@@ -399,6 +493,13 @@ def residual_power_trials(lb: LinkBudget, trials: int, seed: int) -> np.ndarray:
     The shift by the drawn process jitter is applied exactly as a phase
     ramp on the in-band coefficients; no derivative approximation enters.
     """
+    return _split_trials(functools.partial(_residual_powers, lb, seed), trials)
+
+
+def _residual_powers(
+    lb: LinkBudget, seed: int, first: int, stop: int, powers: np.ndarray
+) -> None:
+    """``residual_power_trials`` of trials first..stop-1, into ``powers``."""
     fs = OVERSAMPLE * lb.bandwidth_hz
     sigma_tau = math.sqrt(lb.sigma_tau_proc_sq[0])
     scale = lb.a_sq[0] * lb.radar_power_w
@@ -410,13 +511,11 @@ def residual_power_trials(lb: LinkBudget, trials: int, seed: int) -> np.ndarray:
     def draw_jitter(rng: np.random.Generator, row: int) -> None:
         jitter[row] = rng.normal(0.0, sigma_tau)
 
-    powers = np.empty(trials)
-    for trial, coeffs in _trial_draws(seed, trials, draw_jitter):
+    for trial, coeffs in _trial_draws(seed, first, stop, draw_jitter):
         jitter_lag = jitter[: len(coeffs)] * fs
         shifted = np.exp(np.multiply(phase, jitter_lag[:, None]))
         diff = np.multiply(coeffs, shifted - 1.0)
         powers[trial] = scale * (np.sum(np.abs(diff) ** 2, axis=1) / N_SAMPLES**2)
-    return powers
 
 
 def residual_experiment(lb: LinkBudget, trials: int, seed: int) -> McReport:
@@ -443,12 +542,15 @@ def residual_experiment(lb: LinkBudget, trials: int, seed: int) -> McReport:
 
 def gamma_sq_trials(trials: int, seed: int) -> np.ndarray:
     """Per-trial spectral-shape constant of one waveform realization."""
+    return _split_trials(functools.partial(_gamma_sqs, seed), trials)
+
+
+def _gamma_sqs(seed: int, first: int, stop: int, measured: np.ndarray) -> None:
+    """``gamma_sq_trials`` of trials first..stop-1, into ``measured``."""
     _, f_band = _band_bins(N_SAMPLES)
     f = f_band * OVERSAMPLE  # in units of B
-    measured = np.empty(trials)
-    for trial, coeffs in _trial_draws(seed, trials):
+    for trial, coeffs in _trial_draws(seed, first, stop):
         measured[trial] = _gamma_sq(f, np.abs(coeffs) ** 2)
-    return measured
 
 
 def gamma_experiment(trials: int, seed: int) -> McReport:

@@ -533,6 +533,22 @@ def test_region_and_sweep_manifest_counters(tmp_path):
     assert "counters" not in json.loads((out / "manifest.json").read_text())
 
 
+def test_validate_manifest_counts_workers(tmp_path, monkeypatch):
+    trials = 2 * mcsim._SEED_BLOCK + 17
+    argv = ("validate", "--scenario", bundled_scenario_path(), "--experiment", "gamma",
+            "--trials", trials, "--seed", 5)
+    assert run(*argv, "--out", tmp_path / "auto") == 0
+    manifest = json.loads((tmp_path / "auto" / "manifest.json").read_text())
+    assert manifest["counters"] == {"workers": mcsim.trial_workers(trials)}
+    # the count comes from the kernels' own helper, and never changes the report
+    monkeypatch.setattr(mcsim, "trial_workers", lambda trials: 1)
+    assert run(*argv, "--out", tmp_path / "one") == 0
+    manifest = json.loads((tmp_path / "one" / "manifest.json").read_text())
+    assert manifest["counters"] == {"workers": 1}
+    report = "validate_gamma.json"
+    assert (tmp_path / "auto" / report).read_bytes() == (tmp_path / "one" / report).read_bytes()
+
+
 def test_region_csv_rows_equal_the_library(tmp_path):
     assert run("region", "--scenario", bundled_scenario_path(), "--alpha-points", 50,
                "--out", tmp_path) == 0

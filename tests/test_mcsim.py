@@ -1,7 +1,12 @@
+import functools
 import json
 import math
+import os
+import re
 import subprocess
 import sys
+import threading
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -166,7 +171,7 @@ def test_trial_streams_equal_default_rng(seed):
     block = mcsim._SEED_BLOCK
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for t, rng in enumerate(mcsim._trial_rngs(seed, block + 40)):
+        for t, rng in enumerate(mcsim._trial_rngs(seed, 0, block + 40)):
             if t < block - 40:
                 continue
             words = rng.bit_generator.seed_seq.generate_state(4, np.uint64)
@@ -189,12 +194,14 @@ def test_seed_words_reject_out_of_range_indices_and_seeds():
 
 def test_cli_import_leaves_numpy_random_unloaded():
     # importing numpy.random costs about 3 MB and 14 ms; region, sweep and
-    # pentagon never draw, so the seeding helpers load it on first use only
+    # pentagon never draw, so the seeding helpers load it on first use only.
+    # The trial workers are bare forks: no process-pool module is imported.
     src = str(Path(mcsim.__file__).resolve().parents[1])
+    modules = ("numpy.random", "multiprocessing", "concurrent.futures")
     code = f"import sys; sys.path.insert(0, {src!r}); import mudr.cli; " \
-        "print('numpy.random' in sys.modules)"
+        f"print([m for m in {modules!r} if m in sys.modules])"
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "False"
+    assert run.stdout.strip() == "[]"
 
 
 def test_aggregate_matches_compensated_sum():
@@ -281,6 +288,127 @@ def test_chunked_kernels_equal_one_trial_path(trials_of, monkeypatch):
     for chunk in CHUNK_SIZES:
         monkeypatch.setattr(mcsim, "_CHUNK", chunk)
         assert np.array_equal(trials_of(trials), default), chunk
+
+
+# --- trial ranges and worker processes ------------------------------------------------
+
+
+def _kernels(kernel: str):
+    """A kernel's public per-trial function of the trial count, and its body
+    over a trial range."""
+    seed = 3
+    if kernel == "crb":
+        lb = lb_at_isnr(1000.0)
+        return (lambda k: mcsim.delay_error_trials(lb, k, seed),
+                functools.partial(mcsim._delay_errors, lb, seed))
+    if kernel == "residual":
+        lb = lb_at_sigma_b(0.05, radar_power_w=2e7)
+        return (lambda k: mcsim.residual_power_trials(lb, k, seed),
+                functools.partial(mcsim._residual_powers, lb, seed))
+    return lambda k: mcsim.gamma_sq_trials(k, seed), functools.partial(mcsim._gamma_sqs, seed)
+
+
+KERNELS = ("crb", "residual", "gamma")
+
+# Two trial workers, where the box has two usable cores to run them: the
+# tests never start more processes than there are cores.
+needs_two_cores = pytest.mark.skipif(
+    not hasattr(os, "fork")
+    or not hasattr(os, "sched_getaffinity")
+    or len(os.sched_getaffinity(0)) < 2,
+    reason="needs os.fork and two usable cores",
+)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_trial_range_equals_slice_of_one_process_run(kernel, monkeypatch):
+    trials_of, body = _kernels(kernel)
+    block = mcsim._SEED_BLOCK
+    monkeypatch.setattr(mcsim, "trial_workers", lambda trials: 1)
+    full = trials_of(2 * block + 17)
+    # a range that starts and ends inside chunks and seed blocks
+    first, stop = block - 17, 2 * block + 5
+    out = np.full(len(full), np.nan)
+    body(first, stop, out)
+    assert np.array_equal(out[first:stop], full[first:stop])
+    assert np.isnan(out[:first]).all() and np.isnan(out[stop:]).all()
+
+
+@needs_two_cores
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_two_workers_equal_one_process(kernel, monkeypatch):
+    trials_of, _ = _kernels(kernel)
+    trials = 2 * mcsim._SEED_BLOCK + 17
+    monkeypatch.setattr(mcsim, "trial_workers", lambda trials: 1)
+    one = trials_of(trials)
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(mcsim, "trial_workers", lambda trials: 2)
+    assert np.array_equal(trials_of(trials), one)
+    assert forks == [os.getpid()]
+    _assert_no_child_left()
+
+
+@needs_two_cores
+def test_failed_worker_names_its_range_and_no_child_outlives_the_call(monkeypatch):
+    monkeypatch.setattr(mcsim, "trial_workers", lambda trials: 2)
+    trials = 2 * mcsim._SEED_BLOCK + 17
+    split = trials // 2 // mcsim._CHUNK * mcsim._CHUNK
+    real = mcsim._gamma_sqs
+    parent = os.getpid()
+
+    def failing_child(seed, first, stop, out):
+        if os.getpid() != parent:
+            raise ValueError("kernel failed in the child")
+        real(seed, first, stop, out)
+
+    def failing_parent(seed, first, stop, out):
+        if os.getpid() == parent:
+            raise ValueError("kernel failed in the parent")
+        time.sleep(60)  # ends in time only if the parent kills the child
+
+    # the child's failure reaches the parent as a RuntimeError naming its range
+    monkeypatch.setattr(mcsim, "_gamma_sqs", failing_child)
+    with pytest.raises(RuntimeError, match=re.escape(f"[{split}, {trials})")):
+        mcsim.gamma_sq_trials(trials, 0)
+    _assert_no_child_left()
+    # the parent's own error propagates, and its child is killed and reaped
+    monkeypatch.setattr(mcsim, "_gamma_sqs", failing_parent)
+    began = time.monotonic()
+    with pytest.raises(ValueError, match="in the parent"):
+        mcsim.gamma_sq_trials(trials, 0)
+    assert time.monotonic() - began < 30
+    _assert_no_child_left()
+
+
+def test_no_fork_while_another_thread_is_alive(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked while another Python thread is alive")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        trials = 2 * mcsim._SEED_BLOCK + 17
+        assert mcsim.trial_workers(trials) == 1
+        measured = mcsim.gamma_sq_trials(trials, 3)
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert len(measured) == trials and np.isfinite(measured).all()
 
 
 # --- spectral-shape experiment ---------------------------------------------------------
