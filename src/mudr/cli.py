@@ -2,23 +2,33 @@
 
 Subcommands: region, pentagon, validate, sweep. Exit codes: 0 success,
 1 a validation tolerance check failed, 2 usage or input error, 3 output
-write failure. Randomized commands default to seed 0 and say so, so every
-published artifact is reproducible from its manifest.
+write failure, 4 a forked worker process failed. Randomized commands
+default to seed 0 and say so, so every published artifact is reproducible
+from its manifest.
+
+Work is split over forked worker processes (``mudr.workers``) where it
+pays: the Monte Carlo kernels split their trials, and ``region.csv`` its
+grid rows once there are at least ``_CSV_ROWS_PER_WORKER`` rows per
+worker. A child formats the waterfill rows and the "r_est,r_com" texts of
+its contiguous range of grid rows and sends them back through a pipe;
+this process formats the first range, appends the others in range order,
+and builds the hull rows from the gathered texts. No flag or environment
+variable sets the count, and the output bytes do not depend on it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, bounds, mcsim, waterfill
+from . import __version__, bounds, mcsim, waterfill, workers
 from .emit import (
     atomic_write_text,
     csv_text,
@@ -45,6 +55,12 @@ SNR_DB_RANGE = (-300.0, 300.0)
 #: numpy instead of failing here with the flag named.
 MAX_ALPHA_POINTS = 10**6
 MAX_TRIALS = 10**7
+
+#: Fewest ``region.csv`` grid rows per worker process. On 2 cores two
+#: workers break even with one at about 4000 rows and win from about 8000,
+#: so the default 400-point ``region`` and every ``sweep`` stay in one
+#: process.
+_CSV_ROWS_PER_WORKER = 4096
 
 REGION_CSV_HEADER = (
     "curve_label",
@@ -133,39 +149,75 @@ def _region(scenario: Scenario, alpha_grid: np.ndarray) -> bounds.RateRegion:
     return bounds.rate_region(derive_link_budget(scenario), alpha_grid)
 
 
-def _region_csv(region: bounds.RateRegion) -> str:
-    """CSV text, one row per curve vertex; waterfill rows keep every grid
-    point, flagged by self-consistency, and hull rows reuse the text of
-    the points they pick."""
-    g, inner = region.grid, region.interpolated
-    # "r_est,r_com" of the two interpolated points, then of every grid
-    # point, each formatted once: repr of tolist()'s Python floats is
-    # fmt_float's format
+def _grid_rows(grid: waterfill.WaterfillGrid, first: int, stop: int):
+    """The waterfill rows of grid points first..stop-1, joined, and each
+    point's "r_est,r_com" text, formatted once: repr of tolist()'s Python
+    floats is fmt_float's format."""
     pairs = [
         f"{e!r},{r!r}"
         for e, r in zip(
-            np.concatenate((inner.r_est, g.r_est)).tolist(),
-            np.concatenate((inner.r_com, g.r_com_total)).tolist(),
+            grid.r_est[first:stop].tolist(), grid.r_com_total[first:stop].tolist()
         )
     ]
+    block = "\n".join(
+        f"waterfill,{a!r},{pair},{'true' if ok else 'false'}"
+        for a, pair, ok in zip(
+            grid.alpha[first:stop].tolist(), pairs, grid.self_consistent[first:stop].tolist()
+        )
+    )
+    return block, pairs
+
+
+def _encode_grid_rows(rows: tuple[str, list[str]]) -> bytes:
+    block, pairs = rows
+    return "\0".join([block, *pairs]).encode()
+
+
+def _csv_workers(rows: int) -> int:
+    return workers.count(rows, _CSV_ROWS_PER_WORKER)
+
+
+def _region_counters(region: bounds.RateRegion) -> dict[str, int]:
+    """The grid's counters and the worker processes ``region.csv`` took."""
+    return {**region.grid.counters(), "workers": _csv_workers(len(region.grid.alpha))}
+
+
+def _region_csv(region: bounds.RateRegion) -> str:
+    """CSV text, one row per curve vertex; waterfill rows keep every grid
+    point, flagged by self-consistency, and hull rows reuse the text of
+    the points they pick.
+
+    The grid rows are split into ``_csv_workers(rows)`` contiguous ranges; a forked child formats each
+    range but the first, which this process formats meanwhile.
+    """
+    g, inner = region.grid, region.interpolated
+    rows = len(g.alpha)
+    edges = workers.edges(rows, _csv_workers(rows))
+    (block, grid_pairs), *payloads = workers.split(
+        functools.partial(_grid_rows, g), edges, "region.csv grid rows",
+        encode=_encode_grid_rows,
+    )
+    blocks = [block]
+    # "r_est,r_com" of the two interpolated points, then of every grid point
+    pairs = [f"{e!r},{r!r}" for e, r in zip(inner.r_est.tolist(), inner.r_com.tolist())]
+    pairs += grid_pairs
+    while payloads:  # each payload is freed before its text is split
+        block, *grid_pairs = payloads.pop(0).decode("ascii").split("\0")
+        blocks.append(block)
+        pairs += grid_pairs
     lines = [",".join(REGION_CSV_HEADER)]
     for c in (region.outer, region.sic, inner):
         lines.extend(
             f"{c.label},nan,{e!r},{r!r},true"
             for e, r in zip(c.r_est.tolist(), c.r_com.tolist())
         )
-    lines.extend(
-        f"waterfill,{a!r},{pair},{'true' if ok else 'false'}"
-        for a, pair, ok in zip(
-            g.alpha.tolist(), islice(pairs, 2, None), g.self_consistent.tolist()
-        )
-    )
+    lines.extend(blocks)
     # hull cloud index i >= 2 is the (i - 2)-th self-consistent grid point
     at = np.concatenate(([0, 1], 2 + np.flatnonzero(g.self_consistent)))
     lines.extend(f"hull,nan,{pairs[i]},true" for i in at[region.hull_index].tolist())
     # drop the pair text before the join allocates the file's, and end the
     # file with a newline without copying the joined text
-    del pairs
+    del pairs, grid_pairs
     lines.append("")
     return "\n".join(lines)
 
@@ -187,7 +239,7 @@ def cmd_region(args: argparse.Namespace) -> Outcome:
     return Outcome(
         files=_region_files("region", region),
         parameters={"alpha_points": args.alpha_points},
-        counters=region.grid.counters(),
+        counters=_region_counters(region),
     )
 
 
@@ -275,7 +327,7 @@ def cmd_sweep(args: argparse.Namespace) -> Outcome:
         except ValueError as exc:
             raise ValueError(f"sweep field '{args.vary}' = {value!r}: {exc}") from None
         files.update(_region_files(f"sweep_{i:03d}_region", region))
-        counters.append(region.grid.counters())
+        counters.append(_region_counters(region))
         # outer's corner is (est_outer_rate, comms_outer_rate); sic is flat
         row = (value, region.outer.r_est[1], region.outer.r_com[1], region.sic.r_com[0])
         summary_rows.append([fmt_float(x) for x in row])
@@ -327,6 +379,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # includes ScenarioError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except workers.WorkerError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
     try:
         out = Path(

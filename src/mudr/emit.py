@@ -4,6 +4,12 @@ Output bytes must be identical across runs with identical inputs, so all
 floats are written with shortest round-trip repr (CSV/JSON) or fixed
 two-decimal coordinates (SVG), lines end with LF, and files are written
 atomically via a temp file and rename.
+
+SVG path coordinates are printed in one numpy pass: each value's
+correctly rounded hundredths are gathered from digit tables into fixed
+16-byte path records. A curve takes that path only where it prints
+exactly the text of Python's ``f"{v:.2f}"`` (see ``_path_text``); any
+other curve is formatted by that expression.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ import os
 import secrets
 from pathlib import Path
 from typing import Iterable, Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -26,6 +31,22 @@ _PALETTE = (
     "#ef6c00",  # orange
     "#00838f",  # teal
 )
+
+
+# Digit tables of the SVG path records: the integer parts 0..999 right
+# aligned in 3 bytes, padded with NUL bytes that are dropped after the
+# gather, and the two-digit fractions 00..99.
+_INT_DIGITS = np.frombuffer(
+    b"".join(str(k).rjust(3, "\0").encode() for k in range(1000)), np.uint8
+).reshape(1000, 3)
+_FRAC_DIGITS = np.frombuffer(
+    b"".join(f"{k:02d}".encode() for k in range(100)), np.uint8
+).reshape(100, 2)
+
+
+def escape(text: str) -> str:
+    """``&``, ``>`` and ``<`` as XML entities, replaced in that order."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def fmt_float(x: float) -> str:
@@ -80,6 +101,41 @@ def write_manifest(
 
 def _ticks(limit: float) -> list[float]:
     return [limit * i / 4 for i in range(5)]
+
+
+def _cents(values: np.ndarray) -> np.ndarray | None:
+    """The correctly rounded hundredths of every value, or None unless each
+    value's ``.2f`` text is ``i.ff`` with at most three integer digits.
+
+    With y = fl(100 v) and c = rint(y), the exact 100 v lies within half
+    a spacing of y, so ``|y - c| < 0.5 - spacing(y)`` puts it strictly
+    nearer c than any other integer: no tie, and c is what ``.2f`` rounds
+    to. NaN, infinities, -0.0 and negative values fail the test.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = values * 100.0
+        c = np.rint(y)
+        exact = ~np.signbit(y) & (c < 1e5) & (np.abs(y - c) < 0.5 - np.spacing(y))
+    return c.astype(np.int64) if exact.all() else None
+
+
+def _path_text(xs: np.ndarray, ys: np.ndarray) -> str:
+    """SVG path data ``M x,y L x,y ...`` of float64 columns, each value
+    printed as ``f"{v:.2f}"``."""
+    cx, cy = _cents(xs), _cents(ys)
+    if cx is None or cy is None:
+        coords = " L ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs.tolist(), ys.tolist()))
+        return f"M {coords}"
+    # one " L iii.ff,iii.ff" record per point
+    records = np.empty((len(cx), 16), dtype=np.uint8)
+    records[:, 0:3] = np.frombuffer(b" L ", np.uint8)
+    for col, cents in ((3, cx), (10, cy)):
+        records[:, col : col + 3] = _INT_DIGITS[cents // 100]
+        records[:, col + 3] = ord(".")
+        records[:, col + 4 : col + 6] = _FRAC_DIGITS[cents % 100]
+    records[:, 9] = ord(",")
+    text = records[records != 0].tobytes().decode("ascii")
+    return f"M {text[3:]}"
 
 
 def render_curves_svg(
@@ -146,11 +202,11 @@ def render_curves_svg(
 
     for i, (label, xs, ys) in enumerate(curves):
         color = _PALETTE[i % len(_PALETTE)]
-        path_x = sx(np.asarray(xs, dtype=float)).tolist()
-        path_y = sy(np.asarray(ys, dtype=float)).tolist()
-        coords = " L ".join(f"{x:.2f},{y:.2f}" for x, y in zip(path_x, path_y))
+        path = _path_text(
+            sx(np.asarray(xs, dtype=float)), sy(np.asarray(ys, dtype=float))
+        )
         parts.append(
-            f'<path id="{escape(label)}" d="M {coords}" fill="none" '
+            f'<path id="{escape(label)}" d="{path}" fill="none" '
             f'stroke="{color}" stroke-width="2"/>'
         )
         ly = top + 18 + 20 * i

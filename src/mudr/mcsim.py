@@ -46,29 +46,24 @@ of arrays are therefore written ``np.multiply(a, b)``.
 
 Trials also run across processes. A kernel splits its trials into one
 contiguous range per usable core (``trial_workers``), on ``_CHUNK``
-boundaries. The calling process runs the first range and an ``os.fork``ed
-child each other one; every process writes its trials' values into one
-trial-indexed float64 array in anonymous shared memory, and the caller
-reduces that array as if it had run every trial itself. A range's streams
-start at its first trial, so the array is the same, bit for bit, for any
-number of workers.
+boundaries, through ``mudr.workers``. The calling process runs the first
+range and an ``os.fork``ed child each other one; each child sends its
+range's float64 values back through a pipe into the caller's
+trial-indexed array, which the caller reduces as if it had run every
+trial itself. A range's streams start at its first trial, so the array is
+the same, bit for bit, for any number of workers.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import mmap
 import operator
-import os
-import signal
-import threading
-import traceback
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import workers
 from .bounds import crb_delay_variance, int_plus_noise_variance
 from .scenario import GAMMA_SQ_FLAT, LinkBudget
 
@@ -243,18 +238,10 @@ def _trial_rngs(seed: int, first: int, stop: int):
 
 
 def trial_workers(trials: int) -> int:
-    """Processes the Monte Carlo kernels split ``trials`` trials across: one
-    per usable core, and at most one per ``_SEED_BLOCK`` trials, so a fork
-    never costs more than it saves. 1 where ``os.fork`` or
-    ``os.sched_getaffinity`` is missing, and while another Python thread is
-    alive: a forked child would deadlock on any lock that thread holds."""
-    if (
-        not hasattr(os, "fork")
-        or not hasattr(os, "sched_getaffinity")
-        or threading.active_count() > 1
-    ):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), trials // _SEED_BLOCK))
+    """Processes the Monte Carlo kernels split ``trials`` trials across
+    (``workers.count``): one per usable core, and at most one per
+    ``_SEED_BLOCK`` trials."""
+    return workers.count(trials, _SEED_BLOCK)
 
 
 def _split_trials(body, trials: int) -> np.ndarray:
@@ -263,56 +250,23 @@ def _split_trials(body, trials: int) -> np.ndarray:
     ``out[first:stop]``.
 
     The trials are split into ``trial_workers(trials)`` contiguous ranges
-    on ``_CHUNK`` boundaries. The parent runs the first range; a forked
-    child runs each other range, writing into the same array, which lives
-    in anonymous shared memory. Raises ``RuntimeError`` naming the range of
-    a child that failed; no child outlives the call.
+    on ``_CHUNK`` boundaries (``workers.split``). The parent runs the first
+    range into ``out``; a forked child runs each other range and sends back
+    its slice's bytes. Raises ``workers.WorkerError`` naming the range of a
+    child that failed; no child outlives the call.
     """
     if trials < 0:
         raise ValueError(f"trials must be non-negative; got {trials}")
-    out = np.frombuffer(mmap.mmap(-1, 8 * max(trials, 1)), np.float64, trials)
-    workers = trial_workers(trials)
-    edges = [trials * i // workers // _CHUNK * _CHUNK for i in range(workers)]
-    edges.append(trials)
-    children: dict[int, tuple[int, int]] = {}
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns on a fork while other threads run. No other
-            # Python thread is alive here (trial_workers), so those are
-            # numpy's BLAS threads, and the children never call BLAS.
-            warnings.filterwarnings(
-                "ignore", r".*use of fork\(\) may lead to deadlocks", DeprecationWarning
-            )
-            for first, stop in zip(edges[1:-1], edges[2:]):
-                pid = os.fork()
-                if pid == 0:
-                    # the child never returns into the caller's stack
-                    code = 1
-                    try:
-                        body(first, stop, out)
-                        code = 0
-                    except BaseException:
-                        traceback.print_exc()
-                        raise
-                    finally:
-                        os._exit(code)
-                children[pid] = (first, stop)
-        body(0, edges[1], out)
-    except BaseException:
-        for pid in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        codes = {
-            pid: os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in children
-        }
-    for pid, code in codes.items():
-        if code != 0:
-            first, stop = children[pid]
-            raise RuntimeError(
-                f"Monte Carlo trials [{first}, {stop}) failed in worker process "
-                f"{pid} (exit code {code})"
-            )
+    out = np.empty(trials)
+
+    def run(first: int, stop: int) -> np.ndarray:
+        body(first, stop, out)
+        return out[first:stop]
+
+    bounds = workers.edges(trials, trial_workers(trials), _CHUNK)
+    results = workers.split(run, bounds, "Monte Carlo trials")
+    for first, stop, payload in zip(bounds[1:], bounds[2:], results[1:]):
+        out[first:stop] = np.frombuffer(payload, np.float64)
     return out
 
 

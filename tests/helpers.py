@@ -10,10 +10,12 @@ Rerun those scripts if the bundled example scenario changes.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from mudr import cli
 from mudr.bounds import RateRegion, crb_delay_variance
@@ -21,6 +23,21 @@ from mudr.emit import csv_text
 from mudr.mcsim import _signed_bins
 from mudr.scenario import LinkBudget, Scenario, Target, derive_link_budget
 from mudr.waterfill import waterfill_grid
+
+# Two worker processes, where the box has two usable cores to run them: the
+# tests never start more processes than there are cores.
+needs_two_cores = pytest.mark.skipif(
+    not hasattr(os, "fork")
+    or not hasattr(os, "sched_getaffinity")
+    or len(os.sched_getaffinity(0)) < 2,
+    reason="needs os.fork and two usable cores",
+)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
 
 # scripts/oracle_link_budget.py
 TABLE2_A_SQ = 5.032332221188687e-19

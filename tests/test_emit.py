@@ -3,6 +3,8 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mudr import emit
 
@@ -58,3 +60,67 @@ def test_render_curves_svg_geometry():
     assert ticks == ["0", "0.525", "1.05", "1.575", "2.1"] * 2
     as_arrays = [(label, np.array(xs), np.array(ys)) for label, xs, ys in curves]
     assert emit.render_curves_svg(as_arrays, x_label="x", y_label="y") == svg
+
+
+# --- SVG path coordinates ---------------------------------------------------------
+
+
+def python_path(xs, ys) -> str:
+    """The path data as Python's ``.2f`` formats it, point by point."""
+    return "M " + " L ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+
+
+def assert_path_is_python_text(values):
+    xs = np.array(values, dtype=float)
+    ys = xs[::-1].copy()
+    assert emit._path_text(xs, ys) == python_path(xs.tolist(), ys.tolist())
+
+
+@given(st.lists(st.floats(0.0, 1000.0, exclude_max=True), min_size=1, max_size=50))
+def test_path_text_equals_python_format_on_plot_range(values):
+    assert_path_is_python_text(values)
+
+
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=20))
+def test_path_text_equals_python_format_on_any_float(values):
+    assert_path_is_python_text(values)
+
+
+# Every exactly representable tie k/100 + 0.005 in [0, 1000) is an odd
+# multiple of 1/8: 0.125, 0.375, ..., 999.875.
+TIES = [m / 8 for m in range(1, 8000, 2)]
+
+
+def test_path_text_ties_and_near_ties():
+    ties = np.array(TIES)
+    assert (ties * 100 % 1 == 0.5).all()  # each is an exact tie
+    for v in ties.tolist():
+        assert emit._cents(np.array([v])) is None  # a tie takes the fallback
+    assert_path_is_python_text(TIES)
+    # one ulp either side is no tie: either path prints Python's text
+    for toward in (-np.inf, np.inf):
+        assert_path_is_python_text(np.nextafter(ties, toward))
+
+
+@pytest.mark.parametrize(
+    "value", [-0.0, -1e-300, -0.004, -1.0, np.nan, np.inf, -np.inf, 999.995, 1000.0, 1e300]
+)
+def test_path_text_fallback_values(value):
+    assert emit._cents(np.array([value])) is None
+    # one such value sends the whole curve to the fallback, text unchanged
+    assert emit._cents(np.array([1.0, value, 2.0])) is None
+    assert_path_is_python_text([1.0, value, 2.0])
+    assert_path_is_python_text([value])
+
+
+def test_path_text_fast_path_cents():
+    values = np.array([0.0, 0.004, 0.005001, 1.0, 12.345678, 999.994])
+    assert emit._cents(values).tolist() == [0, 0, 1, 100, 1235, 99999]
+    assert_path_is_python_text(values)
+
+
+@given(st.text())
+def test_escape_equals_saxutils(text):
+    from xml.sax.saxutils import escape
+
+    assert emit.escape(text) == escape(text)

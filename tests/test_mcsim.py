@@ -14,7 +14,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import GAMMA_SQ_FLAT, make_lb, matched_filter_delay, measured_gamma_sq
+from helpers import (
+    GAMMA_SQ_FLAT,
+    assert_no_child_left,
+    make_lb,
+    matched_filter_delay,
+    measured_gamma_sq,
+    needs_two_cores,
+)
 from mudr import mcsim
 from mudr.mcsim import ExperimentPreconditionError, MultiTargetError
 
@@ -196,8 +203,10 @@ def test_cli_import_leaves_numpy_random_unloaded():
     # importing numpy.random costs about 3 MB and 14 ms; region, sweep and
     # pentagon never draw, so the seeding helpers load it on first use only.
     # The trial workers are bare forks: no process-pool module is imported.
+    # The SVG labels are escaped without xml.sax, which imports urllib.
     src = str(Path(mcsim.__file__).resolve().parents[1])
-    modules = ("numpy.random", "multiprocessing", "concurrent.futures")
+    modules = ("numpy.random", "multiprocessing", "concurrent.futures", "xml.sax",
+               "urllib.request")
     code = f"import sys; sys.path.insert(0, {src!r}); import mudr.cli; " \
         f"print([m for m in {modules!r} if m in sys.modules])"
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
@@ -310,21 +319,6 @@ def _kernels(kernel: str):
 
 KERNELS = ("crb", "residual", "gamma")
 
-# Two trial workers, where the box has two usable cores to run them: the
-# tests never start more processes than there are cores.
-needs_two_cores = pytest.mark.skipif(
-    not hasattr(os, "fork")
-    or not hasattr(os, "sched_getaffinity")
-    or len(os.sched_getaffinity(0)) < 2,
-    reason="needs os.fork and two usable cores",
-)
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_trial_range_equals_slice_of_one_process_run(kernel, monkeypatch):
     trials_of, body = _kernels(kernel)
@@ -357,7 +351,7 @@ def test_two_workers_equal_one_process(kernel, monkeypatch):
     monkeypatch.setattr(mcsim, "trial_workers", lambda trials: 2)
     assert np.array_equal(trials_of(trials), one)
     assert forks == [os.getpid()]
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 @needs_two_cores
@@ -382,14 +376,14 @@ def test_failed_worker_names_its_range_and_no_child_outlives_the_call(monkeypatc
     monkeypatch.setattr(mcsim, "_gamma_sqs", failing_child)
     with pytest.raises(RuntimeError, match=re.escape(f"[{split}, {trials})")):
         mcsim.gamma_sq_trials(trials, 0)
-    _assert_no_child_left()
+    assert_no_child_left()
     # the parent's own error propagates, and its child is killed and reaped
     monkeypatch.setattr(mcsim, "_gamma_sqs", failing_parent)
     began = time.monotonic()
     with pytest.raises(ValueError, match="in the parent"):
         mcsim.gamma_sq_trials(trials, 0)
     assert time.monotonic() - began < 30
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_no_fork_while_another_thread_is_alive(monkeypatch):
