@@ -2,9 +2,9 @@
 
 Subcommands: region, pentagon, validate, sweep. Exit codes: 0 success,
 1 a validation tolerance check failed, 2 usage or input error, 3 output
-write failure, 4 a forked worker process failed. Randomized commands
-default to seed 0 and say so, so every published artifact is reproducible
-from its manifest.
+write failure, 4 a worker process failed or could not be started.
+Randomized commands default to seed 0 and say so, so every published
+artifact is reproducible from its manifest.
 
 Work is split over forked worker processes (``mudr.workers``) where it
 pays: the Monte Carlo kernels split their trials, and ``region.csv`` its

@@ -37,12 +37,9 @@ row of preallocated arrays, in the order the trial's generator yields
 them, and the Parseval scale, the phase ramps, the sums and (for delay
 trials) one batched inverse FFT then run once over the chunk's rows. Every
 row gets the same elementwise arithmetic as a trial computed alone, so the
-per-trial values do not depend on the chunk size, bit for bit. That holds
-only while each complex product keeps the operand order of the one-trial
-expression: complex multiplication is not bitwise commutative where numpy
-uses fused multiply-add, and for arrays of 256 KiB or more numpy may run
-``a * (b - 1.0)`` as ``tmp *= a``, swapping the operands. Complex products
-of arrays are therefore written ``np.multiply(a, b)``.
+per-trial values do not depend on the chunk size, bit for bit. Besides the
+one inverse FFT, the kernels do real float64 arithmetic only: numpy rounds
+complex products and ``abs`` differently on each SIMD level.
 
 Trials also run across processes. A kernel splits its trials into one
 contiguous range per usable core (``trial_workers``), on ``_CHUNK``
@@ -283,13 +280,13 @@ def _band_bins(n: int) -> tuple[np.ndarray, np.ndarray]:
     return band, signed[band] / n
 
 
-def _coefficients(re: np.ndarray, im: np.ndarray, n: int) -> np.ndarray:
-    """In-band coefficients of unit-variance n-sample waveforms, one per row,
-    from the standard-normal real and imaginary parts."""
-    coeffs = (re + 1j * im) / math.sqrt(2)
+def _coefficients(re: np.ndarray, im: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """``(cr, ci, |c|^2)`` of the in-band coefficients c of unit-variance
+    n-sample waveforms, one per row, from standard-normal parts ``re, im``."""
+    sq = re * re + im * im
     # Parseval: the time samples' mean square is sum |c|^2 / n^2
-    power = np.sum(np.abs(coeffs) ** 2, axis=-1, keepdims=True)
-    return coeffs / (np.sqrt(power) / n)
+    g = n / np.sqrt(np.sum(sq, axis=-1, keepdims=True))
+    return re * g, im * g, sq * (g * g)
 
 
 def generate_waveform(n_samples: int, seed: int) -> np.ndarray:
@@ -305,7 +302,7 @@ def generate_waveform(n_samples: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     re, im = rng.standard_normal(len(band)), rng.standard_normal(len(band))
     coeffs = np.zeros(n_samples, dtype=complex)
-    coeffs[band] = _coefficients(re, im, n_samples)
+    coeffs.real[band], coeffs.imag[band], _ = _coefficients(re, im, n_samples)
     return np.fft.ifft(coeffs)
 
 
@@ -314,8 +311,9 @@ def _trial_draws(seed: int, first: int, stop: int, draw_extra=None):
     waveforms of trials first..stop-1, one chunk of at most ``_CHUNK``
     trials at a time.
 
-    Yields the chunk's slice of the trial axis and its ``(rows, k)``
-    coefficients, k = N_SAMPLES // OVERSAMPLE. Each trial draws from its
+    Yields the chunk's slice of the trial axis and the ``(rows, k)`` real
+    parts, imaginary parts and squared magnitudes of its coefficients
+    (``_coefficients``), k = N_SAMPLES // OVERSAMPLE. Each trial draws from its
     own generator: the k real parts, the k imaginary parts, then whatever
     ``draw_extra(rng, row)`` draws into the caller's per-chunk arrays.
     """
@@ -329,7 +327,7 @@ def _trial_draws(seed: int, first: int, stop: int, draw_extra=None):
             rng.standard_normal(out=im[row])
             if draw_extra is not None:
                 draw_extra(rng, row)
-        yield slice(start, start + rows), _coefficients(re[:rows], im[:rows], N_SAMPLES)
+        yield (slice(start, start + rows), *_coefficients(re[:rows], im[:rows], N_SAMPLES))
 
 
 def _gamma_sq(f: np.ndarray, power: np.ndarray) -> np.ndarray:
@@ -343,7 +341,8 @@ def _gamma_sq(f: np.ndarray, power: np.ndarray) -> np.ndarray:
 def _parabolic_peaks(corr: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Signed lag in samples of each row's ``|corr|`` peak inside [lo, hi),
     refined to sub-sample precision with a three-point parabolic fit."""
-    mag = np.abs(corr[:, np.arange(lo - 1, hi + 1) % corr.shape[1]])
+    window = corr[:, np.arange(lo - 1, hi + 1) % corr.shape[1]]
+    mag = np.hypot(window.real, window.imag)
     i = np.argmax(mag[:, 1:-1], axis=1) + 1
     rows = np.arange(len(mag))
     y0, y1, y2 = mag[rows, i - 1], mag[rows, i], mag[rows, i + 1]
@@ -386,32 +385,33 @@ def _delay_errors(
     noise_var = 2.0 * n / isnr
     freq_noise_scale = math.sqrt(n * noise_var / 2.0)
     band, f_band = _band_bins(n)
-    phase = -2j * np.pi * f_band
+    phase = -2.0 * np.pi * f_band
     center = n // 4
     lo, hi = center - 2 * OVERSAMPLE, center + 2 * OVERSAMPLE + 1
 
     shift = np.empty(_CHUNK)
-    noise_re, noise_im = np.empty((_CHUNK, len(band))), np.empty((_CHUNK, len(band)))
+    noise = np.empty((2, _CHUNK, len(band)))  # real and imaginary parts
     every_bin = np.empty(n)
 
     def draw_delay_and_noise(rng: np.random.Generator, row: int) -> None:
         shift[row] = rng.uniform(-0.5, 0.5)
         # noise is drawn on every bin; only the in-band part is kept
         rng.standard_normal(out=every_bin)
-        np.take(every_bin, band, out=noise_re[row])
+        np.take(every_bin, band, out=noise[0, row])
         rng.standard_normal(out=every_bin)
-        np.take(every_bin, band, out=noise_im[row])
+        np.take(every_bin, band, out=noise[1, row])
 
     cross = np.empty((_CHUNK, n), dtype=complex)
-    for trial, coeffs in _trial_draws(seed, first, stop, draw_delay_and_noise):
-        rows = len(coeffs)
+    for trial, cr, ci, sq in _trial_draws(seed, first, stop, draw_delay_and_noise):
+        rows = len(sq)
         true_lag = center + shift[:rows]
-        ramp = np.exp(np.multiply(phase, true_lag[:, None]))
-        noise = noise_re[:rows] + 1j * noise_im[:rows]
-        observed = np.multiply(coeffs, ramp) + np.multiply(freq_noise_scale, noise)
+        angle = np.outer(true_lag, phase)
+        nr, ni = freq_noise_scale * noise[:, :rows]
         corr = cross[:rows]
         corr.fill(0.0)
-        corr[:, band] = np.multiply(observed, np.conj(coeffs))
+        # (c e^{j angle} + noise) conj(c), the in-band cross-spectrum
+        corr.real[:, band] = sq * np.cos(angle) + (nr * cr + ni * ci)
+        corr.imag[:, band] = sq * np.sin(angle) + (ni * cr - nr * ci)
         np.fft.ifft(corr, axis=1, out=corr)  # in place: the matched-filter outputs
         errors[trial] = _parabolic_peaks(corr, lo, hi) / fs - true_lag / fs
 
@@ -458,18 +458,18 @@ def _residual_powers(
     sigma_tau = math.sqrt(lb.sigma_tau_proc_sq[0])
     scale = lb.a_sq[0] * lb.radar_power_w
     _, f_band = _band_bins(N_SAMPLES)
-    phase = -2j * np.pi * f_band
+    phase = -2.0 * np.pi * f_band
 
     jitter = np.empty(_CHUNK)
 
     def draw_jitter(rng: np.random.Generator, row: int) -> None:
         jitter[row] = rng.normal(0.0, sigma_tau)
 
-    for trial, coeffs in _trial_draws(seed, first, stop, draw_jitter):
-        jitter_lag = jitter[: len(coeffs)] * fs
-        shifted = np.exp(np.multiply(phase, jitter_lag[:, None]))
-        diff = np.multiply(coeffs, shifted - 1.0)
-        powers[trial] = scale * (np.sum(np.abs(diff) ** 2, axis=1) / N_SAMPLES**2)
+    for trial, _, _, sq in _trial_draws(seed, first, stop, draw_jitter):
+        angle = np.outer(jitter[: len(sq)] * fs, phase)
+        # |c (e^{j angle} - 1)|^2
+        diff_sq = sq * ((np.cos(angle) - 1.0) ** 2 + np.sin(angle) ** 2)
+        powers[trial] = scale * (np.sum(diff_sq, axis=1) / N_SAMPLES**2)
 
 
 def residual_experiment(lb: LinkBudget, trials: int, seed: int) -> McReport:
@@ -503,8 +503,8 @@ def _gamma_sqs(seed: int, first: int, stop: int, measured: np.ndarray) -> None:
     """``gamma_sq_trials`` of trials first..stop-1, into ``measured``."""
     _, f_band = _band_bins(N_SAMPLES)
     f = f_band * OVERSAMPLE  # in units of B
-    for trial, coeffs in _trial_draws(seed, first, stop):
-        measured[trial] = _gamma_sq(f, np.abs(coeffs) ** 2)
+    for trial, _, _, sq in _trial_draws(seed, first, stop):
+        measured[trial] = _gamma_sq(f, sq)
 
 
 def gamma_experiment(trials: int, seed: int) -> McReport:

@@ -55,8 +55,8 @@ def split(work, bounds: list[int], what: str, encode=bytes) -> list:
     other as the bytes of ``encode(work(first, stop))`` in its child.
 
     Raises ``WorkerError`` naming ``what`` and the range of a child that
-    failed. On an error in this process every child is killed first; every
-    child is reaped before the call returns or raises.
+    failed or could not be started. On an error in this process every child
+    is killed first; every child is reaped before the call returns or raises.
     """
     children: dict[int, tuple[int, int, int]] = {}  # pid -> first, stop, pipe
     try:
@@ -68,13 +68,18 @@ def split(work, bounds: list[int], what: str, encode=bytes) -> list:
                 "ignore", r".*use of fork\(\) may lead to deadlocks", DeprecationWarning
             )
             for first, stop in zip(bounds[1:-1], bounds[2:]):
-                read_fd, write_fd = os.pipe()
                 try:
-                    pid = os.fork()
-                except BaseException:
-                    os.close(read_fd)
-                    os.close(write_fd)
-                    raise
+                    read_fd, write_fd = os.pipe()
+                    try:
+                        pid = os.fork()
+                    except BaseException:
+                        os.close(read_fd)
+                        os.close(write_fd)
+                        raise
+                except OSError as exc:  # out of processes or descriptors
+                    raise WorkerError(
+                        f"{what} [{first}, {stop}) could not start a worker process ({exc})"
+                    ) from exc
                 if pid == 0:
                     # the child never returns into the caller's stack
                     code = 1

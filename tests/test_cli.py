@@ -1,11 +1,13 @@
 import contextlib
 import csv
+import errno
 import io
 import json
 import math
 import os
 import re
 import tempfile
+import time
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
@@ -523,6 +525,26 @@ def test_failed_csv_worker_names_its_rows(table2_scenario, monkeypatch):
     assert_no_child_left()
 
 
+def assert_two_worker_commands_exit_4(tmp_path, monkeypatch, capsys, message):
+    """``region`` and ``validate``, each split over two workers, exit 4 with
+    one ``error:`` line holding ``message``, write no manifest and leave no
+    child."""
+    monkeypatch.setattr(mcsim, "trial_workers", lambda trials: 2)
+    capsys.readouterr()
+    argvs = {
+        "region": ("region", "--scenario", bundled_scenario_path(), "--alpha-points", 400),
+        "validate": ("validate", "--scenario", bundled_scenario_path(), "--experiment",
+                     "gamma", "--trials", 2 * mcsim._SEED_BLOCK + 17, "--seed", 0),
+    }
+    for name, argv in argvs.items():
+        out = tmp_path / name
+        assert run(*argv, "--out", out) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("error: ") and message in err[-1]
+        assert not (out / "manifest.json").exists()
+        assert_no_child_left()
+
+
 @needs_two_cores
 def test_failed_worker_exits_4_without_manifest(tmp_path, monkeypatch, capsys):
     two_csv_workers(monkeypatch)
@@ -541,20 +563,44 @@ def test_failed_worker_exits_4_without_manifest(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "_grid_rows", failing_rows)
     monkeypatch.setattr(mcsim, "_gamma_sqs", failing_gamma)
-    monkeypatch.setattr(mcsim, "trial_workers", lambda trials: 2)
-    capsys.readouterr()
-    argvs = {
-        "region": ("region", "--scenario", bundled_scenario_path(), "--alpha-points", 400),
-        "validate": ("validate", "--scenario", bundled_scenario_path(), "--experiment",
-                     "gamma", "--trials", 2 * mcsim._SEED_BLOCK + 17, "--seed", 0),
-    }
-    for name, argv in argvs.items():
-        out = tmp_path / name
-        assert run(*argv, "--out", out) == 4
-        err = capsys.readouterr().err.splitlines()
-        assert err[-1].startswith("error: ") and "failed in worker process" in err[-1]
-        assert not (out / "manifest.json").exists()
-        assert_no_child_left()
+    assert_two_worker_commands_exit_4(tmp_path, monkeypatch, capsys, "failed in worker process")
+
+
+@needs_two_cores
+def test_unstartable_worker_exits_4_without_manifest(tmp_path, monkeypatch, capsys):
+    two_csv_workers(monkeypatch)
+
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert_two_worker_commands_exit_4(
+        tmp_path, monkeypatch, capsys, "could not start a worker process"
+    )
+
+
+@needs_two_cores
+def test_split_kills_started_workers_when_a_fork_fails(monkeypatch):
+    parent, real_fork, forks = os.getpid(), os.fork, []
+
+    def second_fork_fails():
+        forks.append(os.getpid())
+        if len(forks) == 2:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real_fork()
+
+    def work(first, stop):
+        if os.getpid() != parent:
+            time.sleep(60)  # ends in time only if the parent kills the child
+        return b""
+
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    began = time.monotonic()
+    with pytest.raises(workers.WorkerError, match=re.escape("ranges [2, 3) could not start")):
+        workers.split(work, [0, 1, 2, 3], "ranges")
+    assert time.monotonic() - began < 30
+    assert forks == [parent, parent]
+    assert_no_child_left()
 
 
 # --- computed once ------------------------------------------------------------------

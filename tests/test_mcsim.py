@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -272,10 +273,10 @@ def test_residual_trials_deterministic_and_prefix_stable():
         assert np.array_equal(trials_of(block + 17), trials_of(2 * block)[: block + 17])
 
 
-# Chunk sizes the kernels must agree across. At 64 rows a chunk's 256
-# complex in-band bins reach numpy's 256 KiB temporary-elision threshold,
-# past which ``a * (b - 1.0)`` runs as ``tmp *= a`` and swaps the operands
-# of a complex product (not bitwise commutative under FMA).
+# Chunk sizes the kernels must agree across. At 64 rows a chunk's
+# (64, 256) float64 arrays reach numpy's 256 KiB temporary-elision
+# threshold, past which numpy evaluates some expressions in place in its
+# temporaries rather than in new arrays.
 CHUNK_SIZES = (1, 64)
 
 
@@ -403,6 +404,52 @@ def test_no_fork_while_another_thread_is_alive(monkeypatch):
         thread.join(timeout=10)
     assert not thread.is_alive()
     assert len(measured) == trials and np.isfinite(measured).all()
+
+
+# --- one result on every SIMD path ---------------------------------------------------
+
+# numpy's baseline SIMD path on x86, as the CI workflow selects it
+BASELINE_DISPATCH = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+
+DISPATCH_TRIALS = """
+import pickle, sys
+import numpy as np
+from numpy.lib.introspect import opt_func_info
+from mudr import mcsim
+lb_crb, lb_residual, trials, seed, out = pickle.loads(bytes.fromhex(sys.argv[1]))
+np.savez(out, crb=mcsim.delay_error_trials(lb_crb, trials, seed),
+         residual=mcsim.residual_power_trials(lb_residual, trials, seed),
+         gamma=mcsim.gamma_sq_trials(trials, seed))
+print(opt_func_info(func_name="^multiply$")["multiply"]["DDD"]["current"])
+"""
+
+
+def test_kernels_equal_on_default_and_baseline_simd_paths(tmp_path):
+    # numpy rounds complex products and abs differently on its SIMD paths;
+    # the kernels' real arithmetic must not. 2100 trials span three seed
+    # blocks, many chunks and, on two cores, two worker ranges.
+    src = str(Path(mcsim.__file__).resolve().parents[1])
+    targets, values = {}, {}
+    for name, disabled in (("default", None), ("baseline", BASELINE_DISPATCH)):
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        if disabled is not None:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        job = (lb_at_isnr(1000.0), lb_at_sigma_b(0.05, radar_power_w=2e7), 2100, 42,
+               tmp_path / f"{name}.npz")
+        run = subprocess.run([sys.executable, "-c", DISPATCH_TRIALS, pickle.dumps(job).hex()],
+                             env=env, capture_output=True, text=True)
+        if run.returncode != 0 and "NPY_DISABLE_CPU_FEATURES" in run.stderr:
+            pytest.skip(f"numpy rejects NPY_DISABLE_CPU_FEATURES={disabled}")
+        assert run.returncode == 0, run.stderr
+        targets[name] = run.stdout.strip()  # where complex multiply runs
+        values[name] = np.load(tmp_path / f"{name}.npz")
+    if targets["default"].startswith("baseline"):
+        pytest.skip("complex multiply runs on numpy's baseline path by default")
+    if not targets["baseline"].startswith("baseline"):
+        pytest.skip(f"NPY_DISABLE_CPU_FEATURES leaves complex multiply on {targets['baseline']}")
+    for kernel in KERNELS:
+        assert np.array_equal(values["default"][kernel], values["baseline"][kernel]), kernel
 
 
 # --- spectral-shape experiment ---------------------------------------------------------
