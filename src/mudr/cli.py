@@ -6,20 +6,18 @@ write failure, 4 a worker process failed or could not be started.
 Randomized commands default to seed 0 and say so, so every published
 artifact is reproducible from its manifest.
 
-Work is split over forked worker processes (``mudr.workers``) where it
-pays: the Monte Carlo kernels split their trials, and ``region.csv`` its
-grid rows once there are at least ``_CSV_ROWS_PER_WORKER`` rows per
-worker. A child formats the waterfill rows and the "r_est,r_com" texts of
-its contiguous range of grid rows and sends them back through a pipe;
-this process formats the first range, appends the others in range order,
-and builds the hull rows from the gathered texts. No flag or environment
-variable sets the count, and the output bytes do not depend on it.
+The Monte Carlo kernels split their trials over forked worker processes
+(``mudr.workers``); no flag or environment variable sets the count, and
+the report bytes do not depend on it. ``region.csv`` is written in this
+process: ``emit.repr_records`` prints its grid floats in numpy, each
+value's text proven equal to ``repr`` (Clinger's fast path at 15 digits,
+an exact Dekker product and the rounding interval at 16 and 17), and
+every value it cannot prove by ``repr`` itself.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -33,7 +31,10 @@ from .emit import (
     atomic_write_text,
     csv_text,
     fmt_float,
+    join_fields,
+    records_text,
     render_curves_svg,
+    repr_records,
     write_manifest,
 )
 from .mcsim import ExperimentPreconditionError
@@ -56,11 +57,11 @@ SNR_DB_RANGE = (-300.0, 300.0)
 MAX_ALPHA_POINTS = 10**6
 MAX_TRIALS = 10**7
 
-#: Fewest ``region.csv`` grid rows per worker process. On 2 cores two
-#: workers break even with one at about 4000 rows and win from about 8000,
-#: so the default 400-point ``region`` and every ``sweep`` stay in one
-#: process.
-_CSV_ROWS_PER_WORKER = 4096
+#: Rows per block of ``region.csv``'s waterfill and hull rows.
+_CSV_BLOCK = 16384
+
+#: The ``self_consistent`` cells of ``region.csv``, NUL-padded to one width.
+_FLAG_FIELDS = np.frombuffer(b"false" b"true\0", np.uint8).reshape(2, 5)
 
 REGION_CSV_HEADER = (
     "curve_label",
@@ -133,9 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
 class Outcome:
     """What a command computed: output name -> text in write order, the
     manifest fields (``counters`` for the region grids and the Monte Carlo
-    worker processes), and for
-    ``validate`` a line to print once all is written and whether the check
-    passed."""
+    worker processes), and for ``validate`` a line to print once all is
+    written and whether the check passed."""
 
     files: dict[str, str]
     parameters: dict
@@ -149,77 +149,42 @@ def _region(scenario: Scenario, alpha_grid: np.ndarray) -> bounds.RateRegion:
     return bounds.rate_region(derive_link_budget(scenario), alpha_grid)
 
 
-def _grid_rows(grid: waterfill.WaterfillGrid, first: int, stop: int):
-    """The waterfill rows of grid points first..stop-1, joined, and each
-    point's "r_est,r_com" text, formatted once: repr of tolist()'s Python
-    floats is fmt_float's format."""
-    pairs = [
-        f"{e!r},{r!r}"
-        for e, r in zip(
-            grid.r_est[first:stop].tolist(), grid.r_com_total[first:stop].tolist()
-        )
-    ]
-    block = "\n".join(
-        f"waterfill,{a!r},{pair},{'true' if ok else 'false'}"
-        for a, pair, ok in zip(
-            grid.alpha[first:stop].tolist(), pairs, grid.self_consistent[first:stop].tolist()
-        )
-    )
-    return block, pairs
-
-
-def _encode_grid_rows(rows: tuple[str, list[str]]) -> bytes:
-    block, pairs = rows
-    return "\0".join([block, *pairs]).encode()
-
-
-def _csv_workers(rows: int) -> int:
-    return workers.count(rows, _CSV_ROWS_PER_WORKER)
-
-
-def _region_counters(region: bounds.RateRegion) -> dict[str, int]:
-    """The grid's counters and the worker processes ``region.csv`` took."""
-    return {**region.grid.counters(), "workers": _csv_workers(len(region.grid.alpha))}
-
-
 def _region_csv(region: bounds.RateRegion) -> str:
     """CSV text, one row per curve vertex; waterfill rows keep every grid
     point, flagged by self-consistency, and hull rows reuse the text of
     the points they pick.
 
-    The grid rows are split into ``_csv_workers(rows)`` contiguous ranges; a forked child formats each
-    range but the first, which this process formats meanwhile.
+    The grid's floats are printed by ``emit.repr_records``, each once: every
+    point of the hull's cloud is laid out once as a whole hull row, from
+    which the waterfill rows take their "r_est,r_com" bytes and the hull
+    rows are picked by index. Rows are joined in blocks of ``_CSV_BLOCK``.
     """
     g, inner = region.grid, region.interpolated
-    rows = len(g.alpha)
-    edges = workers.edges(rows, _csv_workers(rows))
-    (block, grid_pairs), *payloads = workers.split(
-        functools.partial(_grid_rows, g), edges, "region.csv grid rows",
-        encode=_encode_grid_rows,
-    )
-    blocks = [block]
-    # "r_est,r_com" of the two interpolated points, then of every grid point
-    pairs = [f"{e!r},{r!r}" for e, r in zip(inner.r_est.tolist(), inner.r_com.tolist())]
-    pairs += grid_pairs
-    while payloads:  # each payload is freed before its text is split
-        block, *grid_pairs = payloads.pop(0).decode("ascii").split("\0")
-        blocks.append(block)
-        pairs += grid_pairs
     lines = [",".join(REGION_CSV_HEADER)]
     for c in (region.outer, region.sic, inner):
         lines.extend(
             f"{c.label},nan,{e!r},{r!r},true"
             for e, r in zip(c.r_est.tolist(), c.r_com.tolist())
         )
-    lines.extend(blocks)
+    text = ["\n".join(lines) + "\n"]
+    # the cloud: the two interpolated points, then every grid point
+    head, tail = b"hull,nan,", b",true\n"
+    cloud = join_fields([
+        head, repr_records(np.concatenate((inner.r_est, g.r_est))), b",",
+        repr_records(np.concatenate((inner.r_com, g.r_com_total))), tail,
+    ])
+    pairs = cloud[2:, len(head) : -len(tail)]
+    for first in range(0, len(g.alpha), _CSV_BLOCK):
+        rows = slice(first, first + _CSV_BLOCK)
+        flags = np.take(_FLAG_FIELDS, g.self_consistent[rows].view(np.uint8), axis=0)
+        text.append(records_text(join_fields([
+            b"waterfill,", repr_records(g.alpha[rows]), b",", pairs[rows], b",", flags, b"\n",
+        ])))
     # hull cloud index i >= 2 is the (i - 2)-th self-consistent grid point
-    at = np.concatenate(([0, 1], 2 + np.flatnonzero(g.self_consistent)))
-    lines.extend(f"hull,nan,{pairs[i]},true" for i in at[region.hull_index].tolist())
-    # drop the pair text before the join allocates the file's, and end the
-    # file with a newline without copying the joined text
-    del pairs, grid_pairs
-    lines.append("")
-    return "\n".join(lines)
+    at = np.concatenate(([0, 1], 2 + np.flatnonzero(g.self_consistent)))[region.hull_index]
+    for first in range(0, len(at), _CSV_BLOCK):
+        text.append(records_text(np.take(cloud, at[first : first + _CSV_BLOCK], axis=0)))
+    return "".join(text)
 
 
 def _region_files(prefix: str, region: bounds.RateRegion) -> dict[str, str]:
@@ -239,7 +204,7 @@ def cmd_region(args: argparse.Namespace) -> Outcome:
     return Outcome(
         files=_region_files("region", region),
         parameters={"alpha_points": args.alpha_points},
-        counters=_region_counters(region),
+        counters=region.grid.counters(),
     )
 
 
@@ -327,7 +292,7 @@ def cmd_sweep(args: argparse.Namespace) -> Outcome:
         except ValueError as exc:
             raise ValueError(f"sweep field '{args.vary}' = {value!r}: {exc}") from None
         files.update(_region_files(f"sweep_{i:03d}_region", region))
-        counters.append(_region_counters(region))
+        counters.append(region.grid.counters())
         # outer's corner is (est_outer_rate, comms_outer_rate); sic is flat
         row = (value, region.outer.r_est[1], region.outer.r_com[1], region.sic.r_com[0])
         summary_rows.append([fmt_float(x) for x in row])

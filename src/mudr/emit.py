@@ -9,11 +9,15 @@ SVG path coordinates are printed in one numpy pass: each value's
 correctly rounded hundredths are gathered from digit tables into fixed
 16-byte path records. A curve takes that path only where it prints
 exactly the text of Python's ``f"{v:.2f}"`` (see ``_path_text``); any
-other curve is formatted by that expression.
+other curve is formatted by that expression. Float columns of CSV rows
+are printed the same way (``repr_records``): each value's text is proven
+equal to its ``repr``, and any value it cannot prove is printed by
+``fmt_float``. The digit tables are built on first use.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import secrets
@@ -33,15 +37,18 @@ _PALETTE = (
 )
 
 
-# Digit tables of the SVG path records: the integer parts 0..999 right
-# aligned in 3 bytes, padded with NUL bytes that are dropped after the
-# gather, and the two-digit fractions 00..99.
-_INT_DIGITS = np.frombuffer(
-    b"".join(str(k).rjust(3, "\0").encode() for k in range(1000)), np.uint8
-).reshape(1000, 3)
-_FRAC_DIGITS = np.frombuffer(
-    b"".join(f"{k:02d}".encode() for k in range(100)), np.uint8
-).reshape(100, 2)
+@functools.cache
+def _path_digits() -> tuple[np.ndarray, np.ndarray]:
+    """Digit tables of the SVG path records: the integer parts 0..999 right
+    aligned in 3 bytes, padded with NUL bytes that are dropped after the
+    gather, and the two-digit fractions 00..99."""
+    ints = np.frombuffer(
+        b"".join(str(k).rjust(3, "\0").encode() for k in range(1000)), np.uint8
+    ).reshape(1000, 3)
+    fracs = np.frombuffer(
+        b"".join(f"{k:02d}".encode() for k in range(100)), np.uint8
+    ).reshape(100, 2)
+    return ints, fracs
 
 
 def escape(text: str) -> str:
@@ -127,15 +134,237 @@ def _path_text(xs: np.ndarray, ys: np.ndarray) -> str:
         coords = " L ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs.tolist(), ys.tolist()))
         return f"M {coords}"
     # one " L iii.ff,iii.ff" record per point
+    int_digits, frac_digits = _path_digits()
     records = np.empty((len(cx), 16), dtype=np.uint8)
     records[:, 0:3] = np.frombuffer(b" L ", np.uint8)
     for col, cents in ((3, cx), (10, cy)):
-        records[:, col : col + 3] = _INT_DIGITS[cents // 100]
+        records[:, col : col + 3] = int_digits[cents // 100]
         records[:, col + 3] = ord(".")
-        records[:, col + 4 : col + 6] = _FRAC_DIGITS[cents % 100]
+        records[:, col + 4 : col + 6] = frac_digits[cents % 100]
     records[:, 9] = ord(",")
-    text = records[records != 0].tobytes().decode("ascii")
-    return f"M {text[3:]}"
+    return f"M {records_text(records)[3:]}"
+
+
+#: Values per block of ``repr_records``: the temporaries of one block stay
+#: near 2 MB, whatever the column's length.
+_REPR_BLOCK = 16384
+
+#: The binades 2^-14 .. 2^49 hold the positional range 1e-4 <= v < 1e15;
+#: the first one's biased float64 exponent.
+_FIRST_BINADE = 1023 - 14
+
+
+@functools.cache
+def _repr_tables() -> tuple[np.ndarray, ...]:
+    """Tables of ``repr_records``, built on first use:
+    - for each of the 64 binades 2^E: the decade e of 2^E, the nearest
+      double to 10^(e+1) (a double is at or above it exactly when it is at
+      or above the real 10^(e+1), as 10^j for j < 0 rounds up), and the
+      spacing 2^(E-52) of the binade's doubles;
+    - the exact powers 10^0 .. 10^22 with their Veltkamp halves;
+    - the 4-digit groups 0000..9999 as uint32 words, then the same groups
+      with their trailing zeros as NUL bytes.
+    """
+    tens = [float(f"1e{j}") for j in range(-5, 17)]
+    binades = [2.0**e for e in range(-14, 50)]
+    decade = [max(j for j in range(-5, 16) if tens[j + 5] <= b) for b in binades]
+    pow10 = np.array([float(10**k) for k in range(23)])
+    split = pow10 * 134217729.0  # 2^27 + 1
+    pow10_hi = split - (split - pow10)
+    ascii_digits = np.frombuffer(b"0123456789", np.uint8)
+    k = np.arange(10000)
+    groups = np.empty((2, 10000, 4), np.uint8)
+    zeros = np.ones(10000, dtype=bool)
+    for col, scale in zip((3, 2, 1, 0), (1, 10, 100, 1000)):
+        digit = k // scale % 10
+        groups[:, :, col] = ascii_digits[digit]
+        zeros &= digit == 0
+        groups[1, zeros, col] = 0
+    return (np.array(decade), np.array([tens[e + 6] for e in decade]),
+            np.array(binades) * 2.0**-52, pow10, pow10_hi, pow10 - pow10_hi,
+            groups.view(np.uint32).ravel())
+
+
+def _decade(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """e with 10^e <= v < 10^(e+1), and the index of v's binade, for each
+    v in [1e-4, 1e15) (any other value gets some e in [-5, 15])."""
+    decade, next_decade = _repr_tables()[:2]
+    binade = (values.view(np.int64) >> 52) - _FIRST_BINADE & 63
+    return decade[binade] + (values >= next_decade[binade]), binade
+
+
+def _digits(v: np.ndarray, positional: np.ndarray):
+    """``(proven, e, digits)`` for a block of values: which values' repr is
+    proven, each value's decade e, and a (n, 20) uint8 array that holds
+    "000" and then the 17 significant digits of a proven value's repr,
+    trailing zeros as NUL bytes.
+
+    repr prints the shortest decimal that rounds to v, and of those the
+    nearest to v. For positional v:
+    - 15 digits: 15-digit decimals are spaced wider than v's rounding
+      interval, so at most one rounds to v, and if one does it lies within
+      0.18 of v * 10^(14-e): it is rint of that product in floats. It rounds
+      to v iff M / 10^(14-e) == v, one correctly rounded division of exact
+      operands (Clinger's fast path). Each power of two in range has an
+      exact decimal of at most 15 digits, so every value past this step
+      has a symmetric rounding interval, of half-width h.
+    - 17 digits: Dekker's product gives v * 10^(16-e) exactly as hi + lo.
+      With r = rint(hi), rl = rint(lo), d = hi - r, e2 = lo - rl (all exact)
+      and a = rint(d + e2), M17 = r + a + rl is within 3/4 of the product,
+      and res17 = (d - a) + e2 is its residual, rounded once. M17 is the
+      nearest integer unless |d + e2| rounds to 1/2, which is left to the
+      fallback. As h > 0.55 at 17 digits, the nearest M17 rounds to v.
+    - 16 digits: with M17 = 10 q + rem, the nearest 16-digit mantissa is
+      q + up, up = 1 iff rem + res17 > 5 (an exact half, rem = 5 and
+      res17 = 0, is left to the fallback), and ten times its residual is
+      rem - 10 up + res17. It is printed if that is proven below h, and M17
+      only if it is proven above h, for then no 16-digit decimal rounds to
+      v. A 2^-40 margin on h keeps both verdicts exact despite the two
+      roundings.
+    """
+    _, _, spacing, pow10, pow10_hi, pow10_lo, words = _repr_tables()
+    e, binade = _decade(v)
+    k = 16 - e
+    with np.errstate(invalid="ignore", over="ignore"):
+        p15 = pow10[k - 2]
+        m15 = np.rint(v * p15)
+        ok15 = positional & (m15 / p15 == v)
+        p, p_hi, p_lo = pow10[k], pow10_hi[k], pow10_lo[k]
+        hi = v * p
+        split = v * 134217729.0
+        v_hi = split - (split - v)
+        v_lo = v - v_hi
+        lo = ((v_hi * p_hi - hi) + v_hi * p_lo + v_lo * p_hi) + v_lo * p_lo
+        r, rl = np.rint(hi), np.rint(lo)
+        d, e2 = hi - r, lo - rl
+        frac = d + e2
+        a = np.rint(frac)
+        res = (d - a) + e2
+        m = (r + a).astype(np.int64) + rl.astype(np.int64)
+        rem = m - m // 10 * 10
+        up = (rem > 5) | ((rem == 5) & (res > 0))
+        tenfold = np.abs((rem - 10 * up) + res)
+        h = spacing[binade] * p * 0.5
+        ok = positional & ~ok15 & ~((rem == 5) & (res == 0))
+        ok16 = ok & (tenfold < h * (1 - 2.0**-40))
+        ok17 = ok & (tenfold > h * (1 + 2.0**-40)) & (np.abs(frac) != 0.5)
+        # the 17-digit mantissa, 10^16 <= m < 10^17 where proven
+        m += ok16 * (10 * up - rem)
+        m += ok15 * (m15.astype(np.int64) * 100 - m)
+    lead = m // 10**16
+    m -= lead * 10**16
+    g1 = m // 10**12
+    m -= g1 * 10**12
+    g2 = m // 10**8
+    m -= g2 * 10**8
+    g3 = m // 10**4
+    g4 = m - g3 * 10**4
+    # a group takes the NUL-trailing table when every later group is zero
+    digits = np.empty((len(v), 5), np.uint32)
+    digits[:, 0] = words[lead & 15]
+    digits[:, 4] = words[g4 + 10000]
+    zeros = g4 == 0
+    digits[:, 3] = words[g3 + 10000 * zeros]
+    zeros &= g3 == 0
+    digits[:, 2] = words[g2 + 10000 * zeros]
+    zeros &= g2 == 0
+    digits[:, 1] = words[g1 + 10000 * zeros]
+    return ok15 | ok16 | ok17, e, digits.view(np.uint8)
+
+
+def _bytes_view(a: np.ndarray) -> np.ndarray:
+    """A (n, w) uint8 array as n items of w bytes, for whole-row copies."""
+    return a.view(f"V{a.shape[1]}")
+
+
+def _place(out: np.ndarray, e: np.ndarray, digits: np.ndarray, wi: int) -> None:
+    """Lay each row's ``_digits`` out as text in ``out``: the integer part
+    right-aligned in ``wi`` columns, ".", then the fraction."""
+    for ee in range(int(e.min()), int(e.max()) + 1):
+        rows = np.flatnonzero(e == ee)
+        if not len(rows):
+            continue
+        # the rows of decade ee and those between them; where no other
+        # decade is among them, their bytes move as whole rows
+        span = slice(rows[0], rows[-1] + 1)
+        mixed = None if len(rows) == span.stop - span.start else (e[span] == ee)[:, None]
+        # integer part: the first e + 1 digits, or "0"; fraction: the other
+        # digits, after -e - 1 zeros if e < 0
+        ints = digits[span, 3 : 4 + ee] if ee >= 0 else digits[span, 0:1]
+        fracs = digits[span, 4 + ee :]
+        for src, dst in ((ints, out[span, wi - ints.shape[1] : wi]),
+                         (fracs, out[span, wi + 1 : wi + 1 + fracs.shape[1]])):
+            if mixed is None:
+                np.copyto(_bytes_view(dst), _bytes_view(src))
+            else:
+                np.copyto(dst, src, where=mixed)
+    out[:, wi] = ord(".")
+    first = out[:, wi + 1]
+    integral = np.flatnonzero(first == 0)
+    if len(integral):
+        # no fraction digit: the integer part's zeros were trimmed with it
+        ints = out[integral, :wi]
+        digit = np.arange(wi) >= wi - 1 - e[integral, None]
+        ints[digit & (ints == 0)] = ord("0")
+        out[integral, :wi] = ints
+        first[integral] = ord("0")
+
+
+def repr_records(values: np.ndarray) -> np.ndarray:
+    """``repr(v)`` of each float64 value as one row of a uint8 array, padded
+    with NUL bytes that a reader drops: ``bytes(row).replace(b"\0", b"")``
+    is exactly ``fmt_float(v)``.
+
+    A positional value (1e-4 <= v < 1e15) is printed in numpy, in blocks
+    of ``_REPR_BLOCK`` values, where ``_digits`` proves the text; every
+    other value (0.0, -0.0, negatives, NaN, infinities, anything outside
+    that range, and the exact halves the proof leaves open) by
+    ``fmt_float``.
+    """
+    v = np.ascontiguousarray(values, dtype=np.float64)
+    positional = (v >= 1e-4) & (v < 1e15)
+    others = np.flatnonzero(~positional)
+    texts = {i: fmt_float(x) for i, x in zip(others.tolist(), v[others].tolist())}
+    width = max(map(len, texts.values()), default=0)
+    blocks = range(0, len(v) if len(others) < len(v) else 0, _REPR_BLOCK)
+    if blocks:
+        ends = [np.min(v, where=positional, initial=np.inf),
+                np.max(v, where=positional, initial=-np.inf)]
+        e_lo, e_hi = _decade(np.array(ends))[0].tolist()
+        # a positional repr has at most e + 1 integer and 16 - e fraction digits
+        wi = max(e_hi, 0) + 1
+        width = max(width, wi + 1 + 16 - e_lo)
+    out = np.zeros((len(v), width), np.uint8)
+    for first in blocks:
+        block = slice(first, first + _REPR_BLOCK)
+        proven, e, digits = _digits(v[block], positional[block])
+        e[~positional[block]] = e_hi  # a decade that the layout has room for
+        _place(out[block], e, digits, wi)
+        for i in (np.flatnonzero(positional[block] & ~proven) + first).tolist():
+            texts[i] = fmt_float(v[i])
+    for i, text in texts.items():
+        out[i] = 0
+        out[i, : len(text)] = np.frombuffer(text.encode(), np.uint8)
+    return out
+
+
+def join_fields(fields: Sequence[np.ndarray | bytes]) -> np.ndarray:
+    """Records made by placing ``fields`` side by side: each field is a
+    uint8 array of one row per record (``repr_records``) or bytes that
+    every record repeats."""
+    rows = next(len(f) for f in fields if not isinstance(f, bytes))
+    fields = [np.frombuffer(f, np.uint8)[None, :] if isinstance(f, bytes) else f for f in fields]
+    out = np.empty((rows, sum(f.shape[1] for f in fields)), np.uint8)
+    col = 0
+    for f in fields:
+        np.copyto(_bytes_view(out[:, col : col + f.shape[1]]), _bytes_view(f))
+        col += f.shape[1]
+    return out
+
+
+def records_text(records: np.ndarray) -> str:
+    """The records' bytes in order, every NUL byte dropped, as text."""
+    return str(records[records != 0].data, "ascii")
 
 
 def render_curves_svg(

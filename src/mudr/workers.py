@@ -49,10 +49,11 @@ def _send(fd: int, payload) -> None:
         view = view[os.write(fd, view):]
 
 
-def split(work, bounds: list[int], what: str, encode=bytes) -> list:
+def split(work, bounds: list[int], what: str) -> list:
     """``work(first, stop)`` of every range between consecutive ``bounds``,
     in range order: the first as ``work`` returned it in this process, each
-    other as the bytes of ``encode(work(first, stop))`` in its child.
+    other as the bytes of the buffer ``work(first, stop)`` returned in its
+    child.
 
     Raises ``WorkerError`` naming ``what`` and the range of a child that
     failed or could not be started. On an error in this process every child
@@ -85,7 +86,7 @@ def split(work, bounds: list[int], what: str, encode=bytes) -> list:
                     code = 1
                     try:
                         os.close(read_fd)
-                        _send(write_fd, encode(work(first, stop)))
+                        _send(write_fd, work(first, stop))
                         code = 0
                     except BaseException:
                         traceback.print_exc()

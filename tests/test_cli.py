@@ -22,7 +22,7 @@ from helpers import (
     region_csv_text,
     with_second_target,
 )
-from mudr import bounds, cli, mcsim, scenario as sc, waterfill, workers
+from mudr import bounds, cli, emit, mcsim, scenario as sc, waterfill, workers
 from mudr.emit import render_curves_svg
 from mudr.scenario import bundled_scenario_path
 
@@ -446,7 +446,7 @@ def test_region_files_equal_per_curve_oracle(table2_scenario, case):
     )
 
 
-# --- worker processes ---------------------------------------------------------------
+# --- region.csv blocks and worker processes ----------------------------------------
 
 def region_of(table2_scenario, case: str) -> bounds.RateRegion:
     if case == "two_targets":
@@ -459,122 +459,57 @@ def region_of(table2_scenario, case: str) -> bounds.RateRegion:
     return bounds.rate_region(lb, waterfill.default_alpha_grid(400))
 
 
-def one_csv_worker(monkeypatch):
-    monkeypatch.setattr(cli, "_CSV_ROWS_PER_WORKER", 10**9)
-
-
-def two_csv_workers(monkeypatch):
-    """Split a 400-row ``region.csv`` grid over exactly two workers on a
-    box with two or more usable cores; returns the pids that forked."""
-    monkeypatch.setattr(cli, "_CSV_ROWS_PER_WORKER", 200)
-    forks = []
-    real_fork = os.fork
-
-    def counted_fork():
-        forks.append(os.getpid())
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    return forks
-
-
-@needs_two_cores
 @pytest.mark.parametrize("case", ["table2", "two_targets", "hot_radar"])
-def test_region_csv_two_workers_equal_one(table2_scenario, case, monkeypatch):
+def test_region_csv_blocks_equal_one_block(table2_scenario, case, monkeypatch):
     region = region_of(table2_scenario, case)
     if case == "hot_radar":
         # some splits are not self-consistent, and the hull drops points
         assert not region.grid.self_consistent.all()
         assert len(region.hull_index) < 2 + len(region.waterfill.r_est)
-    one_csv_worker(monkeypatch)
-    one = cli._region_csv(region)
-    forks = two_csv_workers(monkeypatch)
+    one = cli._region_csv(region)  # 400 rows: one block of rows and of values
+    # blocks of 64 rows and 48 values: blocks that span decades, and hull
+    # rows gathered across blocks
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 64)
+    monkeypatch.setattr(emit, "_REPR_BLOCK", 48)
     assert cli._region_csv(region) == one == region_csv_text(region)
-    assert forks == [os.getpid()]
-    assert_no_child_left()
 
 
-@needs_two_cores
-def test_region_manifest_counts_csv_workers(tmp_path, monkeypatch):
-    argv = ("region", "--scenario", bundled_scenario_path(), "--alpha-points", 400)
-    one_csv_worker(monkeypatch)
-    assert run(*argv, "--out", tmp_path / "one") == 0
-    two_csv_workers(monkeypatch)
-    assert run(*argv, "--out", tmp_path / "two") == 0
-    for sub, count in (("one", 1), ("two", 2)):
-        manifest = json.loads((tmp_path / sub / "manifest.json").read_text())
-        assert manifest["counters"]["workers"] == count
-    for name in ("region.csv", "region.svg"):
-        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
-
-
-@needs_two_cores
-def test_failed_csv_worker_names_its_rows(table2_scenario, monkeypatch):
-    region = region_of(table2_scenario, "table2")
-    two_csv_workers(monkeypatch)
-    real, parent = cli._grid_rows, os.getpid()
-
-    def failing_child(grid, first, stop):
-        if os.getpid() != parent:
-            raise ValueError("formatter failed in the child")
-        return real(grid, first, stop)
-
-    monkeypatch.setattr(cli, "_grid_rows", failing_child)
-    with pytest.raises(workers.WorkerError, match=re.escape("grid rows [200, 400)")):
-        cli._region_csv(region)
-    assert_no_child_left()
-
-
-def assert_two_worker_commands_exit_4(tmp_path, monkeypatch, capsys, message):
-    """``region`` and ``validate``, each split over two workers, exit 4 with
-    one ``error:`` line holding ``message``, write no manifest and leave no
-    child."""
+def assert_two_worker_validate_exits_4(tmp_path, monkeypatch, capsys, message):
+    """``validate`` split over two workers exits 4 with one ``error:`` line
+    holding ``message``, writes no manifest and leaves no child."""
     monkeypatch.setattr(mcsim, "trial_workers", lambda trials: 2)
     capsys.readouterr()
-    argvs = {
-        "region": ("region", "--scenario", bundled_scenario_path(), "--alpha-points", 400),
-        "validate": ("validate", "--scenario", bundled_scenario_path(), "--experiment",
-                     "gamma", "--trials", 2 * mcsim._SEED_BLOCK + 17, "--seed", 0),
-    }
-    for name, argv in argvs.items():
-        out = tmp_path / name
-        assert run(*argv, "--out", out) == 4
-        err = capsys.readouterr().err.splitlines()
-        assert err[-1].startswith("error: ") and message in err[-1]
-        assert not (out / "manifest.json").exists()
-        assert_no_child_left()
+    argv = ("validate", "--scenario", bundled_scenario_path(), "--experiment",
+            "gamma", "--trials", 2 * mcsim._SEED_BLOCK + 17, "--seed", 0)
+    out = tmp_path / "validate"
+    assert run(*argv, "--out", out) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("error: ") and message in err[-1]
+    assert not (out / "manifest.json").exists()
+    assert_no_child_left()
 
 
 @needs_two_cores
 def test_failed_worker_exits_4_without_manifest(tmp_path, monkeypatch, capsys):
-    two_csv_workers(monkeypatch)
     parent = os.getpid()
-    real_rows, real_gamma = cli._grid_rows, mcsim._gamma_sqs
-
-    def failing_rows(grid, first, stop):
-        if os.getpid() != parent:
-            raise ValueError("formatter failed in the child")
-        return real_rows(grid, first, stop)
+    real_gamma = mcsim._gamma_sqs
 
     def failing_gamma(seed, first, stop, out):
         if os.getpid() != parent:
             raise ValueError("kernel failed in the child")
         real_gamma(seed, first, stop, out)
 
-    monkeypatch.setattr(cli, "_grid_rows", failing_rows)
     monkeypatch.setattr(mcsim, "_gamma_sqs", failing_gamma)
-    assert_two_worker_commands_exit_4(tmp_path, monkeypatch, capsys, "failed in worker process")
+    assert_two_worker_validate_exits_4(tmp_path, monkeypatch, capsys, "failed in worker process")
 
 
 @needs_two_cores
 def test_unstartable_worker_exits_4_without_manifest(tmp_path, monkeypatch, capsys):
-    two_csv_workers(monkeypatch)
-
     def no_fork():
         raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
     monkeypatch.setattr(os, "fork", no_fork)
-    assert_two_worker_commands_exit_4(
+    assert_two_worker_validate_exits_4(
         tmp_path, monkeypatch, capsys, "could not start a worker process"
     )
 
@@ -669,7 +604,6 @@ def test_region_and_sweep_manifest_counters(tmp_path):
         "grid_points": 50,
         "not_self_consistent": flags.count("false"),
         "beta_clamped": sum(grid.beta_clamped.tolist()),
-        "workers": 1,  # 50 rows stay in one process
     }
     assert flags.count("false") > 0
 
@@ -679,7 +613,6 @@ def test_region_and_sweep_manifest_counters(tmp_path):
                "--out", out) == 0
     counters = json.loads((out / "manifest.json").read_text())["counters"]
     assert [c["grid_points"] for c in counters] == [20, 20]
-    assert [c["workers"] for c in counters] == [1, 1]
     for i, c in enumerate(counters):
         rows = read_csv(out / f"sweep_{i:03d}_region.csv")
         wf_rows = [r for r in rows if r["curve_label"] == "waterfill"]

@@ -1,9 +1,11 @@
+import math
 import os
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mudr import emit
@@ -124,3 +126,120 @@ def test_escape_equals_saxutils(text):
     from xml.sax.saxutils import escape
 
     assert emit.escape(text) == escape(text)
+
+
+# --- repr of float64 columns ------------------------------------------------------
+
+
+def record_texts(values) -> list[str]:
+    """Each value's record from ``repr_records`` with its NUL bytes dropped."""
+    records = emit.repr_records(np.array(values, dtype=float))
+    return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in records]
+
+
+def assert_records_are_repr(values):
+    values = np.array(values, dtype=float)
+    assert record_texts(values) == [repr(v) for v in values.tolist()]
+
+
+def exact_half(v: float) -> bool:
+    """Whether v * 10^k is an exact half-integer at 16 or 17 digits."""
+    e = math.floor(math.log10(v))
+    e += (Fraction(10) ** (e + 1) <= v) - (Fraction(10) ** e > v)
+    return any((Fraction(v) * 10**k).denominator == 2 for k in (15 - e, 16 - e))
+
+
+def proven(values) -> np.ndarray:
+    """Which values the numpy path prints itself, without the fallback."""
+    v = np.array(values, dtype=float)
+    return emit._digits(v, (v >= 1e-4) & (v < 1e15))[0]
+
+
+@settings(max_examples=150)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+def test_repr_records_equal_repr_for_any_finite_float(values):
+    assert_records_are_repr(values)
+
+
+@settings(max_examples=150)
+@given(st.lists(st.floats(1e-4, 1e15, exclude_max=True), min_size=1, max_size=40))
+def test_repr_records_equal_repr_on_positional_range(values):
+    assert_records_are_repr(values)
+
+
+def test_repr_records_powers_of_ten_and_neighbours():
+    tens = np.array([float(f"1e{e}") for e in range(-6, 17)])
+    values = np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf)])
+    assert_records_are_repr(values)
+    positional = (tens >= 1e-4) & (tens < 1e15)
+    assert proven(tens[positional]).all()  # one digit, by the 15-digit path
+
+
+def test_repr_records_powers_of_two_take_the_15_digit_path():
+    # the 16- and 17-digit verdicts assume a symmetric rounding interval,
+    # which every positional value but a power of two has
+    twos = np.ldexp(1.0, np.arange(-13, 50))
+    assert ((twos >= 1e-4) & (twos < 1e15)).all()
+    assert proven(twos).all()
+    assert_records_are_repr(np.concatenate([twos, np.nextafter(twos, 0), np.nextafter(twos, np.inf)]))
+
+
+def test_repr_records_near_two_to_the_53():
+    big = 2.0**53  # 9007199254740992.0: outside the positional range
+    values = [big, np.nextafter(big, 0), np.nextafter(big, np.inf), big / 16,
+              np.nextafter(big / 16, 0), np.nextafter(big / 16, np.inf)]
+    assert_records_are_repr(values)
+
+
+@pytest.mark.parametrize("digits", [15, 16, 17])
+def test_repr_records_by_significant_digits(digits):
+    rng = np.random.default_rng(digits)
+    values = 10.0 ** rng.uniform(-4, 15, 4000)
+    values = values[[len(repr(v).replace(".", "").lstrip("0")) - repr(v).endswith(".0")
+                     == digits for v in values.tolist()]]
+    assert len(values) > 100
+    assert_records_are_repr(values)
+    # only exact halves, at 16 or 17 digits, are left to the fallback
+    assert all(map(exact_half, values[~proven(values)].tolist()))
+
+
+def test_repr_records_leave_exact_halves_to_the_fallback():
+    # v * 10 is an exact half-integer: the two 16-digit neighbours are equally
+    # near, and rounding hi + lo half up would print ...017.25 and ...559.75;
+    # the last three are exact halves at 17 digits, where repr is 17 digits
+    ties = [761358456609017.2, 570358112684559.8, 250181888616918.62,
+            1212575155529.1562, 215319271271699.38]
+    assert all(map(exact_half, ties))
+    assert not proven(ties).any()
+    assert record_texts(ties) == [repr(v) for v in ties]
+
+
+def test_repr_records_at_the_range_ends():
+    low = np.nextafter(1e-4, 0)
+    high = np.nextafter(1e15, 0)
+    assert proven([1e-4, high]).all()
+    assert not proven([low, 1e15]).any()
+    assert record_texts([1e-4, low, high, 1e15]) == [
+        "0.0001", "9.999999999999999e-05", "999999999999999.9", "1000000000000000.0"
+    ]
+
+
+@pytest.mark.parametrize(
+    "value", [0.0, -0.0, -1.5, -2395.184651851172, np.nan, np.inf, -np.inf, 5e-324, 1e300]
+)
+def test_repr_records_fallback_values(value):
+    assert not proven([value]).any()
+    assert_records_are_repr([value])
+    assert_records_are_repr([1.5, value, 2395.184651851172])
+
+
+def test_repr_records_integral_values_and_trailing_zeros():
+    values = [1.0, 10.0, 1200.0, 100000000000000.0, 123456789012345.0, 0.5, 0.1, 2.25, 1234.5]
+    assert proven(values).all()
+    assert_records_are_repr(values)
+
+
+def test_join_fields_and_records_text():
+    records = emit.join_fields([b"a,", emit.repr_records(np.array([0.5, 1200.0])), b"\n"])
+    assert records.shape[0] == 2
+    assert emit.records_text(records) == "a,0.5\na,1200.0\n"

@@ -205,13 +205,16 @@ def test_cli_import_leaves_numpy_random_unloaded():
     # pentagon never draw, so the seeding helpers load it on first use only.
     # The trial workers are bare forks: no process-pool module is imported.
     # The SVG labels are escaped without xml.sax, which imports urllib.
+    # The emitters' digit tables are built on first use, not at import.
     src = str(Path(mcsim.__file__).resolve().parents[1])
     modules = ("numpy.random", "multiprocessing", "concurrent.futures", "xml.sax",
                "urllib.request")
+    tables = ("_path_digits", "_repr_tables")
     code = f"import sys; sys.path.insert(0, {src!r}); import mudr.cli; " \
-        f"print([m for m in {modules!r} if m in sys.modules])"
+        f"print([m for m in {modules!r} if m in sys.modules]); " \
+        f"print([t for t in {tables!r} if getattr(mudr.emit, t).cache_info().currsize])"
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "[]"
+    assert run.stdout.split() == ["[]", "[]"]
 
 
 def test_aggregate_matches_compensated_sum():
