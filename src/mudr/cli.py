@@ -32,7 +32,7 @@ from .emit import (
     csv_text,
     fmt_float,
     join_fields,
-    records_text,
+    records_bytes,
     render_curves_svg,
     repr_records,
     write_manifest,
@@ -132,12 +132,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 @dataclass(frozen=True)
 class Outcome:
-    """What a command computed: output name -> text in write order, the
-    manifest fields (``counters`` for the region grids and the Monte Carlo
-    worker processes), and for ``validate`` a line to print once all is
-    written and whether the check passed."""
+    """What a command computed: output name -> bytes, or a list of byte
+    blocks, in write order; the manifest fields (``counters`` for the
+    region grids and the Monte Carlo worker processes); and for
+    ``validate`` a line to print once all is written and whether the
+    check passed."""
 
-    files: dict[str, str]
+    files: dict[str, bytes | list[bytes]]
     parameters: dict
     seed: int | None = None
     counters: dict | list | None = None
@@ -149,15 +150,16 @@ def _region(scenario: Scenario, alpha_grid: np.ndarray) -> bounds.RateRegion:
     return bounds.rate_region(derive_link_budget(scenario), alpha_grid)
 
 
-def _region_csv(region: bounds.RateRegion) -> str:
-    """CSV text, one row per curve vertex; waterfill rows keep every grid
-    point, flagged by self-consistency, and hull rows reuse the text of
-    the points they pick.
+def _region_csv(region: bounds.RateRegion) -> list[bytes]:
+    """CSV text as byte blocks, one row per curve vertex; waterfill rows
+    keep every grid point, flagged by self-consistency, and hull rows
+    reuse the text of the points they pick.
 
     The grid's floats are printed by ``emit.repr_records``, each once: every
     point of the hull's cloud is laid out once as a whole hull row, from
     which the waterfill rows take their "r_est,r_com" bytes and the hull
-    rows are picked by index. Rows are joined in blocks of ``_CSV_BLOCK``.
+    rows are picked by index. Rows are joined in blocks of ``_CSV_BLOCK``,
+    which go to the writer as they are.
     """
     g, inner = region.grid, region.interpolated
     lines = [",".join(REGION_CSV_HEADER)]
@@ -166,7 +168,7 @@ def _region_csv(region: bounds.RateRegion) -> str:
             f"{c.label},nan,{e!r},{r!r},true"
             for e, r in zip(c.r_est.tolist(), c.r_com.tolist())
         )
-    text = ["\n".join(lines) + "\n"]
+    blocks = [("\n".join(lines) + "\n").encode()]
     # the cloud: the two interpolated points, then every grid point
     head, tail = b"hull,nan,", b",true\n"
     cloud = join_fields([
@@ -177,25 +179,36 @@ def _region_csv(region: bounds.RateRegion) -> str:
     for first in range(0, len(g.alpha), _CSV_BLOCK):
         rows = slice(first, first + _CSV_BLOCK)
         flags = np.take(_FLAG_FIELDS, g.self_consistent[rows].view(np.uint8), axis=0)
-        text.append(records_text(join_fields([
+        blocks.append(records_bytes(join_fields([
             b"waterfill,", repr_records(g.alpha[rows]), b",", pairs[rows], b",", flags, b"\n",
         ])))
     # hull cloud index i >= 2 is the (i - 2)-th self-consistent grid point
     at = np.concatenate(([0, 1], 2 + np.flatnonzero(g.self_consistent)))[region.hull_index]
     for first in range(0, len(at), _CSV_BLOCK):
-        text.append(records_text(np.take(cloud, at[first : first + _CSV_BLOCK], axis=0)))
-    return "".join(text)
+        blocks.append(records_bytes(np.take(cloud, at[first : first + _CSV_BLOCK], axis=0)))
+    return blocks
 
 
-def _region_files(prefix: str, region: bounds.RateRegion) -> dict[str, str]:
-    return {
-        f"{prefix}.csv": _region_csv(region),
-        f"{prefix}.svg": render_curves_svg(
-            [(c.label, c.r_est, c.r_com) for c in region.curves],
-            x_label="estimation rate (bits/s)",
-            y_label="communications rate (bits/s)",
-        ),
-    }
+def _region_svg(region: bounds.RateRegion) -> bytes:
+    """The five curves drawn from one point table: the hull's cloud (the
+    interpolated points, then the waterfill points), then the outer and
+    sic vertices. Every curve but the hull is a range of the table, and
+    the hull is the cloud at ``hull_index``."""
+    table = (region.interpolated, region.waterfill, region.outer, region.sic)
+    ends = np.cumsum([len(c.r_est) for c in table])
+    index = {c.label: np.arange(end - len(c.r_est), end) for c, end in zip(table, ends)}
+    index[region.hull.label] = region.hull_index
+    return render_curves_svg(
+        [(c.label, index[c.label]) for c in region.curves],
+        x_label="estimation rate (bits/s)",
+        y_label="communications rate (bits/s)",
+        points=(np.concatenate([c.r_est for c in table]),
+                np.concatenate([c.r_com for c in table])),
+    )
+
+
+def _region_files(prefix: str, region: bounds.RateRegion) -> dict[str, bytes | list[bytes]]:
+    return {f"{prefix}.csv": _region_csv(region), f"{prefix}.svg": _region_svg(region)}
 
 
 def cmd_region(args: argparse.Namespace) -> Outcome:
@@ -236,7 +249,7 @@ def cmd_pentagon(args: argparse.Namespace) -> Outcome:
     )
     return Outcome(
         files={
-            "pentagon.csv": csv_text(("label", "r1_bits", "r2_bits"), rows),
+            "pentagon.csv": csv_text(("label", "r1_bits", "r2_bits"), rows).encode(),
             "pentagon.svg": svg,
         },
         parameters={"snr1_db": args.snr1_db, "snr2_db": args.snr2_db},
@@ -260,7 +273,7 @@ def cmd_validate(args: argparse.Namespace) -> Outcome:
     status = "pass" if report.passed else "FAIL"
     report_json = json.dumps(report.to_json_dict(), indent=2) + "\n"
     return Outcome(
-        files={f"validate_{args.experiment}.json": report_json},
+        files={f"validate_{args.experiment}.json": report_json.encode()},
         parameters={"experiment": args.experiment, "trials": args.trials},
         seed=seed,
         counters={"workers": mcsim.trial_workers(args.trials)},
@@ -284,7 +297,7 @@ def cmd_sweep(args: argparse.Namespace) -> Outcome:
     variants = [replace_scenario_field(scenario, args.vary, v) for v in values]
     alpha_grid = waterfill.default_alpha_grid(args.alpha_points)
 
-    files: dict[str, str] = {}
+    files: dict[str, bytes | list[bytes]] = {}
     summary_rows, counters = [], []
     for i, (value, variant) in enumerate(zip(values, variants)):
         try:
@@ -299,7 +312,7 @@ def cmd_sweep(args: argparse.Namespace) -> Outcome:
     files["sweep_summary.csv"] = csv_text(
         ("value", "est_outer_rate_bps", "comms_outer_rate_bps", "sic_comms_rate_bps"),
         summary_rows,
-    )
+    ).encode()
     return Outcome(
         files=files,
         parameters={
@@ -353,8 +366,8 @@ def main(argv: list[str] | None = None) -> int:
             args.out if args.out is not None else os.environ.get("MUDR_OUT", ".")
         )
         out.mkdir(parents=True, exist_ok=True)
-        for name, text in outcome.files.items():
-            atomic_write_text(out / name, text)
+        for name, data in outcome.files.items():
+            atomic_write_text(out / name, data)
         write_manifest(
             out / "manifest.json",
             command=args.command,

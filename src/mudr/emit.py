@@ -5,14 +5,24 @@ floats are written with shortest round-trip repr (CSV/JSON) or fixed
 two-decimal coordinates (SVG), lines end with LF, and files are written
 atomically via a temp file and rename.
 
-SVG path coordinates are printed in one numpy pass: each value's
-correctly rounded hundredths are gathered from digit tables into fixed
-16-byte path records. A curve takes that path only where it prints
-exactly the text of Python's ``f"{v:.2f}"`` (see ``_path_text``); any
-other curve is formatted by that expression. Float columns of CSV rows
-are printed the same way (``repr_records``): each value's text is proven
-equal to its ``repr``, and any value it cannot prove is printed by
-``fmt_float``. The digit tables are built on first use.
+The SVG draws its curves from one point table: a curve is an index array
+into it, so a point that several curves pass through (the region's hull
+and the waterfill and interpolated curves it picks from) is scaled and
+printed once. Its coordinates are printed in one numpy pass: each
+value's correctly rounded hundredths pick the words of its ``iii.ff``
+text from tables of integer parts and fractions, into fixed 20-byte path
+records, and each path gathers the records of its points (see
+``_paths``). A point takes that path only where it prints exactly the
+text of Python's ``f"{v:.2f}"``; any other point is formatted by that
+expression and spliced in. Float columns of CSV rows are printed the
+same way (``repr_records``): each value's text is proven equal to its
+``repr``, and any value it cannot prove is printed by ``fmt_float``. The
+text tables are built on first use.
+
+Outputs stay bytes from the records to the file: ``records_bytes`` drops
+the records' NUL padding into bytes, the SVG is rendered as bytes, and
+``atomic_write_text`` writes bytes or a list of byte blocks as they are,
+so a large CSV is never joined, decoded or encoded as a whole.
 """
 
 from __future__ import annotations
@@ -38,17 +48,15 @@ _PALETTE = (
 
 
 @functools.cache
-def _path_digits() -> tuple[np.ndarray, np.ndarray]:
-    """Digit tables of the SVG path records: the integer parts 0..999 right
-    aligned in 3 bytes, padded with NUL bytes that are dropped after the
-    gather, and the two-digit fractions 00..99."""
-    ints = np.frombuffer(
-        b"".join(str(k).rjust(3, "\0").encode() for k in range(1000)), np.uint8
-    ).reshape(1000, 3)
-    fracs = np.frombuffer(
-        b"".join(f"{k:02d}".encode() for k in range(100)), np.uint8
-    ).reshape(100, 2)
-    return ints, fracs
+def _path_words() -> tuple[np.ndarray, np.ndarray]:
+    """The text of the SVG path records as little-endian 4-byte words, NUL
+    bytes padding what a word does not fill: the integer parts 0..999,
+    right-aligned in 3 bytes, each followed by "."; then the two-digit
+    fractions 00..99, each followed by "," in row 0 and by nothing in
+    row 1."""
+    ints = b"".join((str(k).rjust(3, "\0") + ".").encode() for k in range(1000))
+    fracs = [b"".join(f"{k:02d}{end}".encode() for k in range(100)) for end in (",\0", "\0\0")]
+    return np.frombuffer(ints, "<u4"), np.frombuffer(b"".join(fracs), "<u4").reshape(2, 100)
 
 
 def escape(text: str) -> str:
@@ -61,15 +69,16 @@ def fmt_float(x: float) -> str:
     return repr(float(x))
 
 
-def atomic_write_text(path: Path, text: str) -> None:
-    """Write ``text`` through a uniquely named temp file in the same
-    directory, then rename it over ``path``; the temp file is removed if
-    the write fails. The file gets the umask default mode."""
+def atomic_write_text(path: Path, data: bytes | Iterable[bytes]) -> None:
+    """Write ``data``, text as bytes or as an iterable of bytes-like blocks,
+    through a uniquely named temp file in the same directory, then rename
+    it over ``path``. If the write fails, the temp file is removed and
+    ``path`` is left as it was. The file gets the umask default mode."""
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
-    fh = open(tmp, "x")
+    fh = open(tmp, "xb")
     try:
         with fh:
-            fh.write(text)
+            fh.writelines([data] if isinstance(data, bytes) else data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -103,16 +112,17 @@ def write_manifest(
     }
     if counters is not None:
         manifest["counters"] = counters
-    atomic_write_text(path, json.dumps(manifest, indent=2) + "\n")
+    atomic_write_text(path, (json.dumps(manifest, indent=2) + "\n").encode())
 
 
 def _ticks(limit: float) -> list[float]:
     return [limit * i / 4 for i in range(5)]
 
 
-def _cents(values: np.ndarray) -> np.ndarray | None:
-    """The correctly rounded hundredths of every value, or None unless each
-    value's ``.2f`` text is ``i.ff`` with at most three integer digits.
+def _cents(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The correctly rounded hundredths of each value, and whether the
+    value's ``.2f`` text is ``i.ff`` with at most three integer digits;
+    where it is not, the hundredths read 0.
 
     With y = fl(100 v) and c = rint(y), the exact 100 v lies within half
     a spacing of y, so ``|y - c| < 0.5 - spacing(y)`` puts it strictly
@@ -123,26 +133,42 @@ def _cents(values: np.ndarray) -> np.ndarray | None:
         y = values * 100.0
         c = np.rint(y)
         exact = ~np.signbit(y) & (c < 1e5) & (np.abs(y - c) < 0.5 - np.spacing(y))
-    return c.astype(np.int64) if exact.all() else None
+    return np.where(exact, c, 0.0).astype(np.int32), exact
 
 
-def _path_text(xs: np.ndarray, ys: np.ndarray) -> str:
-    """SVG path data ``M x,y L x,y ...`` of float64 columns, each value
-    printed as ``f"{v:.2f}"``."""
-    cx, cy = _cents(xs), _cents(ys)
-    if cx is None or cy is None:
-        coords = " L ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs.tolist(), ys.tolist()))
-        return f"M {coords}"
-    # one " L iii.ff,iii.ff" record per point
-    int_digits, frac_digits = _path_digits()
-    records = np.empty((len(cx), 16), dtype=np.uint8)
-    records[:, 0:3] = np.frombuffer(b" L ", np.uint8)
-    for col, cents in ((3, cx), (10, cy)):
-        records[:, col : col + 3] = int_digits[cents // 100]
-        records[:, col + 3] = ord(".")
-        records[:, col + 4 : col + 6] = frac_digits[cents % 100]
-    records[:, 9] = ord(",")
-    return f"M {records_text(records)[3:]}"
+def _paths(xs: np.ndarray, ys: np.ndarray, indices: Sequence[np.ndarray]) -> list[bytes]:
+    """SVG path data ``M x,y L x,y ...`` of the points of the table
+    (``xs``, ``ys``) at each index array, every value printed as
+    ``f"{v:.2f}"``.
+
+    Each table point is printed once: where ``_cents`` takes both of its
+    values, into a 20-byte `` L iii.ff,iii.ff`` record of five words
+    gathered from ``_path_words``, and otherwise by that expression. A
+    path gathers the records of its points, its first record starting
+    ``M `` instead, and splices in the text of any other point.
+    """
+    (cx, x_ok), (cy, y_ok) = _cents(xs), _cents(ys)
+    ints, fracs = _path_words()
+    words = np.empty((len(xs), 5), "<u4")
+    words[:, 0] = np.frombuffer(b"\0 L ", "<u4")[0]
+    for col, cents, frac in ((1, cx, fracs[0]), (3, cy, fracs[1])):
+        whole, part = np.divmod(cents, 100)
+        words[:, col] = ints[whole]
+        words[:, col + 1] = frac[part]
+    records = words.view(np.uint8)
+    other = ~(x_ok & y_ok)
+    paths = []
+    for index in map(np.asarray, indices):
+        rows = np.take(records, index, axis=0)
+        rows[0, 0:4] = np.frombuffer(b"\0\0M ", np.uint8)
+        at = np.flatnonzero(other[index])
+        runs = np.split(rows, at)  # each run after the first starts at an other point
+        body = [records_bytes(runs[0])]
+        for j, i, run in zip(at.tolist(), index[at].tolist(), runs[1:]):
+            point = f"{'M ' if j == 0 else ' L '}{float(xs[i]):.2f},{float(ys[i]):.2f}"
+            body += [point.encode(), records_bytes(run[1:])]
+        paths.append(b"".join(body))
+    return paths
 
 
 #: Values per block of ``repr_records``: the temporaries of one block stay
@@ -362,23 +388,36 @@ def join_fields(fields: Sequence[np.ndarray | bytes]) -> np.ndarray:
     return out
 
 
-def records_text(records: np.ndarray) -> str:
-    """The records' bytes in order, every NUL byte dropped, as text."""
-    return str(records[records != 0].data, "ascii")
+def records_bytes(records: np.ndarray) -> bytes:
+    """The records' bytes in order, every NUL byte dropped."""
+    return records.tobytes().translate(None, b"\0")
 
 
 def render_curves_svg(
-    curves: Sequence[tuple[str, Sequence[float], Sequence[float]]],
+    curves: Sequence[tuple],
     x_label: str,
     y_label: str,
-) -> str:
-    """800x600 linear-axes plot with one path per ``(label, xs, ys)`` curve;
-    the columns are float64 arrays or lists of floats."""
+    points: tuple[np.ndarray, np.ndarray] | None = None,
+) -> bytes:
+    """800x600 linear-axes plot with one path per curve, as bytes. A curve
+    is ``(label, xs, ys)``, columns of float64 arrays or lists of floats;
+    or, with the table ``points = (xs, ys)`` of float64 columns given,
+    ``(label, index)``: the table's points at the integer array ``index``.
+    Each table point is scaled and printed once, however many curves
+    pass through it."""
+    if points is None:
+        columns = [(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+                   for _, xs, ys in curves]
+        ends = np.cumsum([len(xs) for xs, _ in columns])
+        curves = [(label, np.arange(end - len(xs), end))
+                  for (label, *_), (xs, _), end in zip(curves, columns, ends)]
+        points = tuple(np.concatenate(column) for column in zip(*columns))
+    xs, ys = points
     width, height = 800, 600
     left, right, top, bottom = 80.0, 630.0, 30.0, 540.0
 
-    x_max = max(float(np.max(xs)) for _, xs, _ in curves)
-    y_max = max(float(np.max(ys)) for _, _, ys in curves)
+    x_max = max(float(np.max(xs[index])) for _, index in curves)
+    y_max = max(float(np.max(ys[index])) for _, index in curves)
     x_span = x_max * 1.05 if x_max > 0 else 1.0
     y_span = y_max * 1.05 if y_max > 0 else 1.0
 
@@ -429,23 +468,19 @@ def render_curves_svg(
         f"{escape(y_label)}</text>"
     )
 
-    for i, (label, xs, ys) in enumerate(curves):
+    out = ["\n".join(parts).encode()]
+    paths = _paths(sx(xs), sy(ys), [index for _, index in curves])
+    for i, ((label, _), path) in enumerate(zip(curves, paths)):
         color = _PALETTE[i % len(_PALETTE)]
-        path = _path_text(
-            sx(np.asarray(xs, dtype=float)), sy(np.asarray(ys, dtype=float))
-        )
-        parts.append(
-            f'<path id="{escape(label)}" d="{path}" fill="none" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
         ly = top + 18 + 20 * i
-        parts.append(
+        out += [
+            f'\n<path id="{escape(label)}" d="'.encode(),
+            path,
+            f'" fill="none" stroke="{color}" stroke-width="2"/>\n'
             f'<line x1="{right + 12:.2f}" y1="{ly:.2f}" x2="{right + 40:.2f}" '
-            f'y2="{ly:.2f}" stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
+            f'y2="{ly:.2f}" stroke="{color}" stroke-width="2"/>\n'
             f'<text x="{right + 46:.2f}" y="{ly + 4:.2f}" font-size="13">'
-            f"{escape(label)}</text>"
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+            f"{escape(label)}</text>".encode(),
+        ]
+    out.append(b"\n</svg>\n")
+    return b"".join(out)

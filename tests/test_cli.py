@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import errno
+import hashlib
 import io
 import json
 import math
@@ -438,12 +439,70 @@ def test_region_files_equal_per_curve_oracle(table2_scenario, case):
     else:
         assert len(region.hull_index) == cloud_points  # the fast path
     files = cli._region_files("region", region)
-    assert files["region.csv"] == region_csv_text(region)
+    assert b"".join(files["region.csv"]) == region_csv_text(region).encode()
+    # the SVG draws its curves from one point table; each curve as its own
+    # columns gives the same bytes
     assert files["region.svg"] == render_curves_svg(
         [(c.label, c.r_est, c.r_com) for c in region.curves],
         x_label="estimation rate (bits/s)",
         y_label="communications rate (bits/s)",
     )
+
+
+# sha256 of region.csv and region.svg as the commit before the SVG point
+# table and the byte-block writer wrote them (table2 unless a field is set)
+REGION_DIGESTS = {
+    ("table2", 1): (
+        "eea63df4287bc12694d5e65a30bd54d766028539164650364f95224cb10ec502",
+        "cb4afa4e7852b85403a10ba19be1970c6f05e625636c89556efbb9420080ec7e",
+    ),
+    ("table2", 2): (
+        "b88d5e973442906cc9869072df0b241bc14a1af8cc1d7d5ecb098ca489b60c89",
+        "cb4afa4e7852b85403a10ba19be1970c6f05e625636c89556efbb9420080ec7e",
+    ),
+    ("table2", 7): (
+        "5743ca8a415a6f44f1d9ceb88a52df37b074886244b2f2398a42d9ff90023d6f",
+        "141c692182ccf4cf5d7170a3c8b072b911cfa2a62ff1dcb525086c9ca9166940",
+    ),
+    ("table2", 400): (
+        "f1b19c439ec1e7dc1cb9cc4bcb09b7bf48e2a328c0bcd6a8bf4af7c30d6e4d7e",
+        "8de5b89205b72c6e22ec1315b95c07c70d0e71b124932416d4b69478799ccb55",
+    ),
+    ("table2", 100000): (
+        "30f56662604469d3cba094d27eb1c2a4b1ea91305321dc2507edd88b634ee71b",
+        "6a366cd5177ee0c0f311bfa0bffc753070bd11e839a1a4e5e39e8a49632012c8",
+    ),
+    ("two_targets", 400): (
+        "850629db6a964e040285a294525e1a4ba02451207128ba2ed925bd279ffe1c32",
+        "f057e74af0123c5ea07314dc03c185b94f5f17df8f6bda391d0e0463d40ede1c",
+    ),
+    ("radar_1e5_w", 400): (
+        "c8f7b730c9608b8bc10f4ceb0892f76c265351a602e0389dff7ff6eaa141124e",
+        "ae8d2ae24e5f06730f718464eaf70bce6a6939baeb327dbf1daf9370b20e2efb",
+    ),
+    ("radar_1e-3_w", 400): (
+        "c7d567b88e27cce1e54190cbcf5e0822403361afac436a56ef3b2e0241b913a4",
+        "ea26e0873ff42e23455d340294a20d2f729e34a6b66e5aaac519521a4a50ae08",
+    ),
+}
+
+
+@pytest.mark.parametrize("case, points", sorted(REGION_DIGESTS))
+def test_region_bytes_equal_pinned_digests(tmp_path, case, points):
+    fields = {
+        "table2": {},
+        "two_targets": {"targets": [*json.loads(bundled_scenario_path().read_text())["targets"],
+                                    {"range_m": 150e3, "cross_section_m2": 5,
+                                     "process_range_std_m": 50}]},
+        "radar_1e5_w": {"radar.power_w": 1e5},
+        "radar_1e-3_w": {"radar.power_w": 1e-3},
+    }[case]
+    scenario = write_variant(tmp_path, "scenario.json", **fields)
+    assert run("region", "--scenario", scenario, "--alpha-points", points,
+               "--out", tmp_path / "out") == 0
+    digests = tuple(hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+                    for name in ("region.csv", "region.svg"))
+    assert digests == REGION_DIGESTS[case, points]
 
 
 # --- region.csv blocks and worker processes ----------------------------------------
@@ -467,11 +526,14 @@ def test_region_csv_blocks_equal_one_block(table2_scenario, case, monkeypatch):
         assert not region.grid.self_consistent.all()
         assert len(region.hull_index) < 2 + len(region.waterfill.r_est)
     one = cli._region_csv(region)  # 400 rows: one block of rows and of values
+    assert len(one) == 3  # the header and short curves, waterfill rows, hull rows
     # blocks of 64 rows and 48 values: blocks that span decades, and hull
     # rows gathered across blocks
     monkeypatch.setattr(cli, "_CSV_BLOCK", 64)
     monkeypatch.setattr(emit, "_REPR_BLOCK", 48)
-    assert cli._region_csv(region) == one == region_csv_text(region)
+    blocks = cli._region_csv(region)
+    assert len(blocks) > len(one)
+    assert b"".join(blocks) == b"".join(one) == region_csv_text(region).encode()
 
 
 def assert_two_worker_validate_exits_4(tmp_path, monkeypatch, capsys, message):

@@ -13,9 +13,11 @@ from mudr import emit
 
 def test_atomic_write_text_replaces_file(tmp_path):
     path = tmp_path / "out.csv"
-    emit.atomic_write_text(path, "a\n")
-    emit.atomic_write_text(path, "b\n")
-    assert path.read_text() == "b\n"
+    emit.atomic_write_text(path, b"a\n")
+    assert path.read_bytes() == b"a\n"
+    # byte blocks of any bytes-like type are written in order
+    emit.atomic_write_text(path, [b"b", memoryview(b",c"), np.frombuffer(b"\n", np.uint8)])
+    assert path.read_bytes() == b"b,c\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
@@ -23,27 +25,38 @@ def test_atomic_write_text_failure_leaves_no_temp(tmp_path):
     target = tmp_path / "out"
     target.mkdir()  # renaming a file over a directory fails
     with pytest.raises(OSError):
-        emit.atomic_write_text(target, "a\n")
+        emit.atomic_write_text(target, b"a\n")
     assert not list(tmp_path.glob("*.tmp"))
-    with pytest.raises(UnicodeEncodeError):
-        emit.atomic_write_text(tmp_path / "bad.txt", "\udc80")
-    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    # a block that raises mid-write: no temp file, and the old file as it was
+    old = tmp_path / "old.csv"
+    old.write_bytes(b"old\n")
+
+    def blocks():
+        yield b"new,"
+        raise RuntimeError("block failed")
+
+    with pytest.raises(RuntimeError, match="block failed"):
+        emit.atomic_write_text(old, blocks())
+    assert old.read_bytes() == b"old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.csv", "out"]
 
 
 def test_atomic_write_text_ignores_stale_fixed_temp_name(tmp_path):
     # a leftover or concurrent "<name>.tmp" must not block the write
     (tmp_path / "out.csv.tmp").mkdir()
-    emit.atomic_write_text(tmp_path / "out.csv", "a\n")
-    assert (tmp_path / "out.csv").read_text() == "a\n"
+    emit.atomic_write_text(tmp_path / "out.csv", [b"a", b"\n"])
+    assert (tmp_path / "out.csv").read_bytes() == b"a\n"
 
 
 def test_atomic_write_text_umask_mode(tmp_path):
     umask = os.umask(0o027)
     try:
-        emit.atomic_write_text(tmp_path / "out.csv", "a\n")
+        emit.atomic_write_text(tmp_path / "out.csv", b"a\n")
+        emit.atomic_write_text(tmp_path / "blocks.csv", [b"a", b"\n"])
     finally:
         os.umask(umask)
-    assert (tmp_path / "out.csv").stat().st_mode & 0o777 == 0o640
+    for name in ("out.csv", "blocks.csv"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == 0o640
 
 
 def test_render_curves_svg_geometry():
@@ -62,20 +75,36 @@ def test_render_curves_svg_geometry():
     assert ticks == ["0", "0.525", "1.05", "1.575", "2.1"] * 2
     as_arrays = [(label, np.array(xs), np.array(ys)) for label, xs, ys in curves]
     assert emit.render_curves_svg(as_arrays, x_label="x", y_label="y") == svg
+    # the same curves as index arrays into one point table, "b" sharing a point
+    table = (np.array([0.0, 1.0, 2.0, 0.5, 2.0]), np.array([0.0, 2.0, 1.0, 1.5, 0.0]))
+    indexed = [("a", np.array([0, 1, 2])), ("b", np.array([3, 4]))]
+    assert emit.render_curves_svg(indexed, x_label="x", y_label="y", points=table) == svg
 
 
 # --- SVG path coordinates ---------------------------------------------------------
 
 
-def python_path(xs, ys) -> str:
+def python_path(xs, ys) -> bytes:
     """The path data as Python's ``.2f`` formats it, point by point."""
-    return "M " + " L ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+    return ("M " + " L ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))).encode()
+
+
+def assert_paths_are_python_text(xs, ys, indices):
+    """Each path of the point table (xs, ys) equals the oracle that formats
+    its own points."""
+    xs, ys = np.array(xs, dtype=float), np.array(ys, dtype=float)
+    indices = [np.array(index, dtype=np.int64) for index in indices]
+    paths = emit._paths(xs, ys, indices)
+    for index, path in zip(indices, paths, strict=True):
+        assert path == python_path(xs[index].tolist(), ys[index].tolist())
 
 
 def assert_path_is_python_text(values):
+    # the whole table, its reverse and every other point: paths that share points
+    n = len(values)
     xs = np.array(values, dtype=float)
     ys = xs[::-1].copy()
-    assert emit._path_text(xs, ys) == python_path(xs.tolist(), ys.tolist())
+    assert_paths_are_python_text(xs, ys, [range(n), range(n - 1, -1, -1), range(0, n, 2)])
 
 
 @given(st.lists(st.floats(0.0, 1000.0, exclude_max=True), min_size=1, max_size=50))
@@ -96,8 +125,7 @@ TIES = [m / 8 for m in range(1, 8000, 2)]
 def test_path_text_ties_and_near_ties():
     ties = np.array(TIES)
     assert (ties * 100 % 1 == 0.5).all()  # each is an exact tie
-    for v in ties.tolist():
-        assert emit._cents(np.array([v])) is None  # a tie takes the fallback
+    assert not emit._cents(ties)[1].any()  # a tie takes the fallback
     assert_path_is_python_text(TIES)
     # one ulp either side is no tie: either path prints Python's text
     for toward in (-np.inf, np.inf):
@@ -108,17 +136,52 @@ def test_path_text_ties_and_near_ties():
     "value", [-0.0, -1e-300, -0.004, -1.0, np.nan, np.inf, -np.inf, 999.995, 1000.0, 1e300]
 )
 def test_path_text_fallback_values(value):
-    assert emit._cents(np.array([value])) is None
-    # one such value sends the whole curve to the fallback, text unchanged
-    assert emit._cents(np.array([1.0, value, 2.0])) is None
+    cents, exact = emit._cents(np.array([1.0, value, 2.0]))
+    # only that value takes the fallback, and its count reads 0
+    assert exact.tolist() == [True, False, True]
+    assert cents.tolist() == [100, 0, 200]
     assert_path_is_python_text([1.0, value, 2.0])
     assert_path_is_python_text([value])
 
 
 def test_path_text_fast_path_cents():
     values = np.array([0.0, 0.004, 0.005001, 1.0, 12.345678, 999.994])
-    assert emit._cents(values).tolist() == [0, 0, 1, 100, 1235, 99999]
+    cents, exact = emit._cents(values)
+    assert exact.all()
+    assert cents.tolist() == [0, 0, 1, 100, 1235, 99999]
     assert_path_is_python_text(values)
+
+
+# table values: the fast path's range, exact ties m/8, -0.0, negatives,
+# NaN, infinities and values of 1000 or more
+path_values = st.one_of(
+    st.floats(0.0, 1000.0, exclude_max=True),
+    st.integers(0, 7999).map(lambda m: m / 8),
+    st.sampled_from([-0.0, -0.004, -1.5, np.nan, np.inf, -np.inf, 1000.0, 999.995, 1e300]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=150)
+@given(st.data(), st.lists(st.tuples(path_values, path_values), min_size=1, max_size=30))
+def test_paths_of_shared_points_equal_per_curve_format(data, points):
+    n = len(points)
+    # curves that share, repeat and reorder points, in any number
+    indices = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=40),
+                                 min_size=1, max_size=5))
+    xs, ys = zip(*points)
+    assert_paths_are_python_text(xs, ys, indices)
+
+
+def test_path_words_are_python_text():
+    ints, fracs = emit._path_words()
+    assert ints.dtype == fracs.dtype == np.dtype("<u4")
+    assert ints.shape == (1000,) and fracs.shape == (2, 100)
+    text = lambda word: word.tobytes().replace(b"\0", b"").decode()  # noqa: E731
+    assert [text(ints[k]) for k in (0, 7, 42, 999)] == ["0.", "7.", "42.", "999."]
+    assert [text(fracs[row, k]) for row in (0, 1) for k in (0, 5, 99)] == [
+        "00,", "05,", "99,", "00", "05", "99"
+    ]
 
 
 @given(st.text())
@@ -239,7 +302,7 @@ def test_repr_records_integral_values_and_trailing_zeros():
     assert_records_are_repr(values)
 
 
-def test_join_fields_and_records_text():
+def test_join_fields_and_records_bytes():
     records = emit.join_fields([b"a,", emit.repr_records(np.array([0.5, 1200.0])), b"\n"])
     assert records.shape[0] == 2
-    assert emit.records_text(records) == "a,0.5\na,1200.0\n"
+    assert emit.records_bytes(records) == b"a,0.5\na,1200.0\n"

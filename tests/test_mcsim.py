@@ -209,7 +209,7 @@ def test_cli_import_leaves_numpy_random_unloaded():
     src = str(Path(mcsim.__file__).resolve().parents[1])
     modules = ("numpy.random", "multiprocessing", "concurrent.futures", "xml.sax",
                "urllib.request")
-    tables = ("_path_digits", "_repr_tables")
+    tables = ("_path_words", "_repr_tables")
     code = f"import sys; sys.path.insert(0, {src!r}); import mudr.cli; " \
         f"print([m for m in {modules!r} if m in sys.modules]); " \
         f"print([t for t in {tables!r} if getattr(mudr.emit, t).cache_info().currsize])"
