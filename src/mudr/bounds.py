@@ -10,6 +10,10 @@ log2(1 + sigma_proc^2 / CRB) per pulse repetition interval. It is written
 once, in that log form: where sigma_proc^2 is small against the CRB, the
 difference of two entropies loses more digits to cancellation. Every
 communications rate is bw log2(1 + b^2 P / noise) from one helper.
+
+:func:`rate_region` returns the displayed curves as one point table
+(:class:`RateRegion`): each curve is an index array of its rows, and
+this module is the one place that lays the rows out.
 """
 
 from __future__ import annotations
@@ -89,26 +93,37 @@ class RateCurve:
 
 @dataclass(frozen=True, eq=False)
 class RateRegion:
-    """The displayed curves of one scenario and the waterfill ``grid`` they
-    came from, which keeps every evaluated split, self-consistent or not.
+    """The displayed curves of one scenario as one point table, and the
+    waterfill ``grid`` they came from, which keeps every evaluated split,
+    self-consistent or not.
 
-    ``hull_index`` holds the hull's vertices as indices into the cloud of
-    the two interpolated points followed by the waterfill points: cloud
-    index ``i >= 2`` is grid index ``flatnonzero(grid.self_consistent)[i - 2]``.
+    Row ``i`` of the table is (``r_est[i]``, ``r_com[i]``) in bits/s: the
+    three outer vertices, the two sic points, the two interpolated points,
+    then every split of the grid in grid order (``grid_rows``). ``index``
+    maps each curve's label to the int array of its rows, in CSV and SVG
+    order: the waterfill curve is the self-consistent splits' rows, and
+    the hull's rows are picked from the interpolated and waterfill rows.
     """
 
-    outer: RateCurve
-    sic: RateCurve
-    interpolated: RateCurve
-    waterfill: RateCurve
-    hull: RateCurve
-    hull_index: np.ndarray
+    r_est: np.ndarray
+    r_com: np.ndarray
+    index: dict[str, np.ndarray]
     grid: WaterfillGrid
+
+    @property
+    def grid_rows(self) -> np.ndarray:
+        """The table rows of the grid's splits, one per alpha, in grid order."""
+        return np.arange(len(self.r_est) - len(self.grid.alpha), len(self.r_est))
+
+    def curve(self, label: str) -> RateCurve:
+        """The curve ``label`` as its own columns, gathered from the table."""
+        rows = self.index[label]
+        return RateCurve(label, self.r_est[rows], self.r_com[rows])
 
     @property
     def curves(self) -> tuple[RateCurve, ...]:
         """The five curves in CSV and SVG order."""
-        return (self.outer, self.sic, self.interpolated, self.waterfill, self.hull)
+        return tuple(map(self.curve, self.index))
 
 
 @dataclass(frozen=True)
@@ -243,7 +258,8 @@ def rate_region(lb: LinkBudget, alpha_grid: Sequence[float]) -> RateRegion:
     comms-alone point to the cancellation vertex, "waterfill" the
     self-consistent splits of :func:`mudr.waterfill.waterfill_grid` over
     ``alpha_grid`` and "hull" the upper convex hull of the two inner
-    curves.
+    curves. Each curve is its rows of one point table (see
+    :class:`RateRegion`).
     """
     from . import waterfill
 
@@ -256,18 +272,11 @@ def rate_region(lb: LinkBudget, alpha_grid: Sequence[float]) -> RateRegion:
     if not keep.any():
         raise ValueError("no self-consistent waterfill point on the given grid; "
                          "a split alpha needs duty_factor <= 1 - alpha")
-    split_est, split_com = grid.r_est[keep], grid.r_com_total[keep]
-    inner_est, inner_com = np.array([0.0, r_est]), np.array([r_com, r_sic])
-    outer_est, outer_com = np.array([0.0, r_est, r_est]), np.array([r_com, r_com, 0.0])
-    cloud_est = np.concatenate((inner_est, split_est))
-    cloud_com = np.concatenate((inner_com, split_com))
-    hull_index = waterfill.upper_convex_hull(cloud_est, cloud_com)
-    return RateRegion(
-        outer=RateCurve("outer", outer_est, outer_com),
-        sic=RateCurve("sic", inner_est, np.array([r_sic, r_sic])),
-        interpolated=RateCurve("interpolated", inner_est, inner_com),
-        waterfill=RateCurve("waterfill", split_est, split_com),
-        hull=RateCurve("hull", cloud_est[hull_index], cloud_com[hull_index]),
-        hull_index=hull_index,
-        grid=grid,
-    )
+    # the outer vertices, the sic points, the interpolated points, every split
+    est = np.concatenate(([0.0, r_est, r_est, 0.0, r_est, 0.0, r_est], grid.r_est))
+    com = np.concatenate(([r_com, r_com, 0.0, r_sic, r_sic, r_com, r_sic], grid.r_com_total))
+    index = {"outer": np.arange(0, 3), "sic": np.arange(3, 5), "interpolated": np.arange(5, 7),
+             "waterfill": 7 + np.flatnonzero(keep)}
+    cloud = np.concatenate((index["interpolated"], index["waterfill"]))
+    index["hull"] = cloud[waterfill.upper_convex_hull(est[cloud], com[cloud])]
+    return RateRegion(r_est=est, r_com=com, index=index, grid=grid)

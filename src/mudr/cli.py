@@ -8,11 +8,13 @@ artifact is reproducible from its manifest.
 
 The Monte Carlo kernels split their trials over forked worker processes
 (``mudr.workers``); no flag or environment variable sets the count, and
-the report bytes do not depend on it. ``region.csv`` is written in this
-process: ``emit.repr_records`` prints its grid floats in numpy, each
-value's text proven equal to ``repr`` (Clinger's fast path at 15 digits,
-an exact Dekker product and the rounding interval at 16 and 17), and
-every value it cannot prove by ``repr`` itself.
+the report bytes do not depend on it. ``region.csv`` and ``region.svg``
+are written in this process from the region's one point table
+(``bounds.RateRegion``), whose row layout only ``bounds`` knows: each
+curve is its rows, and ``emit.repr_records`` prints the table's floats in
+numpy, each value's text proven equal to ``repr`` (Clinger's fast path at
+15 digits, an exact Dekker product and the rounding interval at 16 and
+17), and every value it cannot prove by ``repr`` itself.
 """
 
 from __future__ import annotations
@@ -152,63 +154,41 @@ def _region(scenario: Scenario, alpha_grid: np.ndarray) -> bounds.RateRegion:
 
 def _region_csv(region: bounds.RateRegion) -> list[bytes]:
     """CSV text as byte blocks, one row per curve vertex; waterfill rows
-    keep every grid point, flagged by self-consistency, and hull rows
-    reuse the text of the points they pick.
+    keep every grid point, flagged by self-consistency.
 
-    The grid's floats are printed by ``emit.repr_records``, each once: every
-    point of the hull's cloud is laid out once as a whole hull row, from
-    which the waterfill rows take their "r_est,r_com" bytes and the hull
-    rows are picked by index. Rows are joined in blocks of ``_CSV_BLOCK``,
-    which go to the writer as they are.
+    The table's floats are printed by ``emit.repr_records``, each once,
+    into one "r_est,r_com" record per table row, which a curve's rows
+    gather by its index and the waterfill rows take for every grid row.
+    Rows are joined in blocks of ``_CSV_BLOCK``, which go to the writer as
+    they are.
     """
-    g, inner = region.grid, region.interpolated
-    lines = [",".join(REGION_CSV_HEADER)]
-    for c in (region.outer, region.sic, inner):
-        lines.extend(
-            f"{c.label},nan,{e!r},{r!r},true"
-            for e, r in zip(c.r_est.tolist(), c.r_com.tolist())
-        )
-    blocks = [("\n".join(lines) + "\n").encode()]
-    # the cloud: the two interpolated points, then every grid point
-    head, tail = b"hull,nan,", b",true\n"
-    cloud = join_fields([
-        head, repr_records(np.concatenate((inner.r_est, g.r_est))), b",",
-        repr_records(np.concatenate((inner.r_com, g.r_com_total))), tail,
-    ])
-    pairs = cloud[2:, len(head) : -len(tail)]
-    for first in range(0, len(g.alpha), _CSV_BLOCK):
-        rows = slice(first, first + _CSV_BLOCK)
-        flags = np.take(_FLAG_FIELDS, g.self_consistent[rows].view(np.uint8), axis=0)
-        blocks.append(records_bytes(join_fields([
-            b"waterfill,", repr_records(g.alpha[rows]), b",", pairs[rows], b",", flags, b"\n",
-        ])))
-    # hull cloud index i >= 2 is the (i - 2)-th self-consistent grid point
-    at = np.concatenate(([0, 1], 2 + np.flatnonzero(g.self_consistent)))[region.hull_index]
-    for first in range(0, len(at), _CSV_BLOCK):
-        blocks.append(records_bytes(np.take(cloud, at[first : first + _CSV_BLOCK], axis=0)))
+    g = region.grid
+    pairs = join_fields([repr_records(region.r_est), b",", repr_records(region.r_com)])
+    blocks = [(",".join(REGION_CSV_HEADER) + "\n").encode()]
+    for label, index in region.index.items():
+        if label == "waterfill":  # every split, with its alpha and flag
+            index = region.grid_rows
+        for first in range(0, len(index), _CSV_BLOCK):
+            rows = slice(first, first + _CSV_BLOCK)
+            points = np.take(pairs, index[rows], axis=0)
+            if label == "waterfill":
+                flags = np.take(_FLAG_FIELDS, g.self_consistent[rows].view(np.uint8), axis=0)
+                fields = [b"waterfill,", repr_records(g.alpha[rows]), b",", points, b",",
+                          flags, b"\n"]
+            else:
+                fields = [f"{label},nan,".encode(), points, b",true\n"]
+            blocks.append(records_bytes(join_fields(fields)))
     return blocks
 
 
-def _region_svg(region: bounds.RateRegion) -> bytes:
-    """The five curves drawn from one point table: the hull's cloud (the
-    interpolated points, then the waterfill points), then the outer and
-    sic vertices. Every curve but the hull is a range of the table, and
-    the hull is the cloud at ``hull_index``."""
-    table = (region.interpolated, region.waterfill, region.outer, region.sic)
-    ends = np.cumsum([len(c.r_est) for c in table])
-    index = {c.label: np.arange(end - len(c.r_est), end) for c, end in zip(table, ends)}
-    index[region.hull.label] = region.hull_index
-    return render_curves_svg(
-        [(c.label, index[c.label]) for c in region.curves],
+def _region_files(prefix: str, region: bounds.RateRegion) -> dict[str, bytes | list[bytes]]:
+    svg = render_curves_svg(
+        list(region.index.items()),
         x_label="estimation rate (bits/s)",
         y_label="communications rate (bits/s)",
-        points=(np.concatenate([c.r_est for c in table]),
-                np.concatenate([c.r_com for c in table])),
+        points=(region.r_est, region.r_com),
     )
-
-
-def _region_files(prefix: str, region: bounds.RateRegion) -> dict[str, bytes | list[bytes]]:
-    return {f"{prefix}.csv": _region_csv(region), f"{prefix}.svg": _region_svg(region)}
+    return {f"{prefix}.csv": _region_csv(region), f"{prefix}.svg": svg}
 
 
 def cmd_region(args: argparse.Namespace) -> Outcome:
@@ -228,30 +208,31 @@ def cmd_pentagon(args: argparse.Namespace) -> Outcome:
 
     (a1, a2), (b1, b2) = region.vertex_a, region.vertex_b
     r1, r2, s = region.r1_max, region.r2_max, region.sum_max
-    # (label, r1 column, r2 column): the vertex rows, then the drawn curves
+    # the 8 points: a, b, the origin, (0, r2), (r1, 0), (r1, r2), (0, s) and
+    # (s, 0); then (label, rows): the vertex rows, then the drawn curves
+    r1_bits = np.array([a1, b1, 0.0, 0.0, r1, r1, 0.0, s])
+    r2_bits = np.array([a2, b2, 0.0, r2, 0.0, r2, s, 0.0])
     curves = [
-        ("vertex_a", [a1], [a2]),
-        ("vertex_b", [b1], [b2]),
-        ("boundary", [0.0, 0.0, a1, b1, r1, 0.0], [0.0, r2, a2, b2, 0.0, 0.0]),
-        ("r1_max", [r1, r1], [0.0, r2]),
-        ("r2_max", [0.0, r1], [r2, r2]),
-        ("sum_max", [0.0, s], [s, 0.0]),
+        ("vertex_a", [0]),
+        ("vertex_b", [1]),
+        ("boundary", [2, 3, 0, 1, 4, 2]),
+        ("r1_max", [4, 5]),
+        ("r2_max", [3, 5]),
+        ("sum_max", [6, 7]),
     ]
-    rows = [
-        [label, fmt_float(x), fmt_float(y)]
-        for label, xs, ys in curves
-        for x, y in zip(xs, ys)
+    pairs = join_fields([repr_records(r1_bits), b",", repr_records(r2_bits)])
+    csv = [b"label,r1_bits,r2_bits\n"] + [
+        records_bytes(join_fields([f"{label},".encode(), pairs[index], b"\n"]))
+        for label, index in curves
     ]
     svg = render_curves_svg(
         curves[2:],
         x_label="user 1 rate (bits/use)",
         y_label="user 2 rate (bits/use)",
+        points=(r1_bits, r2_bits),
     )
     return Outcome(
-        files={
-            "pentagon.csv": csv_text(("label", "r1_bits", "r2_bits"), rows).encode(),
-            "pentagon.svg": svg,
-        },
+        files={"pentagon.csv": csv, "pentagon.svg": svg},
         parameters={"snr1_db": args.snr1_db, "snr2_db": args.snr2_db},
     )
 
@@ -307,7 +288,8 @@ def cmd_sweep(args: argparse.Namespace) -> Outcome:
         files.update(_region_files(f"sweep_{i:03d}_region", region))
         counters.append(region.grid.counters())
         # outer's corner is (est_outer_rate, comms_outer_rate); sic is flat
-        row = (value, region.outer.r_est[1], region.outer.r_com[1], region.sic.r_com[0])
+        outer, sic = region.curve("outer"), region.curve("sic")
+        row = (value, outer.r_est[1], outer.r_com[1], sic.r_com[0])
         summary_rows.append([fmt_float(x) for x in row])
     files["sweep_summary.csv"] = csv_text(
         ("value", "est_outer_rate_bps", "comms_outer_rate_bps", "sic_comms_rate_bps"),

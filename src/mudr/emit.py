@@ -8,16 +8,16 @@ atomically via a temp file and rename.
 The SVG draws its curves from one point table: a curve is an index array
 into it, so a point that several curves pass through (the region's hull
 and the waterfill and interpolated curves it picks from) is scaled and
-printed once. Its coordinates are printed in one numpy pass: each
-value's correctly rounded hundredths pick the words of its ``iii.ff``
-text from tables of integer parts and fractions, into fixed 20-byte path
-records, and each path gathers the records of its points (see
-``_paths``). A point takes that path only where it prints exactly the
-text of Python's ``f"{v:.2f}"``; any other point is formatted by that
-expression and spliced in. Float columns of CSV rows are printed the
-same way (``repr_records``): each value's text is proven equal to its
-``repr``, and any value it cannot prove is printed by ``fmt_float``. The
-text tables are built on first use.
+printed once. Both the SVG coordinates and the CSV floats are printed
+into NUL-padded records, one uint8 row per value, in numpy. An SVG
+coordinate's record holds its correctly rounded hundredths as the words
+of its ``iii.ff`` text, picked from tables of integer parts and
+fractions, where that is exactly the text of Python's ``f"{v:.2f}"``
+(``_fixed_records``). A CSV float's record holds its ``repr`` digits
+where they are proven equal to ``repr`` (``repr_records``). Both write
+the text of any other value into its row with one fallback writer. Paths
+and CSV rows are records laid side by side by ``join_fields`` and
+gathered by index. The text tables are built on first use.
 
 Outputs stay bytes from the records to the file: ``records_bytes`` drops
 the records' NUL padding into bytes, the SVG is rendered as bytes, and
@@ -49,14 +49,13 @@ _PALETTE = (
 
 @functools.cache
 def _path_words() -> tuple[np.ndarray, np.ndarray]:
-    """The text of the SVG path records as little-endian 4-byte words, NUL
-    bytes padding what a word does not fill: the integer parts 0..999,
-    right-aligned in 3 bytes, each followed by "."; then the two-digit
-    fractions 00..99, each followed by "," in row 0 and by nothing in
-    row 1."""
+    """The text of the SVG coordinate records as little-endian 4-byte
+    words, NUL bytes padding what a word does not fill: the integer parts
+    0..999, right-aligned in 3 bytes, each followed by "."; then the
+    two-digit fractions 00..99."""
     ints = b"".join((str(k).rjust(3, "\0") + ".").encode() for k in range(1000))
-    fracs = [b"".join(f"{k:02d}{end}".encode() for k in range(100)) for end in (",\0", "\0\0")]
-    return np.frombuffer(ints, "<u4"), np.frombuffer(b"".join(fracs), "<u4").reshape(2, 100)
+    fracs = b"".join(f"{k:02d}\0\0".encode() for k in range(100))
+    return np.frombuffer(ints, "<u4"), np.frombuffer(fracs, "<u4")
 
 
 def escape(text: str) -> str:
@@ -136,38 +135,47 @@ def _cents(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(exact, c, 0.0).astype(np.int32), exact
 
 
+def _write_texts(out: np.ndarray, texts: dict[int, str]) -> None:
+    """Write ``texts[i]`` over row ``i`` of the records ``out``, NUL-padded:
+    the fallback of both printers, for the values they do not print."""
+    for i, text in texts.items():
+        out[i] = 0
+        out[i, : len(text)] = np.frombuffer(text.encode(), np.uint8)
+
+
+def _fixed_records(values: np.ndarray) -> np.ndarray:
+    """``f"{v:.2f}"`` of each float64 value as one NUL-padded row of a
+    uint8 array, like the rows of ``repr_records``.
+
+    Where ``_cents`` takes a value, its row is the integer word and the
+    fraction word of its hundredths, gathered from ``_path_words``; any
+    other value's text is written into its row by ``_write_texts``.
+    """
+    cents, exact = _cents(values)
+    ints, fracs = _path_words()
+    others = np.flatnonzero(~exact)
+    texts = {i: f"{v:.2f}" for i, v in zip(others.tolist(), values[others].tolist())}
+    out = np.zeros((len(values), max([8, *map(len, texts.values())])), np.uint8)
+    out[:, :8] = np.stack((ints[cents // 100], fracs[cents % 100]), axis=1).view(np.uint8)
+    _write_texts(out, texts)
+    return out
+
+
 def _paths(xs: np.ndarray, ys: np.ndarray, indices: Sequence[np.ndarray]) -> list[bytes]:
     """SVG path data ``M x,y L x,y ...`` of the points of the table
     (``xs``, ``ys``) at each index array, every value printed as
     ``f"{v:.2f}"``.
 
-    Each table point is printed once: where ``_cents`` takes both of its
-    values, into a 20-byte `` L iii.ff,iii.ff`` record of five words
-    gathered from ``_path_words``, and otherwise by that expression. A
-    path gathers the records of its points, its first record starting
-    ``M `` instead, and splices in the text of any other point.
+    Each table point is printed once, into a `` L x,y`` record of
+    ``_fixed_records``; a path gathers the records of its points, its
+    first record starting ``M `` instead.
     """
-    (cx, x_ok), (cy, y_ok) = _cents(xs), _cents(ys)
-    ints, fracs = _path_words()
-    words = np.empty((len(xs), 5), "<u4")
-    words[:, 0] = np.frombuffer(b"\0 L ", "<u4")[0]
-    for col, cents, frac in ((1, cx, fracs[0]), (3, cy, fracs[1])):
-        whole, part = np.divmod(cents, 100)
-        words[:, col] = ints[whole]
-        words[:, col + 1] = frac[part]
-    records = words.view(np.uint8)
-    other = ~(x_ok & y_ok)
+    records = join_fields([b" L ", _fixed_records(xs), b",", _fixed_records(ys)])
     paths = []
-    for index in map(np.asarray, indices):
+    for index in indices:
         rows = np.take(records, index, axis=0)
-        rows[0, 0:4] = np.frombuffer(b"\0\0M ", np.uint8)
-        at = np.flatnonzero(other[index])
-        runs = np.split(rows, at)  # each run after the first starts at an other point
-        body = [records_bytes(runs[0])]
-        for j, i, run in zip(at.tolist(), index[at].tolist(), runs[1:]):
-            point = f"{'M ' if j == 0 else ' L '}{float(xs[i]):.2f},{float(ys[i]):.2f}"
-            body += [point.encode(), records_bytes(run[1:])]
-        paths.append(b"".join(body))
+        rows[0, :3] = np.frombuffer(b"\0M ", np.uint8)
+        paths.append(records_bytes(rows))
     return paths
 
 
@@ -368,9 +376,7 @@ def repr_records(values: np.ndarray) -> np.ndarray:
         _place(out[block], e, digits, wi)
         for i in (np.flatnonzero(positional[block] & ~proven) + first).tolist():
             texts[i] = fmt_float(v[i])
-    for i, text in texts.items():
-        out[i] = 0
-        out[i, : len(text)] = np.frombuffer(text.encode(), np.uint8)
+    _write_texts(out, texts)
     return out
 
 
@@ -394,24 +400,16 @@ def records_bytes(records: np.ndarray) -> bytes:
 
 
 def render_curves_svg(
-    curves: Sequence[tuple],
+    curves: Sequence[tuple[str, np.ndarray]],
     x_label: str,
     y_label: str,
-    points: tuple[np.ndarray, np.ndarray] | None = None,
+    points: tuple[np.ndarray, np.ndarray],
 ) -> bytes:
-    """800x600 linear-axes plot with one path per curve, as bytes. A curve
-    is ``(label, xs, ys)``, columns of float64 arrays or lists of floats;
-    or, with the table ``points = (xs, ys)`` of float64 columns given,
-    ``(label, index)``: the table's points at the integer array ``index``.
-    Each table point is scaled and printed once, however many curves
-    pass through it."""
-    if points is None:
-        columns = [(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
-                   for _, xs, ys in curves]
-        ends = np.cumsum([len(xs) for xs, _ in columns])
-        curves = [(label, np.arange(end - len(xs), end))
-                  for (label, *_), (xs, _), end in zip(curves, columns, ends)]
-        points = tuple(np.concatenate(column) for column in zip(*columns))
+    """800x600 linear-axes plot with one path per curve, as bytes. The
+    point table ``points = (xs, ys)`` is two float64 columns, and a curve
+    ``(label, index)`` is the table's points at the integer array
+    ``index``. Each table point is scaled and printed once, however many
+    curves pass through it; a point on no curve moves no axis."""
     xs, ys = points
     width, height = 800, 600
     left, right, top, bottom = 80.0, 630.0, 30.0, 540.0

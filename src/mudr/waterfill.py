@@ -108,20 +108,22 @@ def waterfill_grid(lb: LinkBudget, alpha_grid: Sequence[float]) -> WaterfillGrid
     b_com = alpha * lb.bandwidth_hz
     b_mix = lb.bandwidth_hz - b_com
     sigma_mix = int_plus_noise_variance(lb, b_mix)
-    mu_com = lb.b_sq / (lb.kt_w_per_hz * b_com)
+    sigma_com = lb.kt_w_per_hz * b_com
+    mu_com = lb.b_sq / sigma_com
     mu_mix = lb.b_sq / sigma_mix
     p = lb.comms_power_w
 
     dual = p >= dual_use_threshold_w(alpha, mu_com, mu_mix)
     # below the threshold the water reaches only the clean channel:
     # alpha*nu - 1/mu_com = P_com
-    nu = np.where(dual, p + 1.0 / mu_com + 1.0 / mu_mix, (p + 1.0 / mu_com) / alpha)
+    clean = p + 1.0 / mu_com
+    nu = np.where(dual, clean + 1.0 / mu_mix, clean / alpha)
     beta_dual = alpha + ((alpha - 1.0) / mu_com + alpha / mu_mix) / p
     beta = np.where(dual, np.clip(beta_dual, 0.0, 1.0), 1.0)
     p_com_com = beta * p
     p_com_mix = (1.0 - beta) * p
 
-    r_com_com = _shannon_rate(lb, b_com, p_com_com, lb.kt_w_per_hz * b_com)
+    r_com_com = _shannon_rate(lb, b_com, p_com_com, sigma_com)
     r_com_mix = _shannon_rate(lb, b_mix, p_com_mix, sigma_mix)
     r_com_total = r_com_com + r_com_mix
     r_est = _log_form_rate(lb, b_mix)

@@ -222,7 +222,7 @@ def region_csv_text(region: RateRegion) -> str:
 
     def rows():
         for c in region.curves:
-            if c is region.waterfill:
+            if c.label == "waterfill":
                 alpha, r_est, r_com = g.alpha, g.r_est, g.r_com_total
                 ok = g.self_consistent
             else:

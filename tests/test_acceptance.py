@@ -54,12 +54,13 @@ def test_criterion_01_region_curves(tmp_path, table2_lb):
     sic = bounds.sic_comms_rate(table2_lb)
     outer = bounds.comms_outer_rate(table2_lb)
 
-    (e0, e1), (c0, c1) = region.interpolated.r_est, region.interpolated.r_com
+    interpolated, split = region.curve("interpolated"), region.curve("waterfill")
+    (e0, e1), (c0, c1) = interpolated.r_est, interpolated.r_com
     slope = (c1 - c0) / (e1 - e0)
-    exceeds = bool(any(region.waterfill.r_com > c0 + slope * region.waterfill.r_est))
+    exceeds = bool(any(split.r_com > c0 + slope * split.r_est))
     dominated = all(
-        hull_value_at(region.hull, r_est) >= r_com - 1e-9
-        for c in (region.interpolated, region.waterfill)
+        hull_value_at(region.curve("hull"), r_est) >= r_com - 1e-9
+        for c in (interpolated, split)
         for r_est, r_com in zip(c.r_est.tolist(), c.r_com.tolist())
     )
     ok = elapsed < 5.0 and sic < outer and exceeds and dominated

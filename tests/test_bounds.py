@@ -349,7 +349,7 @@ def test_sic_equals_outer_iff_quiet(table2_lb):
 
 
 def test_interpolated_endpoints(table2_lb):
-    curve = bounds.rate_region(table2_lb, [0.5]).interpolated
+    curve = bounds.rate_region(table2_lb, [0.5]).curve("interpolated")
     assert curve.r_est[0] == 0.0
     assert curve.r_com[0] == pytest.approx(TABLE2_COMMS_OUTER_BPS, rel=1e-12)
     assert curve.r_est[1] == pytest.approx(TABLE2_EST_RATE_BPS, rel=1e-12)
@@ -359,7 +359,7 @@ def test_interpolated_endpoints(table2_lb):
 
 def test_interpolated_degenerate_radar(table2_lb):
     quiet = replace(table2_lb, sigma_tau_proc_sq=(0.0,))
-    curve = bounds.rate_region(quiet, [0.5]).interpolated
+    curve = bounds.rate_region(quiet, [0.5]).curve("interpolated")
     assert curve.r_est[0] == curve.r_est[1] == 0.0
     assert curve.r_com[0] == pytest.approx(curve.r_com[1], rel=1e-12)
 
@@ -376,7 +376,7 @@ def test_rate_region_curve_inventory(table2_lb):
 
 
 def test_rate_region_hull_concave(table2_lb):
-    hull = bounds.rate_region(table2_lb, np.linspace(0.01, 0.99, 100)).hull
+    hull = bounds.rate_region(table2_lb, np.linspace(0.01, 0.99, 100)).curve("hull")
     x, y = hull.r_est.tolist(), hull.r_com.tolist()
     slopes = [
         (y[i + 1] - y[i]) / (x[i + 1] - x[i])
@@ -388,13 +388,14 @@ def test_rate_region_hull_concave(table2_lb):
 
 def test_rate_region_waterfill_beats_interpolation(table2_lb):
     region = bounds.rate_region(table2_lb, np.linspace(0.01, 0.99, 200))
-    (e0, e1), (c0, c1) = region.interpolated.r_est, region.interpolated.r_com
+    interpolated, split = region.curve("interpolated"), region.curve("waterfill")
+    (e0, e1), (c0, c1) = interpolated.r_est, interpolated.r_com
     slope = (c1 - c0) / (e1 - e0)
 
     def interp(r_est):
         return c0 + slope * r_est
 
-    assert any(region.waterfill.r_com > interp(region.waterfill.r_est))
+    assert any(split.r_com > interp(split.r_est))
 
 
 def test_rate_region_ignores_negligible_second_target(table2_lb, table2_scenario):

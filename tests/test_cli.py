@@ -13,6 +13,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -433,19 +434,23 @@ def test_byte_identical_reruns(tmp_path):
 @pytest.mark.parametrize("case", ["table2", "two_targets", "hot_radar"])
 def test_region_files_equal_per_curve_oracle(table2_scenario, case):
     region = region_of(table2_scenario, case)
-    cloud_points = 2 + len(region.waterfill.r_est)
+    cloud_points = 2 + len(region.index["waterfill"])
     if case == "hot_radar":
-        assert len(region.hull_index) < cloud_points  # the chain's fallback
+        assert len(region.index["hull"]) < cloud_points  # the chain's fallback
     else:
-        assert len(region.hull_index) == cloud_points  # the fast path
+        assert len(region.index["hull"]) == cloud_points  # the fast path
     files = cli._region_files("region", region)
     assert b"".join(files["region.csv"]) == region_csv_text(region).encode()
-    # the SVG draws its curves from one point table; each curve as its own
-    # columns gives the same bytes
+    # the SVG draws its curves from the region's point table; a table in
+    # which each curve has its own rows, no point shared, gives the same bytes
+    curves = region.curves
+    ends = np.cumsum([len(c.r_est) for c in curves])
     assert files["region.svg"] == render_curves_svg(
-        [(c.label, c.r_est, c.r_com) for c in region.curves],
+        [(c.label, np.arange(end - len(c.r_est), end)) for c, end in zip(curves, ends)],
         x_label="estimation rate (bits/s)",
         y_label="communications rate (bits/s)",
+        points=(np.concatenate([c.r_est for c in curves]),
+                np.concatenate([c.r_com for c in curves])),
     )
 
 
@@ -524,9 +529,9 @@ def test_region_csv_blocks_equal_one_block(table2_scenario, case, monkeypatch):
     if case == "hot_radar":
         # some splits are not self-consistent, and the hull drops points
         assert not region.grid.self_consistent.all()
-        assert len(region.hull_index) < 2 + len(region.waterfill.r_est)
+        assert len(region.index["hull"]) < 2 + len(region.index["waterfill"])
     one = cli._region_csv(region)  # 400 rows: one block of rows and of values
-    assert len(one) == 3  # the header and short curves, waterfill rows, hull rows
+    assert len(one) == 6  # the header, then one block per curve
     # blocks of 64 rows and 48 values: blocks that span decades, and hull
     # rows gathered across blocks
     monkeypatch.setattr(cli, "_CSV_BLOCK", 64)
@@ -713,7 +718,7 @@ def test_region_csv_rows_equal_the_library(tmp_path):
     g = region.grid
     want = []
     for curve in region.curves:
-        if curve is region.waterfill:
+        if curve.label == "waterfill":
             want += zip(["waterfill"] * len(g.alpha), g.alpha.tolist(), g.r_est.tolist(),
                         g.r_com_total.tolist(), g.self_consistent.tolist())
         else:

@@ -62,8 +62,9 @@ def test_atomic_write_text_umask_mode(tmp_path):
 def test_render_curves_svg_geometry():
     # both maxima are 2, so each span is 2.1; on the 80..630 by 540..30 plot
     # x maps to 80 + 550 x / 2.1 and y to 540 - 510 y / 2.1
-    curves = [("a", [0.0, 1.0, 2.0], [0.0, 2.0, 1.0]), ("b", [0.5, 2.0], [1.5, 0.0])]
-    svg = emit.render_curves_svg(curves, x_label="x", y_label="y")
+    table = (np.array([0.0, 1.0, 2.0, 0.5, 2.0]), np.array([0.0, 2.0, 1.0, 1.5, 0.0]))
+    curves = [("a", np.array([0, 1, 2])), ("b", np.array([3, 4]))]
+    svg = emit.render_curves_svg(curves, x_label="x", y_label="y", points=table)
     root = ET.fromstring(svg)
     ns = {"svg": "http://www.w3.org/2000/svg"}
     paths = {p.get("id"): p.get("d") for p in root.iterfind("svg:path", ns)}
@@ -73,12 +74,11 @@ def test_render_curves_svg_geometry():
     }
     ticks = [t.text for t in root.iterfind("svg:text", ns) if t.get("font-size") == "12"]
     assert ticks == ["0", "0.525", "1.05", "1.575", "2.1"] * 2
-    as_arrays = [(label, np.array(xs), np.array(ys)) for label, xs, ys in curves]
-    assert emit.render_curves_svg(as_arrays, x_label="x", y_label="y") == svg
-    # the same curves as index arrays into one point table, "b" sharing a point
-    table = (np.array([0.0, 1.0, 2.0, 0.5, 2.0]), np.array([0.0, 2.0, 1.0, 1.5, 0.0]))
-    indexed = [("a", np.array([0, 1, 2])), ("b", np.array([3, 4]))]
-    assert emit.render_curves_svg(indexed, x_label="x", y_label="y", points=table) == svg
+    # the same curves from a reordered table that also holds a point on no
+    # curve: that point moves no axis
+    table = (np.array([9.0, 2.0, 0.5, 0.0, 1.0, 2.0]), np.array([9.0, 0.0, 1.5, 0.0, 2.0, 1.0]))
+    curves = [("a", np.array([3, 4, 5])), ("b", np.array([2, 1]))]
+    assert emit.render_curves_svg(curves, x_label="x", y_label="y", points=table) == svg
 
 
 # --- SVG path coordinates ---------------------------------------------------------
@@ -176,12 +176,10 @@ def test_paths_of_shared_points_equal_per_curve_format(data, points):
 def test_path_words_are_python_text():
     ints, fracs = emit._path_words()
     assert ints.dtype == fracs.dtype == np.dtype("<u4")
-    assert ints.shape == (1000,) and fracs.shape == (2, 100)
+    assert ints.shape == (1000,) and fracs.shape == (100,)
     text = lambda word: word.tobytes().replace(b"\0", b"").decode()  # noqa: E731
     assert [text(ints[k]) for k in (0, 7, 42, 999)] == ["0.", "7.", "42.", "999."]
-    assert [text(fracs[row, k]) for row in (0, 1) for k in (0, 5, 99)] == [
-        "00,", "05,", "99,", "00", "05", "99"
-    ]
+    assert [text(fracs[k]) for k in (0, 5, 99)] == ["00", "05", "99"]
 
 
 @given(st.text())

@@ -188,12 +188,12 @@ def test_waterfill_curve_filters_inconsistent_points(table2_lb):
     grid = [0.5, 0.9, 0.995]
     points = wf.waterfill_grid(table2_lb, grid)
     assert points.self_consistent.tolist() == [True, True, False]
-    curve = bounds.rate_region(table2_lb, grid).waterfill
+    curve = bounds.rate_region(table2_lb, grid).curve("waterfill")
     assert len(curve.r_est) == 2
 
 
 def test_waterfill_singleton_grid(table2_lb):
-    curve = bounds.rate_region(table2_lb, [0.5]).waterfill
+    curve = bounds.rate_region(table2_lb, [0.5]).curve("waterfill")
     p = waterfill_row(table2_lb, 0.5)
     assert len(curve.r_est) == 1
     assert curve.r_est[0] == p.r_est
@@ -345,8 +345,8 @@ def _hull_value_at(hull, x):
 
 def _contributors(lb, grid):
     """The interpolated and waterfill points of ``grid`` as one cloud."""
-    curve = bounds.rate_region(lb, grid).waterfill
-    interp = bounds.rate_region(lb, [0.5]).interpolated
+    curve = bounds.rate_region(lb, grid).curve("waterfill")
+    interp = bounds.rate_region(lb, [0.5]).curve("interpolated")
     r_est = np.concatenate((interp.r_est, curve.r_est))
     r_com = np.concatenate((interp.r_com, curve.r_com))
     return list(zip(r_est.tolist(), r_com.tolist()))
@@ -440,15 +440,19 @@ def assert_kernel_matches_scalar_forms(lb, n):
     published = [
         (e, c) for e, c, ok in zip(want["r_est"], r_com, want["self_consistent"]) if ok
     ]
-    waterfill = region.waterfill
+    waterfill = region.curve("waterfill")
     assert list(zip(waterfill.r_est.tolist(), waterfill.r_com.tolist())) == published
-    cloud_est = np.concatenate((region.interpolated.r_est, [e for e, _ in published]))
-    cloud_com = np.concatenate((region.interpolated.r_com, [c for _, c in published]))
+    interpolated = region.curve("interpolated")
+    cloud_est = np.concatenate((interpolated.r_est, [e for e, _ in published]))
+    cloud_com = np.concatenate((interpolated.r_com, [c for _, c in published]))
     index = wf.upper_convex_hull(cloud_est, cloud_com)
-    assert region.hull_index.tolist() == index.tolist()
-    assert region.hull.r_est.tolist() == cloud_est[index].tolist()
-    assert region.hull.r_com.tolist() == cloud_com[index].tolist()
-    hull = list(zip(region.hull.r_est.tolist(), region.hull.r_com.tolist()))
+    # the hull's rows are the chain's cloud indices, mapped to table rows
+    cloud_rows = np.concatenate((region.index["interpolated"], region.index["waterfill"]))
+    assert region.index["hull"].tolist() == cloud_rows[index].tolist()
+    hull_curve = region.curve("hull")
+    assert hull_curve.r_est.tolist() == cloud_est[index].tolist()
+    assert hull_curve.r_com.tolist() == cloud_com[index].tolist()
+    hull = list(zip(hull_curve.r_est.tolist(), hull_curve.r_com.tolist()))
     assert hull == chain_hull(cloud_est, cloud_com)
 
 
