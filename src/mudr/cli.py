@@ -15,6 +15,14 @@ curve is its rows, and ``emit.repr_records`` prints the table's floats in
 numpy, each value's text proven equal to ``repr`` (Clinger's fast path at
 15 digits, an exact Dekker product and the rounding interval at 16 and
 17), and every value it cannot prove by ``repr`` itself.
+
+``region`` and ``sweep`` write their region files through one function,
+``_region_files``, and a command prints each float once, across all of
+its regions: the shared alpha grid once, every region's estimation rates
+in one ``repr_records`` call and every communications rate in another,
+and every SVG coordinate in one pass per axis (``emit.render_svgs``).
+So ``sweep`` computes every region before it prints any, and keeps of
+each only what its files, counters and summary row need.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,8 +43,9 @@ from .emit import (
     csv_text,
     fmt_float,
     join_fields,
+    one_column,
     records_bytes,
-    render_curves_svg,
+    render_svgs,
     repr_records,
     write_manifest,
 )
@@ -148,56 +158,83 @@ class Outcome:
     passed: bool = True
 
 
-def _region(scenario: Scenario, alpha_grid: np.ndarray) -> bounds.RateRegion:
-    return bounds.rate_region(derive_link_budget(scenario), alpha_grid)
+class _Table(NamedTuple):
+    """What the files of one region, ``<prefix>.csv`` and ``<prefix>.svg``,
+    need of its ``bounds.RateRegion``: the point table, each curve's rows
+    and each split's self-consistency flag."""
+
+    prefix: str
+    r_est: np.ndarray
+    r_com: np.ndarray
+    index: dict[str, np.ndarray]
+    self_consistent: np.ndarray
 
 
-def _region_csv(region: bounds.RateRegion) -> list[bytes]:
+def _region(prefix: str, scenario: Scenario, alpha_grid: np.ndarray) -> tuple[_Table, dict]:
+    """The region of ``scenario`` over ``alpha_grid`` as its files need it,
+    and its grid's counters. The grid's other columns are let go here, not
+    held while the files are printed: 11 MB at 100k points, and a sweep
+    holds every region until it prints them all."""
+    region = bounds.rate_region(derive_link_budget(scenario), alpha_grid)
+    table = _Table(prefix, region.r_est, region.r_com, region.index, region.grid.self_consistent)
+    return table, region.grid.counters()
+
+
+def _region_csv(table: _Table, pairs: np.ndarray, alpha: np.ndarray) -> list[bytes]:
     """CSV text as byte blocks, one row per curve vertex; waterfill rows
     keep every grid point, flagged by self-consistency.
 
-    The table's floats are printed by ``emit.repr_records``, each once,
-    into one "r_est,r_com" record per table row, which a curve's rows
-    gather by its index and the waterfill rows take for every grid row.
-    Rows are joined in blocks of ``_CSV_BLOCK``, which go to the writer as
-    they are.
+    ``pairs`` holds one "r_est,r_com" record per table row, which a
+    curve's rows gather by its index and the waterfill rows take for every
+    grid row, with the grid's ``alpha`` records. Rows are joined in blocks
+    of ``_CSV_BLOCK``, which go to the writer as they are.
     """
-    g = region.grid
-    pairs = join_fields([repr_records(region.r_est), b",", repr_records(region.r_com)])
     blocks = [(",".join(REGION_CSV_HEADER) + "\n").encode()]
-    for label, index in region.index.items():
+    for label, index in table.index.items():
         if label == "waterfill":  # every split, with its alpha and flag
-            index = region.grid_rows
+            index = np.arange(len(pairs) - len(alpha), len(pairs))
         for first in range(0, len(index), _CSV_BLOCK):
             rows = slice(first, first + _CSV_BLOCK)
             points = np.take(pairs, index[rows], axis=0)
             if label == "waterfill":
-                flags = np.take(_FLAG_FIELDS, g.self_consistent[rows].view(np.uint8), axis=0)
-                fields = [b"waterfill,", repr_records(g.alpha[rows]), b",", points, b",",
-                          flags, b"\n"]
+                flags = np.take(_FLAG_FIELDS, table.self_consistent[rows].view(np.uint8), axis=0)
+                fields = [b"waterfill,", alpha[rows], b",", points, b",", flags, b"\n"]
             else:
                 fields = [f"{label},nan,".encode(), points, b",true\n"]
             blocks.append(records_bytes(join_fields(fields)))
     return blocks
 
 
-def _region_files(prefix: str, region: bounds.RateRegion) -> dict[str, bytes | list[bytes]]:
-    svg = render_curves_svg(
-        list(region.index.items()),
-        x_label="estimation rate (bits/s)",
-        y_label="communications rate (bits/s)",
-        points=(region.r_est, region.r_com),
-    )
-    return {f"{prefix}.csv": _region_csv(region), f"{prefix}.svg": svg}
+def _region_files(
+    alpha_grid: np.ndarray, tables: Sequence[_Table]
+) -> dict[str, bytes | list[bytes]]:
+    """The CSV and SVG of each region over the one ``alpha_grid``, every
+    float printed once for all of them: the grid in one ``repr_records``
+    call, every table's r_est in a second and every r_com in a third, and
+    the SVG coordinates by ``render_svgs``. Each region's files gather
+    from its own rows of those records."""
+    alpha = repr_records(alpha_grid)
+    pairs = join_fields([repr_records(one_column([t.r_est for t in tables])), b",",
+                         repr_records(one_column([t.r_com for t in tables]))])
+    svgs = render_svgs([(list(t.index.items()), "estimation rate (bits/s)",
+                         "communications rate (bits/s)", (t.r_est, t.r_com)) for t in tables])
+    files: dict[str, bytes | list[bytes]] = {}
+    first = 0
+    for t, svg in zip(tables, svgs):
+        rows = pairs[first : first + len(t.r_est)]
+        files[f"{t.prefix}.csv"] = _region_csv(t, rows, alpha)
+        files[f"{t.prefix}.svg"] = svg
+        first += len(t.r_est)
+    return files
 
 
 def cmd_region(args: argparse.Namespace) -> Outcome:
     alpha_grid = waterfill.default_alpha_grid(args.alpha_points)
-    region = _region(load_scenario(args.scenario), alpha_grid)
+    table, counters = _region("region", load_scenario(args.scenario), alpha_grid)
     return Outcome(
-        files=_region_files("region", region),
+        files=_region_files(alpha_grid, [table]),
         parameters={"alpha_points": args.alpha_points},
-        counters=region.grid.counters(),
+        counters=counters,
     )
 
 
@@ -225,11 +262,8 @@ def cmd_pentagon(args: argparse.Namespace) -> Outcome:
         records_bytes(join_fields([f"{label},".encode(), pairs[index], b"\n"]))
         for label, index in curves
     ]
-    svg = render_curves_svg(
-        curves[2:],
-        x_label="user 1 rate (bits/use)",
-        y_label="user 2 rate (bits/use)",
-        points=(r1_bits, r2_bits),
+    [svg] = render_svgs(
+        [(curves[2:], "user 1 rate (bits/use)", "user 2 rate (bits/use)", (r1_bits, r2_bits))]
     )
     return Outcome(
         files={"pentagon.csv": csv, "pentagon.svg": svg},
@@ -278,19 +312,20 @@ def cmd_sweep(args: argparse.Namespace) -> Outcome:
     variants = [replace_scenario_field(scenario, args.vary, v) for v in values]
     alpha_grid = waterfill.default_alpha_grid(args.alpha_points)
 
-    files: dict[str, bytes | list[bytes]] = {}
-    summary_rows, counters = [], []
+    # every region is computed before any is printed
+    tables, summary_rows, counters = [], [], []
     for i, (value, variant) in enumerate(zip(values, variants)):
         try:
-            region = _region(variant, alpha_grid)
+            table, counts = _region(f"sweep_{i:03d}_region", variant, alpha_grid)
         except ValueError as exc:
             raise ValueError(f"sweep field '{args.vary}' = {value!r}: {exc}") from None
-        files.update(_region_files(f"sweep_{i:03d}_region", region))
-        counters.append(region.grid.counters())
+        tables.append(table)
+        counters.append(counts)
         # outer's corner is (est_outer_rate, comms_outer_rate); sic is flat
-        outer, sic = region.curve("outer"), region.curve("sic")
-        row = (value, outer.r_est[1], outer.r_com[1], sic.r_com[0])
+        corner, sic = table.index["outer"][1], table.index["sic"][0]
+        row = (value, table.r_est[corner], table.r_com[corner], table.r_com[sic])
         summary_rows.append([fmt_float(x) for x in row])
+    files = _region_files(alpha_grid, tables)
     files["sweep_summary.csv"] = csv_text(
         ("value", "est_outer_rate_bps", "comms_outer_rate_bps", "sic_comms_rate_bps"),
         summary_rows,

@@ -8,16 +8,22 @@ atomically via a temp file and rename.
 The SVG draws its curves from one point table: a curve is an index array
 into it, so a point that several curves pass through (the region's hull
 and the waterfill and interpolated curves it picks from) is scaled and
-printed once. Both the SVG coordinates and the CSV floats are printed
-into NUL-padded records, one uint8 row per value, in numpy. An SVG
-coordinate's record holds its correctly rounded hundredths as the words
-of its ``iii.ff`` text, picked from tables of integer parts and
-fractions, where that is exactly the text of Python's ``f"{v:.2f}"``
-(``_fixed_records``). A CSV float's record holds its ``repr`` digits
-where they are proven equal to ``repr`` (``repr_records``). Both write
-the text of any other value into its row with one fallback writer. Paths
-and CSV rows are records laid side by side by ``join_fields`` and
-gathered by index. The text tables are built on first use.
+printed once. A command prints each float once across all of its files:
+``render_svgs`` prints the scaled points of all its figures in one pass
+per axis, and the CLI gives ``repr_records`` the columns of all its
+regions at once (``one_column``). That is right because a value's text
+never depends on the other values of its column.
+
+Both the SVG coordinates and the CSV floats are printed into NUL-padded
+records, one uint8 row per value, in numpy. An SVG coordinate's record
+holds its correctly rounded hundredths as the words of its ``iii.ff``
+text, picked from tables of integer parts and fractions, where that is
+exactly the text of Python's ``f"{v:.2f}"`` (``_fixed_records``). A CSV
+float's record holds its ``repr`` digits where they are proven equal to
+``repr`` (``repr_records``). Both write the text of any other value into
+its row with one fallback writer. Paths and CSV rows are records laid
+side by side by ``join_fields`` and gathered by index. The text tables
+are built on first use.
 
 Outputs stay bytes from the records to the file: ``records_bytes`` drops
 the records' NUL padding into bytes, the SVG is rendered as bytes, and
@@ -161,16 +167,16 @@ def _fixed_records(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _paths(xs: np.ndarray, ys: np.ndarray, indices: Sequence[np.ndarray]) -> list[bytes]:
-    """SVG path data ``M x,y L x,y ...`` of the points of the table
-    (``xs``, ``ys``) at each index array, every value printed as
-    ``f"{v:.2f}"``.
+def _path_records(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """One `` L x,y`` record of ``_fixed_records`` per point (``xs[i]``,
+    ``ys[i]``)."""
+    return join_fields([b" L ", _fixed_records(xs), b",", _fixed_records(ys)])
 
-    Each table point is printed once, into a `` L x,y`` record of
-    ``_fixed_records``; a path gathers the records of its points, its
-    first record starting ``M `` instead.
-    """
-    records = join_fields([b" L ", _fixed_records(xs), b",", _fixed_records(ys)])
+
+def _paths(records: np.ndarray, indices: Sequence[np.ndarray]) -> list[bytes]:
+    """SVG path data ``M x,y L x,y ...`` of the points at each index array:
+    a path gathers the points' ``_path_records``, its first record
+    starting ``M `` instead."""
     paths = []
     for index in indices:
         rows = np.take(records, index, axis=0)
@@ -180,7 +186,7 @@ def _paths(xs: np.ndarray, ys: np.ndarray, indices: Sequence[np.ndarray]) -> lis
 
 
 #: Values per block of ``repr_records``: the temporaries of one block stay
-#: near 2 MB, whatever the column's length.
+#: under 3 MB, whatever the column's length.
 _REPR_BLOCK = 16384
 
 #: The binades 2^-14 .. 2^49 hold the positional range 1e-4 <= v < 1e15;
@@ -269,12 +275,17 @@ def _digits(v: np.ndarray, positional: np.ndarray):
         v_hi = split - (split - v)
         v_lo = v - v_hi
         lo = ((v_hi * p_hi - hi) + v_hi * p_lo + v_lo * p_hi) + v_lo * p_lo
+        # a sweep prints all its regions' values as one block: free each
+        # temporary once it is used, which halves the block's peak memory
+        del split, v_hi, v_lo, p_hi, p_lo
         r, rl = np.rint(hi), np.rint(lo)
         d, e2 = hi - r, lo - rl
+        del hi, lo
         frac = d + e2
         a = np.rint(frac)
         res = (d - a) + e2
         m = (r + a).astype(np.int64) + rl.astype(np.int64)
+        del r, rl, d, e2, a
         rem = m - m // 10 * 10
         up = (rem > 5) | ((rem == 5) & (res > 0))
         tenfold = np.abs((rem - 10 * up) + res)
@@ -399,33 +410,74 @@ def records_bytes(records: np.ndarray) -> bytes:
     return records.tobytes().translate(None, b"\0")
 
 
+def one_column(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """The columns ``parts`` end to end; one part is returned as it is, so
+    a single column is never copied."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+# The plot area of every 800x600 figure, in SVG user units.
+_LEFT, _RIGHT, _TOP, _BOTTOM = 80.0, 630.0, 30.0, 540.0
+
+
+def _sx(x, x_span):
+    """The plot abscissa of x: a float or, element by element, a float64
+    array."""
+    return _LEFT + (_RIGHT - _LEFT) * x / x_span
+
+
+def _sy(y, y_span):
+    """The plot ordinate of y, like ``_sx``."""
+    return _BOTTOM - (_BOTTOM - _TOP) * y / y_span
+
+
+def _spans(curves: Sequence[tuple[str, np.ndarray]], points) -> tuple[float, float]:
+    """The x and y axis spans of a figure: 1.05 times the largest value on
+    any of its curves, or 1 if that is not positive. A point of the table
+    on no curve moves no axis."""
+    tops = [max(float(np.max(column[index])) for _, index in curves) for column in points]
+    return tuple(top * 1.05 if top > 0 else 1.0 for top in tops)
+
+
+def render_svgs(figures: Sequence[tuple]) -> list[bytes]:
+    """One SVG per figure ``(curves, x_label, y_label, points)``, each by
+    ``render_curves_svg``. The point table ``points = (xs, ys)`` is two
+    float64 columns, and a curve ``(label, index)`` is the table's points
+    at the integer array ``index``.
+
+    Each figure scales its table to its own axes. The scaled points of all
+    figures are then printed together, every x in one ``_fixed_records``
+    pass and every y in another, so each table point is printed once,
+    however many curves or figures there are; each figure's paths gather
+    from its own rows of those records.
+    """
+    spans = [_spans(curves, points) for curves, _, _, points in figures]
+    xs, ys = zip(*((_sx(x, x_span), _sy(y, y_span))
+                   for (*_, (x, y)), (x_span, y_span) in zip(figures, spans)))
+    records = _path_records(one_column(xs), one_column(ys))
+    svgs, first = [], 0
+    for (curves, x_label, y_label, _), span, x in zip(figures, spans, xs):
+        rows = records[first : first + len(x)]
+        svgs.append(render_curves_svg(curves, x_label, y_label, span, rows))
+        first += len(x)
+    return svgs
+
+
 def render_curves_svg(
     curves: Sequence[tuple[str, np.ndarray]],
     x_label: str,
     y_label: str,
-    points: tuple[np.ndarray, np.ndarray],
+    spans: tuple[float, float],
+    records: np.ndarray,
 ) -> bytes:
-    """800x600 linear-axes plot with one path per curve, as bytes. The
-    point table ``points = (xs, ys)`` is two float64 columns, and a curve
-    ``(label, index)`` is the table's points at the integer array
-    ``index``. Each table point is scaled and printed once, however many
-    curves pass through it; a point on no curve moves no axis."""
-    xs, ys = points
+    """800x600 linear-axes plot with one path per curve, as bytes: the axes
+    span ``spans = (x_span, y_span)`` (``_spans``), and a curve
+    ``(label, index)`` is the points at the integer array ``index`` of the
+    figure's ``_path_records``, already scaled. ``render_svgs`` makes both
+    from a point table."""
+    x_span, y_span = spans
     width, height = 800, 600
-    left, right, top, bottom = 80.0, 630.0, 30.0, 540.0
-
-    x_max = max(float(np.max(xs[index])) for _, index in curves)
-    y_max = max(float(np.max(ys[index])) for _, index in curves)
-    x_span = x_max * 1.05 if x_max > 0 else 1.0
-    y_span = y_max * 1.05 if y_max > 0 else 1.0
-
-    # each scales a float or, element by element, a float64 array
-    def sx(x):
-        return left + (right - left) * x / x_span
-
-    def sy(y):
-        return bottom - (bottom - top) * y / y_span
-
+    left, right, top, bottom = _LEFT, _RIGHT, _TOP, _BOTTOM
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}" '
@@ -437,7 +489,7 @@ def render_curves_svg(
         'stroke="black" stroke-width="1"/>',
     ]
     for tx in _ticks(x_span):
-        px = sx(tx)
+        px = _sx(tx, x_span)
         parts.append(
             f'<line x1="{px:.2f}" y1="{bottom:.2f}" x2="{px:.2f}" '
             f'y2="{bottom + 6:.2f}" stroke="black" stroke-width="1"/>'
@@ -447,7 +499,7 @@ def render_curves_svg(
             f'text-anchor="middle">{tx:.4g}</text>'
         )
     for ty in _ticks(y_span):
-        py = sy(ty)
+        py = _sy(ty, y_span)
         parts.append(
             f'<line x1="{left - 6:.2f}" y1="{py:.2f}" x2="{left:.2f}" '
             f'y2="{py:.2f}" stroke="black" stroke-width="1"/>'
@@ -467,7 +519,7 @@ def render_curves_svg(
     )
 
     out = ["\n".join(parts).encode()]
-    paths = _paths(sx(xs), sy(ys), [index for _, index in curves])
+    paths = _paths(records, [index for _, index in curves])
     for i, ((label, _), path) in enumerate(zip(curves, paths)):
         color = _PALETTE[i % len(_PALETTE)]
         ly = top + 18 + 20 * i

@@ -7,6 +7,8 @@ import json
 import math
 import os
 import re
+import runpy
+import sys
 import tempfile
 import time
 import xml.etree.ElementTree as ET
@@ -25,10 +27,11 @@ from helpers import (
     with_second_target,
 )
 from mudr import bounds, cli, emit, mcsim, scenario as sc, waterfill, workers
-from mudr.emit import render_curves_svg
+from mudr.emit import render_svgs
 from mudr.scenario import bundled_scenario_path
 
 SVG_NS = {"svg": "http://www.w3.org/2000/svg"}
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def run(*argv) -> int:
@@ -439,19 +442,18 @@ def test_region_files_equal_per_curve_oracle(table2_scenario, case):
         assert len(region.index["hull"]) < cloud_points  # the chain's fallback
     else:
         assert len(region.index["hull"]) == cloud_points  # the fast path
-    files = cli._region_files("region", region)
+    files = region_files(region)
     assert b"".join(files["region.csv"]) == region_csv_text(region).encode()
     # the SVG draws its curves from the region's point table; a table in
     # which each curve has its own rows, no point shared, gives the same bytes
     curves = region.curves
     ends = np.cumsum([len(c.r_est) for c in curves])
-    assert files["region.svg"] == render_curves_svg(
+    assert [files["region.svg"]] == render_svgs([(
         [(c.label, np.arange(end - len(c.r_est), end)) for c, end in zip(curves, ends)],
-        x_label="estimation rate (bits/s)",
-        y_label="communications rate (bits/s)",
-        points=(np.concatenate([c.r_est for c in curves]),
-                np.concatenate([c.r_com for c in curves])),
-    )
+        "estimation rate (bits/s)",
+        "communications rate (bits/s)",
+        (np.concatenate([c.r_est for c in curves]), np.concatenate([c.r_com for c in curves])),
+    )])
 
 
 # sha256 of region.csv and region.svg as the commit before the SVG point
@@ -510,7 +512,71 @@ def test_region_bytes_equal_pinned_digests(tmp_path, case, points):
     assert digests == REGION_DIGESTS[case, points]
 
 
+# sha256 of the files of the 3-value sweep that CI runs (the manifest, which
+# names the scenario's path, is left out); sweep_001 is table2 at 400
+# points, so its files equal REGION_DIGESTS' ("table2", 400)
+SWEEP_DIGESTS = {
+    "sweep_000_region.csv": "c7d567b88e27cce1e54190cbcf5e0822403361afac436a56ef3b2e0241b913a4",
+    "sweep_000_region.svg": "ea26e0873ff42e23455d340294a20d2f729e34a6b66e5aaac519521a4a50ae08",
+    "sweep_001_region.csv": "f1b19c439ec1e7dc1cb9cc4bcb09b7bf48e2a328c0bcd6a8bf4af7c30d6e4d7e",
+    "sweep_001_region.svg": "8de5b89205b72c6e22ec1315b95c07c70d0e71b124932416d4b69478799ccb55",
+    "sweep_002_region.csv": "c8f7b730c9608b8bc10f4ceb0892f76c265351a602e0389dff7ff6eaa141124e",
+    "sweep_002_region.svg": "ae8d2ae24e5f06730f718464eaf70bce6a6939baeb327dbf1daf9370b20e2efb",
+    "sweep_summary.csv": "8ef158e7ac48909afd88e2a0ca2050e46ae6ae49ff08d0834ad303fb6f7b2468",
+}
+
+
+def test_sweep_bytes_equal_pinned_digests(tmp_path):
+    # radar powers over 8 decades: the regions' floats, printed together,
+    # span more decades than any one region's
+    out = tmp_path / "sweep"
+    assert run("sweep", "--scenario", bundled_scenario_path(), "--vary", "radar_power_w",
+               "--values", "0.001,1000,100000", "--alpha-points", 400, "--out", out) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in SWEEP_DIGESTS}
+    assert digests == SWEEP_DIGESTS
+    assert sorted(p.name for p in out.iterdir()) == sorted([*SWEEP_DIGESTS, "manifest.json"])
+
+
+def test_failed_sweep_writes_nothing(tmp_path, capsys):
+    # the last value passes the field's range check, but at the default grid
+    # (alpha >= 1e-4) no split is self-consistent for a duty factor above
+    # 1 - 1e-4, so it fails after every earlier region has been computed
+    out = tmp_path / "sweep"
+    out.mkdir()
+    rc = run("sweep", "--scenario", bundled_scenario_path(), "--vary", "duty_factor",
+             "--values", "0.01,0.5,0.99995", "--out", out)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "sweep field 'duty_factor' = 0.99995" in err and "self-consistent" in err
+    assert list(out.iterdir()) == []
+
+
+# sha256 of the three 10k-trial, seed-42 reports of scripts/run_validations.py
+VALIDATE_DIGESTS = {
+    "crb": "387f352f83de356fb0ccfb3796c0e9d27a5eeb9b8b1c7d269cf7eba6522f9d00",
+    "residual": "59f6cd05c1ace04b47793f4dac2faa4c5ad0bcc4adcfc089f68e2efd48b1a819",
+    "gamma": "5a9d59c6d1e19c46640d9dadfc46013c2c8e6e3331c34e08f75d88ed8824be0e",
+}
+
+
+def test_validation_reports_equal_pinned_digests(tmp_path, monkeypatch):
+    script = runpy.run_path(str(SCRIPTS / "run_validations.py"))
+    monkeypatch.setattr(sys, "argv", ["run_validations.py", str(tmp_path), "10000", "42"])
+    assert script["main"]() == 0
+    digests = {e: hashlib.sha256((tmp_path / e / f"validate_{e}.json").read_bytes()).hexdigest()
+               for e in VALIDATE_DIGESTS}
+    assert digests == VALIDATE_DIGESTS
+
+
 # --- region.csv blocks and worker processes ----------------------------------------
+
+def region_files(region: bounds.RateRegion) -> dict:
+    """``region.csv`` and ``region.svg`` of a region as ``region`` writes them."""
+    table = cli._Table("region", region.r_est, region.r_com, region.index,
+                       region.grid.self_consistent)
+    return cli._region_files(region.grid.alpha, [table])
+
 
 def region_of(table2_scenario, case: str) -> bounds.RateRegion:
     if case == "two_targets":
@@ -530,13 +596,13 @@ def test_region_csv_blocks_equal_one_block(table2_scenario, case, monkeypatch):
         # some splits are not self-consistent, and the hull drops points
         assert not region.grid.self_consistent.all()
         assert len(region.index["hull"]) < 2 + len(region.index["waterfill"])
-    one = cli._region_csv(region)  # 400 rows: one block of rows and of values
+    one = region_files(region)["region.csv"]  # 400 rows: one block of rows and of values
     assert len(one) == 6  # the header, then one block per curve
     # blocks of 64 rows and 48 values: blocks that span decades, and hull
     # rows gathered across blocks
     monkeypatch.setattr(cli, "_CSV_BLOCK", 64)
     monkeypatch.setattr(emit, "_REPR_BLOCK", 48)
-    blocks = cli._region_csv(region)
+    blocks = region_files(region)["region.csv"]
     assert len(blocks) > len(one)
     assert b"".join(blocks) == b"".join(one) == region_csv_text(region).encode()
 
@@ -741,6 +807,34 @@ def test_sweep_derives_each_link_budget_once(tmp_path, monkeypatch):
              "--out", tmp_path)
     assert rc == 0
     assert budgets[0] == 2
+
+
+def test_commands_print_each_column_once(tmp_path, monkeypatch):
+    printed, tables = [], []
+    print_records, region = cli.repr_records, cli._region
+
+    def recorded_print(values):
+        printed.append(values)
+        return print_records(values)
+
+    def recorded_region(*args):
+        table, counters = region(*args)
+        tables.append(table)
+        return table, counters
+
+    monkeypatch.setattr(cli, "repr_records", recorded_print)
+    monkeypatch.setattr(cli, "_region", recorded_region)
+    # region: the alpha grid, then its table's two columns as they are
+    assert run("region", "--scenario", bundled_scenario_path(), "--alpha-points", 50,
+               "--out", tmp_path / "region") == 0
+    assert [len(v) for v in printed] == [50, 57, 57]
+    assert printed[1] is tables[0].r_est and printed[2] is tables[0].r_com
+    # sweep: the shared grid once, then every region's column in one call
+    printed.clear()
+    assert run("sweep", "--scenario", bundled_scenario_path(), "--vary", "radar_power_w",
+               "--values", "100,1000,10000", "--alpha-points", 30,
+               "--out", tmp_path / "sweep") == 0
+    assert [len(v) for v in printed] == [30, 3 * 37, 3 * 37]
 
 
 # --- random scenario fields ---------------------------------------------------------

@@ -64,7 +64,7 @@ def test_render_curves_svg_geometry():
     # x maps to 80 + 550 x / 2.1 and y to 540 - 510 y / 2.1
     table = (np.array([0.0, 1.0, 2.0, 0.5, 2.0]), np.array([0.0, 2.0, 1.0, 1.5, 0.0]))
     curves = [("a", np.array([0, 1, 2])), ("b", np.array([3, 4]))]
-    svg = emit.render_curves_svg(curves, x_label="x", y_label="y", points=table)
+    [svg] = emit.render_svgs([(curves, "x", "y", table)])
     root = ET.fromstring(svg)
     ns = {"svg": "http://www.w3.org/2000/svg"}
     paths = {p.get("id"): p.get("d") for p in root.iterfind("svg:path", ns)}
@@ -78,7 +78,7 @@ def test_render_curves_svg_geometry():
     # curve: that point moves no axis
     table = (np.array([9.0, 2.0, 0.5, 0.0, 1.0, 2.0]), np.array([9.0, 0.0, 1.5, 0.0, 2.0, 1.0]))
     curves = [("a", np.array([3, 4, 5])), ("b", np.array([2, 1]))]
-    assert emit.render_curves_svg(curves, x_label="x", y_label="y", points=table) == svg
+    assert emit.render_svgs([(curves, "x", "y", table)]) == [svg]
 
 
 # --- SVG path coordinates ---------------------------------------------------------
@@ -94,7 +94,7 @@ def assert_paths_are_python_text(xs, ys, indices):
     its own points."""
     xs, ys = np.array(xs, dtype=float), np.array(ys, dtype=float)
     indices = [np.array(index, dtype=np.int64) for index in indices]
-    paths = emit._paths(xs, ys, indices)
+    paths = emit._paths(emit._path_records(xs, ys), indices)
     for index, path in zip(indices, paths, strict=True):
         assert path == python_path(xs[index].tolist(), ys[index].tolist())
 
@@ -192,10 +192,14 @@ def test_escape_equals_saxutils(text):
 # --- repr of float64 columns ------------------------------------------------------
 
 
+def row_texts(records: np.ndarray) -> list[str]:
+    """Each record's text, its NUL bytes dropped."""
+    return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in records]
+
+
 def record_texts(values) -> list[str]:
     """Each value's record from ``repr_records`` with its NUL bytes dropped."""
-    records = emit.repr_records(np.array(values, dtype=float))
-    return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in records]
+    return row_texts(emit.repr_records(np.array(values, dtype=float)))
 
 
 def assert_records_are_repr(values):
@@ -304,3 +308,37 @@ def test_join_fields_and_records_bytes():
     records = emit.join_fields([b"a,", emit.repr_records(np.array([0.5, 1200.0])), b"\n"])
     assert records.shape[0] == 2
     assert emit.records_bytes(records) == b"a,0.5\na,1200.0\n"
+
+
+# --- a value's text ignores the other values of its column -----------------------
+
+# A command prints the floats of all its regions or figures in one column;
+# that is right only if a value's text does not depend on its neighbours,
+# though a column's record width does.
+EDGES = [1e-4, 1e15, 1000.0, 0.005]
+column_values = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 80.125, 999.995,
+                     *EDGES, *np.nextafter(EDGES, 0).tolist(),
+                     *np.nextafter(EDGES, math.inf).tolist()]),
+    # log-uniform magnitudes over many decades, either sign
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-9.99, 9.99), st.integers(-12, 20)),
+    st.integers(0, 7999).map(lambda m: m / 8),  # the .2f ties of [0, 1000)
+    st.floats(),
+)
+columns = st.lists(column_values, max_size=30).map(lambda v: np.array(v, dtype=float))
+
+
+@settings(max_examples=150)
+@given(columns, columns)
+def test_repr_records_of_a_column_equal_those_of_its_parts(a, b):
+    whole = row_texts(emit.repr_records(np.concatenate([a, b])))
+    assert whole == row_texts(emit.repr_records(a)) + row_texts(emit.repr_records(b))
+    assert whole == [emit.fmt_float(v) for v in [*a.tolist(), *b.tolist()]]
+
+
+@settings(max_examples=150)
+@given(columns, columns)
+def test_fixed_records_of_a_column_equal_those_of_its_parts(a, b):
+    whole = row_texts(emit._fixed_records(np.concatenate([a, b])))
+    assert whole == row_texts(emit._fixed_records(a)) + row_texts(emit._fixed_records(b))
+    assert whole == [f"{v:.2f}" for v in [*a.tolist(), *b.tolist()]]
