@@ -17,12 +17,20 @@ numpy, each value's text proven equal to ``repr`` (Clinger's fast path at
 17), and every value it cannot prove by ``repr`` itself.
 
 ``region`` and ``sweep`` write their region files through one function,
-``_region_files``, and a command prints each float once, across all of
-its regions: the shared alpha grid once, every region's estimation rates
-in one ``repr_records`` call and every communications rate in another,
-and every SVG coordinate in one pass per axis (``emit.render_svgs``).
-So ``sweep`` computes every region before it prints any, and keeps of
-each only what its files, counters and summary row need.
+``_region_files``, which prints each float once across the regions it is
+given: the shared alpha grid once, every region's estimation rates in
+one ``repr_records`` call and every communications rate in another, and
+every SVG coordinate in one pass per axis (``emit.render_svgs``).
+``sweep`` computes every region before it prints any, keeps of each only
+what its files, counters and summary row need, and then prints
+consecutive regions together while their rows fit ``_SWEEP_ROWS``.
+
+A command's files are printed as they are written: it returns them as
+(name, data) pairs that are made in write order, where data is bytes or
+an iterable of byte blocks, and ``main`` writes each pair before it takes
+the next, then writes the manifest last. So ``region.csv`` goes to disk
+block by block, each SVG is rendered at its write, and the records a
+file is printed from go once the last file that reads them is written.
 """
 
 from __future__ import annotations
@@ -32,8 +40,9 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from itertools import chain, groupby, islice
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -69,8 +78,16 @@ SNR_DB_RANGE = (-300.0, 300.0)
 MAX_ALPHA_POINTS = 10**6
 MAX_TRIALS = 10**7
 
-#: Rows per block of ``region.csv``'s waterfill and hull rows.
+#: Rows per block of ``region.csv``: the header, then blocks of at most
+#: this many rows, each made as it is written.
 _CSV_BLOCK = 16384
+
+#: Table rows a sweep prints together: consecutive regions are printed as
+#: one group while their rows fit, so a group's records stay near those of
+#: one region of this many rows (about 6 MB, at some 90 bytes a row), and
+#: a 400-point sweep of up to 161 values is printed in one pass. A larger
+#: region is a group of its own.
+_SWEEP_ROWS = 1 << 16
 
 #: The ``self_consistent`` cells of ``region.csv``, NUL-padded to one width.
 _FLAG_FIELDS = np.frombuffer(b"false" b"true\0", np.uint8).reshape(2, 5)
@@ -144,13 +161,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 @dataclass(frozen=True)
 class Outcome:
-    """What a command computed: output name -> bytes, or a list of byte
-    blocks, in write order; the manifest fields (``counters`` for the
-    region grids and the Monte Carlo worker processes); and for
-    ``validate`` a line to print once all is written and whether the
-    check passed."""
+    """What a command computed: its files as (name, data) pairs, data being
+    bytes or an iterable of byte blocks, made in write order as they are
+    taken (``main`` writes each pair before it takes the next, and the
+    manifest last); the manifest fields (``counters`` for the region grids
+    and the Monte Carlo worker processes); and for ``validate`` a line to
+    print once all is written and whether the check passed."""
 
-    files: dict[str, bytes | list[bytes]]
+    files: Iterable[tuple[str, bytes | Iterable[bytes]]]
     parameters: dict
     seed: int | None = None
     counters: dict | list | None = None
@@ -180,52 +198,77 @@ def _region(prefix: str, scenario: Scenario, alpha_grid: np.ndarray) -> tuple[_T
     return table, region.grid.counters()
 
 
-def _region_csv(table: _Table, pairs: np.ndarray, alpha: np.ndarray) -> list[bytes]:
-    """CSV text as byte blocks, one row per curve vertex; waterfill rows
-    keep every grid point, flagged by self-consistency.
+def _region_csv(table: _Table, pairs: np.ndarray, alpha: np.ndarray) -> Iterator[bytes]:
+    """CSV text as byte blocks, each made when the writer asks for it: one
+    row per curve vertex; waterfill rows keep every grid point, flagged by
+    self-consistency.
 
     ``pairs`` holds one "r_est,r_com" record per table row, which a
     curve's rows gather by its index and the waterfill rows take for every
-    grid row, with the grid's ``alpha`` records. Rows are joined in blocks
-    of ``_CSV_BLOCK``, which go to the writer as they are.
+    grid row, with the grid's ``alpha`` records. The other curves' rows
+    all read ``label,nan,r_est,r_com,true``, so consecutive ones are laid
+    out together, each row with its curve's label; every block holds at
+    most ``_CSV_BLOCK`` rows.
     """
-    blocks = [(",".join(REGION_CSV_HEADER) + "\n").encode()]
-    for label, index in table.index.items():
-        if label == "waterfill":  # every split, with its alpha and flag
-            index = np.arange(len(pairs) - len(alpha), len(pairs))
-        for first in range(0, len(index), _CSV_BLOCK):
-            rows = slice(first, first + _CSV_BLOCK)
-            points = np.take(pairs, index[rows], axis=0)
-            if label == "waterfill":
+    yield (",".join(REGION_CSV_HEADER) + "\n").encode()
+    grid = pairs[len(pairs) - len(alpha) :]
+    for splits, curves in groupby(table.index.items(), lambda curve: curve[0] == "waterfill"):
+        if splits:  # every split, with its alpha and flag
+            for first in range(0, len(alpha), _CSV_BLOCK):
+                rows = slice(first, first + _CSV_BLOCK)
                 flags = np.take(_FLAG_FIELDS, table.self_consistent[rows].view(np.uint8), axis=0)
-                fields = [b"waterfill,", alpha[rows], b",", points, b",", flags, b"\n"]
-            else:
-                fields = [f"{label},nan,".encode(), points, b",true\n"]
-            blocks.append(records_bytes(join_fields(fields)))
-    return blocks
+                yield records_bytes(join_fields(
+                    [b"waterfill,", alpha[rows], b",", grid[rows], b",", flags, b"\n"]))
+            continue
+        labels, indices = zip(*curves)
+        names = np.array([f"{label},nan,".encode() for label in labels])
+        names = names.view(np.uint8).reshape(len(labels), -1)
+        index = one_column(indices)
+        starts = np.cumsum([0, *map(len, indices)])  # each curve's first row, then the end
+        for first in range(0, len(index), _CSV_BLOCK):
+            stop = np.minimum(np.maximum(starts, first), first + _CSV_BLOCK)
+            labelled = np.repeat(names, stop[1:] - stop[:-1], axis=0)  # each curve's rows here
+            points = np.take(pairs, index[first : first + _CSV_BLOCK], axis=0)
+            yield records_bytes(join_fields([labelled, points, b",true\n"]))
 
 
 def _region_files(
     alpha_grid: np.ndarray, tables: Sequence[_Table]
-) -> dict[str, bytes | list[bytes]]:
-    """The CSV and SVG of each region over the one ``alpha_grid``, every
-    float printed once for all of them: the grid in one ``repr_records``
-    call, every table's r_est in a second and every r_com in a third, and
-    the SVG coordinates by ``render_svgs``. Each region's files gather
-    from its own rows of those records."""
+) -> Iterator[tuple[str, Iterable[bytes]]]:
+    """The CSV and SVG of each region over the one ``alpha_grid``, as
+    (name, data) pairs in write order whose text is made as it is written.
+
+    Every float is printed once for all of the regions, when the first
+    pair is taken: the grid in one ``repr_records`` call, every table's
+    r_est in a second and every r_com in a third; the SVG coordinates by
+    ``render_svgs`` when the first SVG is written. Each region's files
+    gather from its own rows of those records, and the records go once the
+    last CSV, or SVG, that reads them is written.
+    """
     alpha = repr_records(alpha_grid)
     pairs = join_fields([repr_records(one_column([t.r_est for t in tables])), b",",
                          repr_records(one_column([t.r_com for t in tables]))])
+    ends = np.cumsum([len(t.r_est) for t in tables])[:-1]
+    csvs = [_region_csv(t, rows, alpha) for t, rows in zip(tables, np.split(pairs, ends))]
+    del alpha, pairs  # each CSV holds its rows until it has been written
     svgs = render_svgs([(list(t.index.items()), "estimation rate (bits/s)",
                          "communications rate (bits/s)", (t.r_est, t.r_com)) for t in tables])
-    files: dict[str, bytes | list[bytes]] = {}
-    first = 0
-    for t, svg in zip(tables, svgs):
-        rows = pairs[first : first + len(t.r_est)]
-        files[f"{t.prefix}.csv"] = _region_csv(t, rows, alpha)
-        files[f"{t.prefix}.svg"] = svg
-        first += len(t.r_est)
-    return files
+    for t, csv in zip(tables, csvs):
+        yield f"{t.prefix}.csv", csv
+        yield f"{t.prefix}.svg", islice(svgs, 1)  # rendered as it is written
+
+
+def _row_groups(tables: Sequence[_Table]) -> Iterator[list[_Table]]:
+    """Consecutive ``tables`` whose rows together fit ``_SWEEP_ROWS``; a
+    table that does not fit on its own is a group of one."""
+    group, rows = [], 0
+    for t in tables:
+        if group and rows + len(t.r_est) > _SWEEP_ROWS:
+            yield group
+            group, rows = [], 0
+        group.append(t)
+        rows += len(t.r_est)
+    yield group
 
 
 def cmd_region(args: argparse.Namespace) -> Outcome:
@@ -266,7 +309,7 @@ def cmd_pentagon(args: argparse.Namespace) -> Outcome:
         [(curves[2:], "user 1 rate (bits/use)", "user 2 rate (bits/use)", (r1_bits, r2_bits))]
     )
     return Outcome(
-        files={"pentagon.csv": csv, "pentagon.svg": svg},
+        files=[("pentagon.csv", csv), ("pentagon.svg", svg)],
         parameters={"snr1_db": args.snr1_db, "snr2_db": args.snr2_db},
     )
 
@@ -288,7 +331,7 @@ def cmd_validate(args: argparse.Namespace) -> Outcome:
     status = "pass" if report.passed else "FAIL"
     report_json = json.dumps(report.to_json_dict(), indent=2) + "\n"
     return Outcome(
-        files={f"validate_{args.experiment}.json": report_json.encode()},
+        files=[(f"validate_{args.experiment}.json", report_json.encode())],
         parameters={"experiment": args.experiment, "trials": args.trials},
         seed=seed,
         counters={"workers": mcsim.trial_workers(args.trials)},
@@ -325,13 +368,13 @@ def cmd_sweep(args: argparse.Namespace) -> Outcome:
         corner, sic = table.index["outer"][1], table.index["sic"][0]
         row = (value, table.r_est[corner], table.r_com[corner], table.r_com[sic])
         summary_rows.append([fmt_float(x) for x in row])
-    files = _region_files(alpha_grid, tables)
-    files["sweep_summary.csv"] = csv_text(
+    summary = csv_text(
         ("value", "est_outer_rate_bps", "comms_outer_rate_bps", "sic_comms_rate_bps"),
         summary_rows,
     ).encode()
+    regions = (_region_files(alpha_grid, group) for group in _row_groups(tables))
     return Outcome(
-        files=files,
+        files=chain(*regions, [("sweep_summary.csv", summary)]),
         parameters={
             "vary": args.vary,
             "values": values,
@@ -350,8 +393,8 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command: map its errors to exit codes, write its files, and
-    write the manifest last."""
+    """Run one command: map its errors to exit codes, write its files as
+    they are made, and write the manifest last."""
     args = build_parser().parse_args(argv)
     try:
         for flag, least, most in (
@@ -383,14 +426,16 @@ def main(argv: list[str] | None = None) -> int:
             args.out if args.out is not None else os.environ.get("MUDR_OUT", ".")
         )
         out.mkdir(parents=True, exist_ok=True)
-        for name, data in outcome.files.items():
+        written = []
+        for name, data in outcome.files:  # each file is made as it is taken
             atomic_write_text(out / name, data)
+            written.append(name)
         write_manifest(
             out / "manifest.json",
             command=args.command,
             scenario_path=getattr(args, "scenario", None),
             parameters=outcome.parameters,
-            outputs=[*outcome.files, "manifest.json"],
+            outputs=[*written, "manifest.json"],
             tool_version=__version__,
             seed=outcome.seed,
             counters=outcome.counters,

@@ -8,11 +8,11 @@ atomically via a temp file and rename.
 The SVG draws its curves from one point table: a curve is an index array
 into it, so a point that several curves pass through (the region's hull
 and the waterfill and interpolated curves it picks from) is scaled and
-printed once. A command prints each float once across all of its files:
-``render_svgs`` prints the scaled points of all its figures in one pass
-per axis, and the CLI gives ``repr_records`` the columns of all its
-regions at once (``one_column``). That is right because a value's text
-never depends on the other values of its column.
+printed once. A command prints each float once across the figures and
+regions it prints together: ``render_svgs`` prints the scaled points of
+all its figures in one pass per axis, and the CLI gives ``repr_records``
+the columns of those regions at once (``one_column``). That is right
+because a value's text never depends on the other values of its column.
 
 Both the SVG coordinates and the CSV floats are printed into NUL-padded
 records, one uint8 row per value, in numpy. An SVG coordinate's record
@@ -27,8 +27,10 @@ are built on first use.
 
 Outputs stay bytes from the records to the file: ``records_bytes`` drops
 the records' NUL padding into bytes, the SVG is rendered as bytes, and
-``atomic_write_text`` writes bytes or a list of byte blocks as they are,
-so a large CSV is never joined, decoded or encoded as a whole.
+``atomic_write_text`` writes bytes or an iterable of byte blocks as they
+are made, so a large CSV is never joined, decoded or encoded as a whole,
+and an SVG that ``render_svgs`` yields is rendered only when it is
+written.
 """
 
 from __future__ import annotations
@@ -36,9 +38,8 @@ from __future__ import annotations
 import functools
 import json
 import os
-import secrets
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -77,9 +78,13 @@ def fmt_float(x: float) -> str:
 def atomic_write_text(path: Path, data: bytes | Iterable[bytes]) -> None:
     """Write ``data``, text as bytes or as an iterable of bytes-like blocks,
     through a uniquely named temp file in the same directory, then rename
-    it over ``path``. If the write fails, the temp file is removed and
-    ``path`` is left as it was. The file gets the umask default mode."""
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    it over ``path``. Blocks are written as the iterable makes them, so a
+    generator's text never has to be in memory all at once. If the write,
+    or the making of a block, fails, the temp file is removed and ``path``
+    is left as it was. The file gets the umask default mode."""
+    # os.urandom(4).hex() is what secrets.token_hex(4) returns, without
+    # importing secrets, hmac and hashlib's OpenSSL binding (about 3.5 ms)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     fh = open(tmp, "xb")
     try:
         with fh:
@@ -439,28 +444,28 @@ def _spans(curves: Sequence[tuple[str, np.ndarray]], points) -> tuple[float, flo
     return tuple(top * 1.05 if top > 0 else 1.0 for top in tops)
 
 
-def render_svgs(figures: Sequence[tuple]) -> list[bytes]:
+def render_svgs(figures: Sequence[tuple]) -> Iterator[bytes]:
     """One SVG per figure ``(curves, x_label, y_label, points)``, each by
-    ``render_curves_svg``. The point table ``points = (xs, ys)`` is two
-    float64 columns, and a curve ``(label, index)`` is the table's points
-    at the integer array ``index``.
+    ``render_curves_svg`` and each only when it is asked for. The
+    point table ``points = (xs, ys)`` is two float64 columns, and a curve
+    ``(label, index)`` is the table's points at the integer array ``index``.
 
-    Each figure scales its table to its own axes. The scaled points of all
-    figures are then printed together, every x in one ``_fixed_records``
-    pass and every y in another, so each table point is printed once,
-    however many curves or figures there are; each figure's paths gather
-    from its own rows of those records.
+    Each figure scales its table to its own axes. When the first SVG is
+    asked for, the scaled points of all figures are printed together,
+    every x in one ``_fixed_records`` pass and every y in another, so each
+    table point is printed once, however many curves or figures there
+    are; each figure's paths gather from its own rows of those records.
     """
     spans = [_spans(curves, points) for curves, _, _, points in figures]
     xs, ys = zip(*((_sx(x, x_span), _sy(y, y_span))
                    for (*_, (x, y)), (x_span, y_span) in zip(figures, spans)))
+    sizes = [len(x) for x in xs]
     records = _path_records(one_column(xs), one_column(ys))
-    svgs, first = [], 0
-    for (curves, x_label, y_label, _), span, x in zip(figures, spans, xs):
-        rows = records[first : first + len(x)]
-        svgs.append(render_curves_svg(curves, x_label, y_label, span, rows))
-        first += len(x)
-    return svgs
+    del xs, ys  # only the records are kept while the SVGs are rendered
+    first = 0
+    for (curves, x_label, y_label, _), span, size in zip(figures, spans, sizes):
+        yield render_curves_svg(curves, x_label, y_label, span, records[first : first + size])
+        first += size
 
 
 def render_curves_svg(

@@ -11,7 +11,9 @@ import runpy
 import sys
 import tempfile
 import time
+import tracemalloc
 import xml.etree.ElementTree as ET
+from collections.abc import Iterator
 from dataclasses import replace
 from pathlib import Path
 
@@ -184,6 +186,28 @@ def test_region_write_failure_exit_3(tmp_path):
     rc = run("region", "--scenario", bundled_scenario_path(),
              "--alpha-points", 5, "--out", blocker / "sub")
     assert rc == 3
+
+
+def test_write_failure_while_streaming_exits_3_without_temp(tmp_path, monkeypatch):
+    # the files are made as they are written: a failure in the middle of
+    # region.csv's blocks, or at the rename of region.svg after region.csv
+    # is on disk, still exits 3, leaves no temp file and writes no manifest
+    records_bytes, calls = cli.records_bytes, []
+
+    def disk_full_at_the_second_block(records):
+        calls.append(1)
+        if len(calls) == 2:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return records_bytes(records)
+
+    argv = ("region", "--scenario", bundled_scenario_path(), "--alpha-points", 40)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "records_bytes", disk_full_at_the_second_block)
+        assert run(*argv, "--out", tmp_path / "csv") == 3
+    assert list((tmp_path / "csv").iterdir()) == []
+    (tmp_path / "svg" / "region.svg").mkdir(parents=True)
+    assert run(*argv, "--out", tmp_path / "svg") == 3
+    assert sorted(p.name for p in (tmp_path / "svg").iterdir()) == ["region.csv", "region.svg"]
 
 
 # --- pentagon --------------------------------------------------------------------
@@ -448,12 +472,12 @@ def test_region_files_equal_per_curve_oracle(table2_scenario, case):
     # which each curve has its own rows, no point shared, gives the same bytes
     curves = region.curves
     ends = np.cumsum([len(c.r_est) for c in curves])
-    assert [files["region.svg"]] == render_svgs([(
+    assert files["region.svg"] == list(render_svgs([(
         [(c.label, np.arange(end - len(c.r_est), end)) for c, end in zip(curves, ends)],
         "estimation rate (bits/s)",
         "communications rate (bits/s)",
         (np.concatenate([c.r_est for c in curves]), np.concatenate([c.r_com for c in curves])),
-    )])
+    )]))
 
 
 # sha256 of region.csv and region.svg as the commit before the SVG point
@@ -527,9 +551,13 @@ SWEEP_DIGESTS = {
 
 
 def test_sweep_bytes_equal_pinned_digests(tmp_path):
+    assert_ci_sweep_bytes(tmp_path / "sweep")
+
+
+def assert_ci_sweep_bytes(out: Path) -> None:
+    """Run the CI sweep into ``out``: its files have ``SWEEP_DIGESTS``."""
     # radar powers over 8 decades: the regions' floats, printed together,
     # span more decades than any one region's
-    out = tmp_path / "sweep"
     assert run("sweep", "--scenario", bundled_scenario_path(), "--vary", "radar_power_w",
                "--values", "0.001,1000,100000", "--alpha-points", 400, "--out", out) == 0
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
@@ -552,6 +580,45 @@ def test_failed_sweep_writes_nothing(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+def test_dense_region_streams_its_files_under_a_traced_peak(tmp_path, monkeypatch):
+    # the emitters' tables are built on first use: build them untraced
+    argv = ("region", "--scenario", bundled_scenario_path(), "--alpha-points")
+    assert run(*argv, 50, "--out", tmp_path / "warm") == 0
+    data_types = {}
+    write = cli.atomic_write_text
+
+    def recorded_write(path, data):
+        data_types[path.name] = type(data)  # not the data: it would stay alive
+        write(path, data)
+
+    monkeypatch.setattr(cli, "atomic_write_text", recorded_write)
+    tracemalloc.start()
+    try:
+        assert run(*argv, 100000, "--out", tmp_path / "dense") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # region.csv reaches the writer as blocks still to be made, not as
+    # bytes or a list of them
+    assert issubclass(data_types["region.csv"], Iterator)
+    assert not issubclass(data_types["region.csv"], (bytes, list))
+    # The traced peak read 18.8 MB (the waterfill grid and the hull, not
+    # the files), against 28.6 MB when every file was made before the
+    # first write; the bound leaves 20% headroom over 18.8 MB.
+    assert peak < 22.5e6, peak / 1e6
+
+
+@pytest.mark.parametrize("budget, groups", [(cli._SWEEP_ROWS, 1), (2 * 407, 2), (407, 3)])
+def test_sweep_groups_keep_bytes(tmp_path, monkeypatch, budget, groups):
+    # each region of the CI sweep has 407 table rows (7 vertex rows and 400
+    # splits): a budget of 814 rows prints its first two regions together
+    # and the third alone, one of 407 rows prints each region alone
+    printed = count_calls(monkeypatch, cli, "repr_records")
+    monkeypatch.setattr(cli, "_SWEEP_ROWS", budget)
+    assert_ci_sweep_bytes(tmp_path / "sweep")
+    assert printed[0] == 3 * groups  # the alpha grid, r_est and r_com per group
+
+
 # sha256 of the three 10k-trial, seed-42 reports of scripts/run_validations.py
 VALIDATE_DIGESTS = {
     "crb": "387f352f83de356fb0ccfb3796c0e9d27a5eeb9b8b1c7d269cf7eba6522f9d00",
@@ -572,10 +639,11 @@ def test_validation_reports_equal_pinned_digests(tmp_path, monkeypatch):
 # --- region.csv blocks and worker processes ----------------------------------------
 
 def region_files(region: bounds.RateRegion) -> dict:
-    """``region.csv`` and ``region.svg`` of a region as ``region`` writes them."""
+    """``region.csv`` and ``region.svg`` of a region as ``region`` writes
+    them: name -> the list of its blocks."""
     table = cli._Table("region", region.r_est, region.r_com, region.index,
                        region.grid.self_consistent)
-    return cli._region_files(region.grid.alpha, [table])
+    return {name: list(data) for name, data in cli._region_files(region.grid.alpha, [table])}
 
 
 def region_of(table2_scenario, case: str) -> bounds.RateRegion:
@@ -597,7 +665,9 @@ def test_region_csv_blocks_equal_one_block(table2_scenario, case, monkeypatch):
         assert not region.grid.self_consistent.all()
         assert len(region.index["hull"]) < 2 + len(region.index["waterfill"])
     one = region_files(region)["region.csv"]  # 400 rows: one block of rows and of values
-    assert len(one) == 6  # the header, then one block per curve
+    # the header, one block for the outer, sic and interpolated rows, then
+    # one for the waterfill rows and one for the hull's
+    assert len(one) == 4
     # blocks of 64 rows and 48 values: blocks that span decades, and hull
     # rows gathered across blocks
     monkeypatch.setattr(cli, "_CSV_BLOCK", 64)

@@ -78,7 +78,7 @@ def test_render_curves_svg_geometry():
     # curve: that point moves no axis
     table = (np.array([9.0, 2.0, 0.5, 0.0, 1.0, 2.0]), np.array([9.0, 0.0, 1.5, 0.0, 2.0, 1.0]))
     curves = [("a", np.array([3, 4, 5])), ("b", np.array([2, 1]))]
-    assert emit.render_svgs([(curves, "x", "y", table)]) == [svg]
+    assert list(emit.render_svgs([(curves, "x", "y", table)])) == [svg]
 
 
 # --- SVG path coordinates ---------------------------------------------------------

@@ -206,9 +206,11 @@ def test_cli_import_leaves_numpy_random_unloaded():
     # The trial workers are bare forks: no process-pool module is imported.
     # The SVG labels are escaped without xml.sax, which imports urllib.
     # The emitters' digit tables are built on first use, not at import.
+    # Temp file names come from os.urandom, so secrets, hmac and hashlib's
+    # OpenSSL binding (about 3.5 ms) stay unloaded.
     src = str(Path(mcsim.__file__).resolve().parents[1])
     modules = ("numpy.random", "multiprocessing", "concurrent.futures", "xml.sax",
-               "urllib.request")
+               "urllib.request", "secrets", "hmac", "_hashlib")
     tables = ("_path_words", "_repr_tables")
     code = f"import sys; sys.path.insert(0, {src!r}); import mudr.cli; " \
         f"print([m for m in {modules!r} if m in sys.modules]); " \

@@ -306,6 +306,54 @@ def test_hull_fast_path_on_strictly_concave_cloud():
     assert hull == _oracle(points)
 
 
+def chain_indices(r_est: np.ndarray, r_com: np.ndarray) -> list[int]:
+    """The chain's vertices as cloud indices: of equal points, the hull
+    keeps the first, as the stable sort puts it first."""
+    points = list(zip(r_est.tolist(), r_com.tolist()))
+    return [points.index(vertex) for vertex in chain_hull(r_est, r_com)]
+
+
+@st.composite
+def arc_clouds(draw):
+    """A strictly concave integer arc with some points lowered, some
+    repeated and some below others on their abscissa, shuffled: clouds the
+    fast path takes whole and clouds the chain pops from."""
+    xs = sorted(draw(st.sets(st.integers(0, 60), min_size=2, max_size=30)))
+    arc = [(x, 4000 - x * x) for x in xs]
+    for i, drop in draw(st.lists(st.tuples(st.integers(0, len(arc) - 1),
+                                           st.integers(0, 3000)), max_size=3)):
+        arc[i] = (arc[i][0], arc[i][1] - drop)
+    extra = draw(st.lists(st.sampled_from(arc), max_size=3))
+    below = [(x, y - 1) for x, y in draw(st.lists(st.sampled_from(arc), max_size=2))]
+    return draw(st.permutations(arc + extra + below))
+
+
+@given(arc_clouds(), st.integers(1, 5))
+def test_hull_in_blocks_equals_one_block_and_chain(points, block):
+    r_est, r_com = np.array(points, dtype=float).T
+    one_block = wf.upper_convex_hull(r_est, r_com)  # 16384 triples hold every cloud here
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wf, "_HULL_BLOCK", block)
+        blocked = wf.upper_convex_hull(r_est, r_com)
+    assert blocked.tolist() == one_block.tolist() == chain_indices(r_est, r_com)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("side", ["last_of_a_block", "first_of_the_next"])
+def test_hull_pop_at_a_block_boundary(monkeypatch, block, side):
+    # a concave arc whose only popping triple is the last one of the first
+    # block or the first one of the second: the blocks overlap by two
+    # points, so the fast path sees it and the chain drops its middle point
+    start = block - 1 if side == "last_of_a_block" else block
+    x = np.arange(12.0)
+    y = 200.0 - x * x
+    middle = start + 1
+    y[middle] = (y[middle - 1] + y[middle + 1]) / 2 - 1  # below its chord
+    monkeypatch.setattr(wf, "_HULL_BLOCK", block)
+    index = wf.upper_convex_hull(x, y)
+    assert index.tolist() == chain_indices(x, y) == [i for i in range(12) if i != middle]
+
+
 @given(
     st.lists(
         st.tuples(st.integers(0, 6), st.integers(0, 20)), min_size=2, max_size=40
