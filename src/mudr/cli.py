@@ -31,12 +31,15 @@ an iterable of byte blocks, and ``main`` writes each pair before it takes
 the next, then writes the manifest last. So ``region.csv`` goes to disk
 block by block, each SVG is rendered at its write, and the records a
 file is printed from go once the last file that reads them is written.
+
+``main`` builds the manifest dict in its key order, ``counters`` only
+when the command has them; it and the ``validate`` report
+(``McReport.to_json_dict``) are printed by ``emit.json_bytes``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import dataclass
@@ -52,6 +55,7 @@ from .emit import (
     csv_text,
     fmt_float,
     join_fields,
+    json_bytes,
     one_column,
     records_bytes,
     render_svgs,
@@ -329,9 +333,8 @@ def cmd_validate(args: argparse.Namespace) -> Outcome:
         report = mcsim.gamma_experiment(args.trials, seed)
 
     status = "pass" if report.passed else "FAIL"
-    report_json = json.dumps(report.to_json_dict(), indent=2) + "\n"
     return Outcome(
-        files=[(f"validate_{args.experiment}.json", report_json.encode())],
+        files=[(f"validate_{args.experiment}.json", json_bytes(report.to_json_dict()))],
         parameters={"experiment": args.experiment, "trials": args.trials},
         seed=seed,
         counters={"workers": mcsim.trial_workers(args.trials)},
@@ -347,11 +350,9 @@ def cmd_validate(args: argparse.Namespace) -> Outcome:
 def cmd_sweep(args: argparse.Namespace) -> Outcome:
     scenario = load_scenario(args.scenario)
     try:
-        values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+        values = [float(v) for v in args.values.split(",")]
     except ValueError as exc:
         raise ValueError(f"--values: {exc}") from None
-    if not values:
-        raise ValueError("--values must contain at least one number")
     variants = [replace_scenario_field(scenario, args.vary, v) for v in values]
     alpha_grid = waterfill.default_alpha_grid(args.alpha_points)
 
@@ -394,7 +395,7 @@ COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command: map its errors to exit codes, write its files as
-    they are made, and write the manifest last."""
+    they are made, and write the manifest, built here, last."""
     args = build_parser().parse_args(argv)
     try:
         for flag, least, most in (
@@ -430,16 +431,17 @@ def main(argv: list[str] | None = None) -> int:
         for name, data in outcome.files:  # each file is made as it is taken
             atomic_write_text(out / name, data)
             written.append(name)
-        write_manifest(
-            out / "manifest.json",
-            command=args.command,
-            scenario_path=getattr(args, "scenario", None),
-            parameters=outcome.parameters,
-            outputs=[*written, "manifest.json"],
-            tool_version=__version__,
-            seed=outcome.seed,
-            counters=outcome.counters,
-        )
+        manifest = {
+            "command": args.command,
+            "scenario_path": getattr(args, "scenario", None),
+            "parameters": outcome.parameters,
+            "outputs": [*written, "manifest.json"],
+            "tool_version": __version__,
+            "seed": outcome.seed,
+        }
+        if outcome.counters is not None:
+            manifest["counters"] = outcome.counters
+        write_manifest(out / "manifest.json", manifest)
     except OSError as exc:
         print(f"write error: {exc}", file=sys.stderr)
         return 3

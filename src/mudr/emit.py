@@ -1,9 +1,10 @@
-"""Deterministic file emitters: CSV, hand-rolled SVG, run manifest.
+"""Deterministic file emitters: CSV, hand-rolled SVG, JSON.
 
 Output bytes must be identical across runs with identical inputs, so all
 floats are written with shortest round-trip repr (CSV/JSON) or fixed
 two-decimal coordinates (SVG), lines end with LF, and files are written
-atomically via a temp file and rename.
+atomically via a temp file and rename. The Monte Carlo reports and the
+run manifest share one JSON text form, ``json_bytes``.
 
 The SVG draws its curves from one point table: a curve is an index array
 into it, so a point that several curves pass through (the region's hull
@@ -101,28 +102,15 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_manifest(
-    path: Path,
-    command: str,
-    scenario_path: str | None,
-    parameters: dict,
-    outputs: list[str],
-    tool_version: str,
-    seed: int | None,
-    counters: dict | list | None = None,
-) -> None:
-    """Write the run manifest; ``counters`` is added only when given."""
-    manifest = {
-        "command": command,
-        "scenario_path": scenario_path,
-        "parameters": parameters,
-        "outputs": outputs,
-        "tool_version": tool_version,
-        "seed": seed,
-    }
-    if counters is not None:
-        manifest["counters"] = counters
-    atomic_write_text(path, (json.dumps(manifest, indent=2) + "\n").encode())
+def json_bytes(obj) -> bytes:
+    """``obj`` in the one JSON text form of every JSON file written here:
+    two-space indent, keys in insertion order, a trailing LF."""
+    return (json.dumps(obj, indent=2) + "\n").encode()
+
+
+def write_manifest(path: Path, manifest: dict) -> None:
+    """Write the run manifest as ``json_bytes``."""
+    atomic_write_text(path, json_bytes(manifest))
 
 
 def _ticks(limit: float) -> list[float]:

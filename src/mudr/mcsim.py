@@ -11,6 +11,8 @@ Three seeded experiments back the closed-form bounds:
   formula behind the interference-plus-noise variance.
 * ``gamma_experiment`` measures the waveform's spectral-shape constant.
 
+Each returns an ``McReport``, the ``validate`` report's fields in order.
+
 The kernels work on the in-band DFT coefficients of an n-sample waveform
 (n = ``N_SAMPLES``): independent complex Gaussian coefficients on the
 in-band bins give Gaussian time samples with a flat band-limited spectrum,
@@ -56,7 +58,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -90,45 +92,34 @@ OVERSAMPLE = 8
 
 @dataclass(frozen=True)
 class McReport:
-    """Outcome of one experiment: empirical vs analytic with a tolerance."""
+    """Outcome of one experiment: empirical vs analytic with a tolerance.
+
+    The fields are declared in the order of the report's JSON keys
+    (``to_json_dict``). ``rel_error`` = |empirical - analytic| / analytic
+    and ``passed`` = (rel_error <= tolerance) follow from the others, so
+    the constructor does not take them.
+    """
 
     experiment: str
     trials: int
     seed: int
     empirical: float
     analytic: float
-    rel_error: float
+    rel_error: float = field(init=False)
     tolerance: float
-    passed: bool
+    passed: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        rel_error = abs(self.empirical - self.analytic) / self.analytic
+        object.__setattr__(self, "rel_error", rel_error)
+        object.__setattr__(self, "passed", rel_error <= self.tolerance)
 
     def to_json_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "trials": self.trials,
-            "seed": self.seed,
-            "empirical": self.empirical,
-            "analytic": self.analytic,
-            "rel_error": self.rel_error,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
-
-
-def _report(
-    experiment: str, trials: int, seed: int, empirical: float, analytic: float,
-    tolerance: float,
-) -> McReport:
-    rel_error = abs(empirical - analytic) / analytic
-    return McReport(
-        experiment=experiment,
-        trials=trials,
-        seed=seed,
-        empirical=float(empirical),
-        analytic=float(analytic),
-        rel_error=float(rel_error),
-        tolerance=tolerance,
-        passed=bool(rel_error <= tolerance),
-    )
+        """The fields in declaration order, ``passed`` under the key
+        ``pass``, last."""
+        fields = asdict(self)
+        fields["pass"] = fields.pop("passed")
+        return fields
 
 
 # Trials per chunk of the Monte Carlo kernels. Speed is flat from 8 to 64
@@ -438,7 +429,7 @@ def crb_experiment(lb: LinkBudget, trials: int, seed: int) -> McReport:
     empirical = float(np.mean(errors**2))
     analytic = crb_delay_variance(lb, 0)
     tolerance = 0.15 if isnr >= 1e4 else 0.25
-    return _report("crb", trials, seed, empirical, analytic, tolerance)
+    return McReport("crb", trials, seed, empirical, analytic, tolerance)
 
 
 def residual_power_trials(lb: LinkBudget, trials: int, seed: int) -> np.ndarray:
@@ -491,7 +482,7 @@ def residual_experiment(lb: LinkBudget, trials: int, seed: int) -> McReport:
     analytic = int_plus_noise_variance(lb, lb.bandwidth_hz)
     powers = residual_power_trials(lb, trials, seed)
     empirical = float(np.mean(powers)) + lb.noise_power_w
-    return _report("residual", trials, seed, empirical, analytic, tolerance=0.10)
+    return McReport("residual", trials, seed, empirical, analytic, tolerance=0.10)
 
 
 def gamma_sq_trials(trials: int, seed: int) -> np.ndarray:
@@ -513,4 +504,4 @@ def gamma_experiment(trials: int, seed: int) -> McReport:
         raise ValueError("trials must be positive")
     empirical = float(np.mean(gamma_sq_trials(trials, seed)))
     analytic = GAMMA_SQ_FLAT
-    return _report("gamma", trials, seed, empirical, analytic, tolerance=0.05)
+    return McReport("gamma", trials, seed, empirical, analytic, tolerance=0.05)

@@ -28,12 +28,14 @@ from helpers import (
     region_csv_text,
     with_second_target,
 )
+import mudr
 from mudr import bounds, cli, emit, mcsim, scenario as sc, waterfill, workers
 from mudr.emit import render_svgs
 from mudr.scenario import bundled_scenario_path
 
 SVG_NS = {"svg": "http://www.w3.org/2000/svg"}
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def run(*argv) -> int:
@@ -349,7 +351,7 @@ def test_validate_failure_exit_1(tmp_path, monkeypatch):
 
     def strict(trials, seed):
         rep = real(trials, seed)
-        return replace(rep, tolerance=1e-9, passed=False)
+        return replace(rep, tolerance=1e-9)
 
     monkeypatch.setattr(cli.mcsim, "gamma_experiment", strict)
     rc = run("validate", "--scenario", bundled_scenario_path(), "--experiment",
@@ -414,10 +416,14 @@ def test_sweep_unknown_field_exit_2(tmp_path, capsys):
                  "radar_power_w", "--values", f"100,{value}", "--out", tmp_path)
         assert rc == 2
         assert "radar_power_w" in capsys.readouterr().err
-    rc = run("sweep", "--scenario", bundled_scenario_path(), "--vary",
-             "radar_power_w", "--values", "1,abc", "--out", tmp_path)
-    assert rc == 2
-    assert "--values" in capsys.readouterr().err
+    # every entry must be a number, empty ones included
+    for values in ("1,abc", "1,,2", "1,", ""):
+        out = tmp_path / "values"
+        rc = run("sweep", "--scenario", bundled_scenario_path(), "--vary",
+                 "radar_power_w", "--values", values, "--out", out)
+        assert rc == 2
+        assert "--values" in capsys.readouterr().err
+        assert not out.exists()
     # a value outside the field's valid range names the varied field
     for field, value in (("radar_antenna_gain_lin", "1e-200"),
                          ("cross_section_m2", "1e-320"),
@@ -564,6 +570,25 @@ def assert_ci_sweep_bytes(out: Path) -> None:
                for name in SWEEP_DIGESTS}
     assert digests == SWEEP_DIGESTS
     assert sorted(p.name for p in out.iterdir()) == sorted([*SWEEP_DIGESTS, "manifest.json"])
+
+
+# sha256 of the manifests of the CI sweep and of `pentagon 10 3`, each run
+# from the repository root with the scenario path that CI gives
+CI_MANIFEST_DIGESTS = {
+    "sweep": "5df459c3b74e99eb9b48b0cde0049c1bbcf71e44cb7dceb40eb20048f8586700",
+    "pentagon": "48141ba7da8f4ef511644df528de55e6333f9f10794c334d305135c78cb9b976",
+}
+
+
+def test_ci_manifests_equal_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert run("sweep", "--scenario", "src/mudr/data/table2.json", "--vary", "radar_power_w",
+               "--values", "0.001,1000,100000", "--alpha-points", 400,
+               "--out", tmp_path / "sweep") == 0
+    assert run("pentagon", 10, 3, "--out", tmp_path / "pentagon") == 0
+    digests = {command: hashlib.sha256((tmp_path / command / "manifest.json").read_bytes())
+               .hexdigest() for command in CI_MANIFEST_DIGESTS}
+    assert digests == CI_MANIFEST_DIGESTS
 
 
 def test_failed_sweep_writes_nothing(tmp_path, capsys):
@@ -835,8 +860,17 @@ def test_validate_manifest_counts_workers(tmp_path, monkeypatch):
     argv = ("validate", "--scenario", bundled_scenario_path(), "--experiment", "gamma",
             "--trials", trials, "--seed", 5)
     assert run(*argv, "--out", tmp_path / "auto") == 0
-    manifest = json.loads((tmp_path / "auto" / "manifest.json").read_text())
-    assert manifest["counters"] == {"workers": mcsim.trial_workers(trials)}
+    expected = {
+        "command": "validate",
+        "scenario_path": str(bundled_scenario_path()),
+        "parameters": {"experiment": "gamma", "trials": trials},
+        "outputs": ["validate_gamma.json", "manifest.json"],
+        "tool_version": mudr.__version__,
+        "seed": 5,
+        "counters": {"workers": mcsim.trial_workers(trials)},
+    }
+    manifest = (tmp_path / "auto" / "manifest.json").read_bytes()
+    assert manifest == (json.dumps(expected, indent=2) + "\n").encode()
     # the count comes from the kernels' own helper, and never changes the report
     monkeypatch.setattr(mcsim, "trial_workers", lambda trials: 1)
     assert run(*argv, "--out", tmp_path / "one") == 0

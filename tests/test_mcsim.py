@@ -544,7 +544,7 @@ def test_gamma_kernel_matches_time_domain_path():
 def test_mcreport_json_shape():
     rep = mcsim.gamma_experiment(trials=20, seed=1)
     payload = rep.to_json_dict()
-    assert set(payload) == {
+    assert list(payload) == [
         "experiment",
         "trials",
         "seed",
@@ -553,7 +553,7 @@ def test_mcreport_json_shape():
         "rel_error",
         "tolerance",
         "pass",
-    }
+    ]
     assert payload["pass"] == (payload["rel_error"] <= payload["tolerance"])
     assert payload["rel_error"] == pytest.approx(
         abs(payload["empirical"] - payload["analytic"]) / payload["analytic"],
