@@ -43,7 +43,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass
-from itertools import chain, groupby, islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -56,7 +56,6 @@ from .emit import (
     fmt_float,
     join_fields,
     json_bytes,
-    one_column,
     records_bytes,
     render_svgs,
     repr_records,
@@ -81,6 +80,11 @@ SNR_DB_RANGE = (-300.0, 300.0)
 #: numpy instead of failing here with the flag named.
 MAX_ALPHA_POINTS = 10**6
 MAX_TRIALS = 10**7
+
+#: Largest ``len(--values) * --alpha-points`` of a sweep, which holds
+#: every region's table (some 32 bytes a grid point) before it prints any:
+#: 4 regions of 10^6 points peak near 450 MB.
+MAX_SWEEP_POINTS = 4 * 10**6
 
 #: Rows per block of ``region.csv``: the header, then blocks of at most
 #: this many rows, each made as it is written.
@@ -207,33 +211,25 @@ def _region_csv(table: _Table, pairs: np.ndarray, alpha: np.ndarray) -> Iterator
     row per curve vertex; waterfill rows keep every grid point, flagged by
     self-consistency.
 
-    ``pairs`` holds one "r_est,r_com" record per table row, which a
-    curve's rows gather by its index and the waterfill rows take for every
-    grid row, with the grid's ``alpha`` records. The other curves' rows
-    all read ``label,nan,r_est,r_com,true``, so consecutive ones are laid
-    out together, each row with its curve's label; every block holds at
-    most ``_CSV_BLOCK`` rows.
+    ``pairs`` holds one "r_est,r_com" record per table row. The waterfill
+    rows take one for every grid row, with the grid's ``alpha`` records;
+    every other curve's rows read ``label,nan,r_est,r_com,true``, gathered
+    by its index. Each curve's rows come in blocks of at most
+    ``_CSV_BLOCK``.
     """
     yield (",".join(REGION_CSV_HEADER) + "\n").encode()
     grid = pairs[len(pairs) - len(alpha) :]
-    for splits, curves in groupby(table.index.items(), lambda curve: curve[0] == "waterfill"):
-        if splits:  # every split, with its alpha and flag
+    for label, index in table.index.items():
+        if label == "waterfill":  # every split, with its alpha and flag
             for first in range(0, len(alpha), _CSV_BLOCK):
                 rows = slice(first, first + _CSV_BLOCK)
                 flags = np.take(_FLAG_FIELDS, table.self_consistent[rows].view(np.uint8), axis=0)
                 yield records_bytes(join_fields(
                     [b"waterfill,", alpha[rows], b",", grid[rows], b",", flags, b"\n"]))
             continue
-        labels, indices = zip(*curves)
-        names = np.array([f"{label},nan,".encode() for label in labels])
-        names = names.view(np.uint8).reshape(len(labels), -1)
-        index = one_column(indices)
-        starts = np.cumsum([0, *map(len, indices)])  # each curve's first row, then the end
         for first in range(0, len(index), _CSV_BLOCK):
-            stop = np.minimum(np.maximum(starts, first), first + _CSV_BLOCK)
-            labelled = np.repeat(names, stop[1:] - stop[:-1], axis=0)  # each curve's rows here
             points = np.take(pairs, index[first : first + _CSV_BLOCK], axis=0)
-            yield records_bytes(join_fields([labelled, points, b",true\n"]))
+            yield records_bytes(join_fields([f"{label},nan,".encode(), points, b",true\n"]))
 
 
 def _region_files(
@@ -250,8 +246,8 @@ def _region_files(
     last CSV, or SVG, that reads them is written.
     """
     alpha = repr_records(alpha_grid)
-    pairs = join_fields([repr_records(one_column([t.r_est for t in tables])), b",",
-                         repr_records(one_column([t.r_com for t in tables]))])
+    pairs = join_fields([repr_records(np.concatenate([t.r_est for t in tables])), b",",
+                         repr_records(np.concatenate([t.r_com for t in tables]))])
     ends = np.cumsum([len(t.r_est) for t in tables])[:-1]
     csvs = [_region_csv(t, rows, alpha) for t, rows in zip(tables, np.split(pairs, ends))]
     del alpha, pairs  # each CSV holds its rows until it has been written
@@ -353,6 +349,10 @@ def cmd_sweep(args: argparse.Namespace) -> Outcome:
         values = [float(v) for v in args.values.split(",")]
     except ValueError as exc:
         raise ValueError(f"--values: {exc}") from None
+    points = len(values) * args.alpha_points
+    if points > MAX_SWEEP_POINTS:
+        raise ValueError(f"--values: {len(values)} values times {args.alpha_points} "
+                         f"alpha points is {points}, more than {MAX_SWEEP_POINTS}")
     variants = [replace_scenario_field(scenario, args.vary, v) for v in values]
     alpha_grid = waterfill.default_alpha_grid(args.alpha_points)
 

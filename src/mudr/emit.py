@@ -12,7 +12,7 @@ and the waterfill and interpolated curves it picks from) is scaled and
 printed once. A command prints each float once across the figures and
 regions it prints together: ``render_svgs`` prints the scaled points of
 all its figures in one pass per axis, and the CLI gives ``repr_records``
-the columns of those regions at once (``one_column``). That is right
+the columns of those regions at once. That is right
 because a value's text never depends on the other values of its column.
 
 Both the SVG coordinates and the CSV floats are printed into NUL-padded
@@ -403,12 +403,6 @@ def records_bytes(records: np.ndarray) -> bytes:
     return records.tobytes().translate(None, b"\0")
 
 
-def one_column(parts: Sequence[np.ndarray]) -> np.ndarray:
-    """The columns ``parts`` end to end; one part is returned as it is, so
-    a single column is never copied."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
 # The plot area of every 800x600 figure, in SVG user units.
 _LEFT, _RIGHT, _TOP, _BOTTOM = 80.0, 630.0, 30.0, 540.0
 
@@ -448,7 +442,7 @@ def render_svgs(figures: Sequence[tuple]) -> Iterator[bytes]:
     xs, ys = zip(*((_sx(x, x_span), _sy(y, y_span))
                    for (*_, (x, y)), (x_span, y_span) in zip(figures, spans)))
     sizes = [len(x) for x in xs]
-    records = _path_records(one_column(xs), one_column(ys))
+    records = _path_records(np.concatenate(xs), np.concatenate(ys))
     del xs, ys  # only the records are kept while the SVGs are rendered
     first = 0
     for (curves, x_label, y_label, _), span, size in zip(figures, spans, sizes):

@@ -164,6 +164,17 @@ def test_pentagon_rejects_negative():
         bounds.ma_pentagon(-0.1, 1.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, -1.0])
+def test_check_rates_rejects(value):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        bounds.check_rates("r_est", np.array([1.0, value]))
+
+
+def test_rate_curve_needs_columns_of_one_length():
+    with pytest.raises(ValueError, match="one length"):
+        bounds.RateCurve("outer", np.zeros(3), np.zeros(2))
+
+
 # --- delay-variance floor and estimation entropy ------------------------------
 
 

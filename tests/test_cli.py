@@ -440,6 +440,25 @@ def test_sweep_unknown_field_exit_2(tmp_path, capsys):
         assert "--alpha-points" in capsys.readouterr().err
 
 
+def test_sweep_above_the_point_bound_exit_2(tmp_path, monkeypatch, capsys):
+    variants = count_calls(monkeypatch, cli, "replace_scenario_field")
+    regions = count_calls(monkeypatch, bounds, "rate_region")
+    # 5 values at 10^6 points: 5 * 10^6 grid points, above the 4 * 10^6 bound
+    out = tmp_path / "largest"
+    rc = run("sweep", "--scenario", bundled_scenario_path(), "--vary", "radar_power_w",
+             "--values", "1,2,3,4,5", "--alpha-points", 1000000, "--out", out)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--values" in err and "5000000" in err
+    assert not out.exists()
+    assert variants[0] == regions[0] == 0
+    # a sweep at the bound runs
+    monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 20)
+    for values, rc in (("100,1000", 0), ("100,1000,10000", 2)):
+        assert run("sweep", "--scenario", bundled_scenario_path(), "--vary", "radar_power_w",
+                   "--values", values, "--alpha-points", 10, "--out", tmp_path / values) == rc
+
+
 # --- determinism and env var -------------------------------------------------------
 
 
@@ -690,9 +709,9 @@ def test_region_csv_blocks_equal_one_block(table2_scenario, case, monkeypatch):
         assert not region.grid.self_consistent.all()
         assert len(region.index["hull"]) < 2 + len(region.index["waterfill"])
     one = region_files(region)["region.csv"]  # 400 rows: one block of rows and of values
-    # the header, one block for the outer, sic and interpolated rows, then
-    # one for the waterfill rows and one for the hull's
-    assert len(one) == 4
+    # the header, then one block per curve: outer, sic, interpolated,
+    # waterfill and hull
+    assert len(one) == 6
     # blocks of 64 rows and 48 values: blocks that span decades, and hull
     # rows gathered across blocks
     monkeypatch.setattr(cli, "_CSV_BLOCK", 64)
@@ -928,11 +947,12 @@ def test_commands_print_each_column_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "repr_records", recorded_print)
     monkeypatch.setattr(cli, "_region", recorded_region)
-    # region: the alpha grid, then its table's two columns as they are
+    # region: the alpha grid, then its table's two columns
     assert run("region", "--scenario", bundled_scenario_path(), "--alpha-points", 50,
                "--out", tmp_path / "region") == 0
     assert [len(v) for v in printed] == [50, 57, 57]
-    assert printed[1] is tables[0].r_est and printed[2] is tables[0].r_com
+    assert np.array_equal(printed[1], tables[0].r_est)
+    assert np.array_equal(printed[2], tables[0].r_com)
     # sweep: the shared grid once, then every region's column in one call
     printed.clear()
     assert run("sweep", "--scenario", bundled_scenario_path(), "--vary", "radar_power_w",

@@ -189,6 +189,21 @@ def test_trial_streams_equal_default_rng(seed):
             assert np.array_equal(rng.standard_normal(8), oracle.standard_normal(8)), t
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: mcsim.crb_experiment(lb_at_isnr(1000.0), 0, 0), "positive"),
+        (lambda: mcsim.residual_experiment(lb_at_sigma_b(0.05, 2e7), 0, 0), "positive"),
+        (lambda: mcsim.gamma_experiment(0, 0), "positive"),
+        (lambda: mcsim.delay_error_trials(lb_at_isnr(1000.0), -1, 0), "non-negative"),
+    ],
+    ids=["crb", "residual", "gamma", "split_trials"],
+)
+def test_trial_counts_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_seed_words_reject_out_of_range_indices_and_seeds():
     last = mcsim._seed_words(7, 2**32 - 2, 2**32)[-1]
     assert np.array_equal(

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -144,6 +145,18 @@ def test_malformed_json_rejected(tmp_path):
     path.write_text("{not json")
     with pytest.raises(sc.ScenarioError, match="parse"):
         sc.load_scenario(path)
+
+
+def test_json_array_rejected(tmp_path):
+    path = tmp_path / "array.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(sc.ScenarioError, match="must contain a JSON object"):
+        sc.load_scenario(path)
+
+
+def test_scenario_without_targets_rejected(table2_scenario):
+    with pytest.raises(sc.ScenarioError, match="targets"):
+        replace(table2_scenario, targets=())
 
 
 def test_unknown_spectral_shape_rejected(tmp_path):

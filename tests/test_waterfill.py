@@ -513,6 +513,11 @@ def test_default_alpha_grid_is_the_scalar_grid():
         assert grid.tolist() == want, n  # bit for bit
 
 
+def test_default_alpha_grid_needs_a_point():
+    with pytest.raises(ValueError, match="at least one point"):
+        wf.default_alpha_grid(0)
+
+
 def test_kernel_matches_scalar_forms_table2(table2_lb):
     for n in (400, 100_000):
         assert_kernel_matches_scalar_forms(table2_lb, n)
