@@ -300,11 +300,11 @@ def cmd_pentagon(args: argparse.Namespace) -> Outcome:
         ("r2_max", [3, 5]),
         ("sum_max", [6, 7]),
     ]
-    pairs = join_fields([repr_records(r1_bits), b",", repr_records(r2_bits)])
-    csv = [b"label,r1_bits,r2_bits\n"] + [
-        records_bytes(join_fields([f"{label},".encode(), pairs[index], b"\n"]))
-        for label, index in curves
-    ]
+    csv = csv_text(
+        ("label", "r1_bits", "r2_bits"),
+        ([label, fmt_float(r1_bits[i]), fmt_float(r2_bits[i])]
+         for label, index in curves for i in index),
+    ).encode()
     [svg] = render_svgs(
         [(curves[2:], "user 1 rate (bits/use)", "user 2 rate (bits/use)", (r1_bits, r2_bits))]
     )

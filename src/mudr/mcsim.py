@@ -46,17 +46,19 @@ complex products and ``abs`` differently on each SIMD level.
 Trials also run across processes. A kernel splits its trials into one
 contiguous range per usable core (``trial_workers``), on ``_CHUNK``
 boundaries, through ``mudr.workers``. The calling process runs the first
-range and an ``os.fork``ed child each other one; each child sends its
-range's float64 values back through a pipe into the caller's
-trial-indexed array, which the caller reduces as if it had run every
-trial itself. A range's streams start at its first trial, so the array is
-the same, bit for bit, for any number of workers.
+range and an ``os.fork``ed child each other one. The trial-indexed
+float64 array lives in an anonymous shared mapping made before the first
+fork, so each child writes its range straight into the array the caller
+reduces, as if the caller had run every trial itself. A range's streams
+start at its first trial, so the array is the same, bit for bit, for any
+number of workers.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import mmap
 import operator
 from dataclasses import asdict, dataclass, field
 
@@ -238,23 +240,17 @@ def _split_trials(body, trials: int) -> np.ndarray:
     ``out[first:stop]``.
 
     The trials are split into ``trial_workers(trials)`` contiguous ranges
-    on ``_CHUNK`` boundaries (``workers.split``). The parent runs the first
-    range into ``out``; a forked child runs each other range and sends back
-    its slice's bytes. Raises ``workers.WorkerError`` naming the range of a
-    child that failed; no child outlives the call.
+    on ``_CHUNK`` boundaries (``workers.split``). ``out`` is an anonymous
+    shared mapping (``mmap`` refuses length 0), so the parent and each
+    forked child write their ranges into the same array. Raises
+    ``workers.WorkerError`` naming the range of a child that failed; no
+    child outlives the call.
     """
     if trials < 0:
         raise ValueError(f"trials must be non-negative; got {trials}")
-    out = np.empty(trials)
-
-    def run(first: int, stop: int) -> np.ndarray:
-        body(first, stop, out)
-        return out[first:stop]
-
+    out = np.frombuffer(mmap.mmap(-1, max(8 * trials, 1)), np.float64, trials)
     bounds = workers.edges(trials, trial_workers(trials), _CHUNK)
-    results = workers.split(run, bounds, "Monte Carlo trials")
-    for first, stop, payload in zip(bounds[1:], bounds[2:], results[1:]):
-        out[first:stop] = np.frombuffer(payload, np.float64)
+    workers.split(lambda first, stop: body(first, stop, out), bounds, "Monte Carlo trials")
     return out
 
 

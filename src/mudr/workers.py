@@ -2,9 +2,9 @@
 
 ``split(work, bounds, what)`` runs ``work(first, stop)`` over each range
 ``[bounds[i], bounds[i + 1])``: the calling process runs the first range,
-and an ``os.fork``ed child each other one. A child sends its range's
-result back as bytes through a pipe, so a result of any length comes back
-without memory sized in advance. No child outlives the call.
+and an ``os.fork``ed child each other one. ``work`` returns nothing; a
+child's results reach the caller only through memory the caller shared
+before the fork (an anonymous ``mmap``). No child outlives the call.
 """
 
 from __future__ import annotations
@@ -43,23 +43,17 @@ def edges(units: int, workers: int, align: int = 1) -> list[int]:
     return bounds
 
 
-def _send(fd: int, payload) -> None:
-    view = memoryview(payload).cast("B")
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def split(work, bounds: list[int], what: str) -> list:
-    """``work(first, stop)`` of every range between consecutive ``bounds``,
-    in range order: the first as ``work`` returned it in this process, each
-    other as the bytes of the buffer ``work(first, stop)`` returned in its
-    child.
+def split(work, bounds: list[int], what: str) -> None:
+    """Run ``work(first, stop)`` over every range between consecutive
+    ``bounds``: the first in this process, each other in a forked child.
 
     Raises ``WorkerError`` naming ``what`` and the range of a child that
-    failed or could not be started. On an error in this process every child
-    is killed first; every child is reaped before the call returns or raises.
+    failed or could not be started, after every child has exited, so the
+    caller never reads a range a child left unwritten. On an error in this
+    process every child is killed first; every child is reaped before the
+    call returns or raises.
     """
-    children: dict[int, tuple[int, int, int]] = {}  # pid -> first, stop, pipe
+    children: dict[int, tuple[int, int]] = {}  # pid -> first, stop
     try:
         with warnings.catch_warnings():
             # Python 3.12+ warns on a fork while other threads run. No other
@@ -70,14 +64,8 @@ def split(work, bounds: list[int], what: str) -> list:
             )
             for first, stop in zip(bounds[1:-1], bounds[2:]):
                 try:
-                    read_fd, write_fd = os.pipe()
-                    try:
-                        pid = os.fork()
-                    except BaseException:
-                        os.close(read_fd)
-                        os.close(write_fd)
-                        raise
-                except OSError as exc:  # out of processes or descriptors
+                    pid = os.fork()
+                except OSError as exc:  # out of processes
                     raise WorkerError(
                         f"{what} [{first}, {stop}) could not start a worker process ({exc})"
                     ) from exc
@@ -85,34 +73,25 @@ def split(work, bounds: list[int], what: str) -> list:
                     # the child never returns into the caller's stack
                     code = 1
                     try:
-                        os.close(read_fd)
-                        _send(write_fd, work(first, stop))
+                        work(first, stop)
                         code = 0
                     except BaseException:
                         traceback.print_exc()
                         raise
                     finally:
                         os._exit(code)
-                os.close(write_fd)
-                children[pid] = (first, stop, read_fd)
-        results = [work(bounds[0], bounds[1])]
-        for _, _, read_fd in children.values():
-            with open(read_fd, "rb", closefd=False) as pipe:
-                results.append(pipe.read())
+                children[pid] = (first, stop)
+        work(bounds[0], bounds[1])
     except BaseException:
         for pid in children:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        codes = {}
-        for pid, (_, _, read_fd) in children.items():
-            os.close(read_fd)
-            codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        codes = {pid: os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in children}
     for pid, code in codes.items():
         if code != 0:
-            first, stop, _ = children[pid]
+            first, stop = children[pid]
             raise WorkerError(
                 f"{what} [{first}, {stop}) failed in worker process {pid} "
                 f"(exit code {code})"
             )
-    return results

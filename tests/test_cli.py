@@ -8,6 +8,7 @@ import math
 import os
 import re
 import runpy
+import signal
 import sys
 import tempfile
 import time
@@ -721,9 +722,10 @@ def test_region_csv_blocks_equal_one_block(table2_scenario, case, monkeypatch):
     assert b"".join(blocks) == b"".join(one) == region_csv_text(region).encode()
 
 
-def assert_two_worker_validate_exits_4(tmp_path, monkeypatch, capsys, message):
+def assert_two_worker_validate_exits_4(tmp_path, monkeypatch, capsys, *messages):
     """``validate`` split over two workers exits 4 with one ``error:`` line
-    holding ``message``, writes no manifest and leaves no child."""
+    holding every one of ``messages``, writes no manifest and leaves no
+    child."""
     monkeypatch.setattr(mcsim, "trial_workers", lambda trials: 2)
     capsys.readouterr()
     argv = ("validate", "--scenario", bundled_scenario_path(), "--experiment",
@@ -731,7 +733,8 @@ def assert_two_worker_validate_exits_4(tmp_path, monkeypatch, capsys, message):
     out = tmp_path / "validate"
     assert run(*argv, "--out", out) == 4
     err = capsys.readouterr().err.splitlines()
-    assert err[-1].startswith("error: ") and message in err[-1]
+    assert err[-1].startswith("error: ")
+    assert all(message in err[-1] for message in messages), err[-1]
     assert not (out / "manifest.json").exists()
     assert_no_child_left()
 
@@ -748,6 +751,25 @@ def test_failed_worker_exits_4_without_manifest(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(mcsim, "_gamma_sqs", failing_gamma)
     assert_two_worker_validate_exits_4(tmp_path, monkeypatch, capsys, "failed in worker process")
+
+
+@needs_two_cores
+def test_killed_worker_exits_4_without_manifest(tmp_path, monkeypatch, capsys):
+    # a child killed by a signal leaves its slice of the shared trial array
+    # unwritten; the parent must fail before it reduces that slice
+    parent = os.getpid()
+    real_gamma = mcsim._gamma_sqs
+
+    def killed_gamma(seed, first, stop, out):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        real_gamma(seed, first, stop, out)
+
+    monkeypatch.setattr(mcsim, "_gamma_sqs", killed_gamma)
+    _, first, stop = workers.edges(2 * mcsim._SEED_BLOCK + 17, 2, mcsim._CHUNK)
+    assert_two_worker_validate_exits_4(
+        tmp_path, monkeypatch, capsys, f"[{first}, {stop})", "exit code -9"
+    )
 
 
 @needs_two_cores

@@ -204,6 +204,21 @@ def test_trial_counts_rejected(call, message):
         call()
 
 
+@pytest.mark.parametrize(
+    "trials_of",
+    [
+        lambda: mcsim.delay_error_trials(lb_at_isnr(1000.0), 0, 0),
+        lambda: mcsim.residual_power_trials(lb_at_sigma_b(0.05), 0, 0),
+        lambda: mcsim.gamma_sq_trials(0, 0),
+    ],
+    ids=["crb", "residual", "gamma"],
+)
+def test_zero_trials_give_an_empty_float64_array(trials_of):
+    # the shared trial array cannot be a zero-length mapping
+    values = trials_of()
+    assert values.dtype == np.float64 and values.shape == (0,)
+
+
 def test_seed_words_reject_out_of_range_indices_and_seeds():
     last = mcsim._seed_words(7, 2**32 - 2, 2**32)[-1]
     assert np.array_equal(
@@ -372,6 +387,21 @@ def test_two_workers_equal_one_process(kernel, monkeypatch):
     monkeypatch.setattr(mcsim, "trial_workers", lambda trials: 2)
     assert np.array_equal(trials_of(trials), one)
     assert forks == [os.getpid()]
+    assert_no_child_left()
+
+
+@needs_two_cores
+def test_more_workers_than_cores_fill_every_range_of_the_shared_array(monkeypatch):
+    # every process writes its own range straight into the caller's array;
+    # a range a worker failed to write would keep the mapping's zeros
+    n_workers = len(os.sched_getaffinity(0)) + 1
+    trials = 3 * n_workers * mcsim._CHUNK + 5
+    monkeypatch.setattr(mcsim, "trial_workers", lambda trials: n_workers)
+
+    def body(first, stop, out):
+        out[first:stop] = np.arange(first, stop) + 1.0
+
+    assert np.array_equal(mcsim._split_trials(body, trials), np.arange(trials) + 1.0)
     assert_no_child_left()
 
 
