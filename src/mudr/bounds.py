@@ -21,14 +21,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .scenario import GAMMA_SQ_FLAT, LinkBudget
-
-if TYPE_CHECKING:
-    from .waterfill import WaterfillGrid
 
 
 class DegenerateLinkError(ValueError):
@@ -93,9 +90,10 @@ class RateCurve:
 
 @dataclass(frozen=True, eq=False)
 class RateRegion:
-    """The displayed curves of one scenario as one point table, and the
-    waterfill ``grid`` they came from, which keeps every evaluated split,
-    self-consistent or not.
+    """The displayed curves of one scenario as one point table, with what
+    its files need of the waterfill grid they came from: one
+    ``self_consistent`` flag per split and the grid's ``counters``. The
+    grid itself is not kept; ``mudr.waterfill.waterfill_grid`` gives it.
 
     Row ``i`` of the table is (``r_est[i]``, ``r_com[i]``) in bits/s: the
     three outer vertices, the two sic points, the two interpolated points,
@@ -108,12 +106,13 @@ class RateRegion:
     r_est: np.ndarray
     r_com: np.ndarray
     index: dict[str, np.ndarray]
-    grid: WaterfillGrid
+    self_consistent: np.ndarray
+    counters: dict[str, int]
 
     @property
     def grid_rows(self) -> np.ndarray:
         """The table rows of the grid's splits, one per alpha, in grid order."""
-        return np.arange(len(self.r_est) - len(self.grid.alpha), len(self.r_est))
+        return np.arange(len(self.r_est) - len(self.self_consistent), len(self.r_est))
 
     def curve(self, label: str) -> RateCurve:
         """The curve ``label`` as its own columns, gathered from the table."""
@@ -268,15 +267,17 @@ def rate_region(lb: LinkBudget, alpha_grid: Sequence[float]) -> RateRegion:
     r_est, r_com, r_sic = est_outer_rate(lb), comms_outer_rate(lb), sic_comms_rate(lb)
     check_rates("r_est", r_est)
     check_rates("r_com", (r_sic, r_com))
-    keep = grid.self_consistent
+    keep, counters = grid.self_consistent, grid.counters()
     if not keep.any():
         raise ValueError("no self-consistent waterfill point on the given grid; "
                          "a split alpha needs duty_factor <= 1 - alpha")
     # the outer vertices, the sic points, the interpolated points, every split
     est = np.concatenate(([0.0, r_est, r_est, 0.0, r_est, 0.0, r_est], grid.r_est))
     com = np.concatenate(([r_com, r_com, 0.0, r_sic, r_sic, r_com, r_sic], grid.r_com_total))
+    del grid  # its other columns go before the hull is built
     index = {"outer": np.arange(0, 3), "sic": np.arange(3, 5), "interpolated": np.arange(5, 7),
              "waterfill": 7 + np.flatnonzero(keep)}
     cloud = np.concatenate((index["interpolated"], index["waterfill"]))
     index["hull"] = cloud[waterfill.upper_convex_hull(est[cloud], com[cloud])]
-    return RateRegion(r_est=est, r_com=com, index=index, grid=grid)
+    return RateRegion(r_est=est, r_com=com, index=index, self_consistent=keep,
+                      counters=counters)

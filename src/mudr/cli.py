@@ -21,9 +21,10 @@ numpy, each value's text proven equal to ``repr`` (Clinger's fast path at
 given: the shared alpha grid once, every region's estimation rates in
 one ``repr_records`` call and every communications rate in another, and
 every SVG coordinate in one pass per axis (``emit.render_svgs``).
-``sweep`` computes every region before it prints any, keeps of each only
-what its files, counters and summary row need, and then prints
-consecutive regions together while their rows fit ``_SWEEP_ROWS``.
+``sweep`` computes every region before it prints any, holding each as
+its ``bounds.RateRegion`` (the point table, the curves' rows, a flag per
+split and the grid's counters), and then prints consecutive regions
+together while their rows fit ``_SWEEP_ROWS``.
 
 A command's files are printed as they are written: it returns them as
 (name, data) pairs that are made in write order, where data is bytes or
@@ -45,7 +46,7 @@ import sys
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -63,7 +64,6 @@ from .emit import (
 )
 from .mcsim import ExperimentPreconditionError
 from .scenario import (
-    Scenario,
     check_range,
     db_to_linear,
     derive_link_budget,
@@ -82,8 +82,8 @@ MAX_ALPHA_POINTS = 10**6
 MAX_TRIALS = 10**7
 
 #: Largest ``len(--values) * --alpha-points`` of a sweep, which holds
-#: every region's table (some 32 bytes a grid point) before it prints any:
-#: 4 regions of 10^6 points peak near 450 MB.
+#: every region's ``RateRegion`` (some 33 bytes a grid point) before it
+#: prints any: 4 regions of 10^6 points peak near 430 MB.
 MAX_SWEEP_POINTS = 4 * 10**6
 
 #: Rows per block of ``region.csv``: the header, then blocks of at most
@@ -184,29 +184,9 @@ class Outcome:
     passed: bool = True
 
 
-class _Table(NamedTuple):
-    """What the files of one region, ``<prefix>.csv`` and ``<prefix>.svg``,
-    need of its ``bounds.RateRegion``: the point table, each curve's rows
-    and each split's self-consistency flag."""
-
-    prefix: str
-    r_est: np.ndarray
-    r_com: np.ndarray
-    index: dict[str, np.ndarray]
-    self_consistent: np.ndarray
-
-
-def _region(prefix: str, scenario: Scenario, alpha_grid: np.ndarray) -> tuple[_Table, dict]:
-    """The region of ``scenario`` over ``alpha_grid`` as its files need it,
-    and its grid's counters. The grid's other columns are let go here, not
-    held while the files are printed: 11 MB at 100k points, and a sweep
-    holds every region until it prints them all."""
-    region = bounds.rate_region(derive_link_budget(scenario), alpha_grid)
-    table = _Table(prefix, region.r_est, region.r_com, region.index, region.grid.self_consistent)
-    return table, region.grid.counters()
-
-
-def _region_csv(table: _Table, pairs: np.ndarray, alpha: np.ndarray) -> Iterator[bytes]:
+def _region_csv(
+    region: bounds.RateRegion, pairs: np.ndarray, alpha: np.ndarray
+) -> Iterator[bytes]:
     """CSV text as byte blocks, each made when the writer asks for it: one
     row per curve vertex; waterfill rows keep every grid point, flagged by
     self-consistency.
@@ -219,11 +199,11 @@ def _region_csv(table: _Table, pairs: np.ndarray, alpha: np.ndarray) -> Iterator
     """
     yield (",".join(REGION_CSV_HEADER) + "\n").encode()
     grid = pairs[len(pairs) - len(alpha) :]
-    for label, index in table.index.items():
+    for label, index in region.index.items():
         if label == "waterfill":  # every split, with its alpha and flag
             for first in range(0, len(alpha), _CSV_BLOCK):
                 rows = slice(first, first + _CSV_BLOCK)
-                flags = np.take(_FLAG_FIELDS, table.self_consistent[rows].view(np.uint8), axis=0)
+                flags = np.take(_FLAG_FIELDS, region.self_consistent[rows].view(np.uint8), axis=0)
                 yield records_bytes(join_fields(
                     [b"waterfill,", alpha[rows], b",", grid[rows], b",", flags, b"\n"]))
             continue
@@ -233,51 +213,54 @@ def _region_csv(table: _Table, pairs: np.ndarray, alpha: np.ndarray) -> Iterator
 
 
 def _region_files(
-    alpha_grid: np.ndarray, tables: Sequence[_Table]
+    alpha_grid: np.ndarray, regions: Sequence[tuple[str, bounds.RateRegion]]
 ) -> Iterator[tuple[str, Iterable[bytes]]]:
-    """The CSV and SVG of each region over the one ``alpha_grid``, as
-    (name, data) pairs in write order whose text is made as it is written.
+    """``<prefix>.csv`` and ``<prefix>.svg`` of each (prefix, region) over
+    the one ``alpha_grid``, as (name, data) pairs in write order whose
+    text is made as it is written.
 
     Every float is printed once for all of the regions, when the first
-    pair is taken: the grid in one ``repr_records`` call, every table's
+    pair is taken: the grid in one ``repr_records`` call, every region's
     r_est in a second and every r_com in a third; the SVG coordinates by
     ``render_svgs`` when the first SVG is written. Each region's files
     gather from its own rows of those records, and the records go once the
     last CSV, or SVG, that reads them is written.
     """
     alpha = repr_records(alpha_grid)
-    pairs = join_fields([repr_records(np.concatenate([t.r_est for t in tables])), b",",
-                         repr_records(np.concatenate([t.r_com for t in tables]))])
-    ends = np.cumsum([len(t.r_est) for t in tables])[:-1]
-    csvs = [_region_csv(t, rows, alpha) for t, rows in zip(tables, np.split(pairs, ends))]
+    pairs = join_fields([repr_records(np.concatenate([r.r_est for _, r in regions])), b",",
+                         repr_records(np.concatenate([r.r_com for _, r in regions]))])
+    ends = np.cumsum([len(r.r_est) for _, r in regions])[:-1]
+    csvs = [_region_csv(r, rows, alpha) for (_, r), rows in zip(regions, np.split(pairs, ends))]
     del alpha, pairs  # each CSV holds its rows until it has been written
-    svgs = render_svgs([(list(t.index.items()), "estimation rate (bits/s)",
-                         "communications rate (bits/s)", (t.r_est, t.r_com)) for t in tables])
-    for t, csv in zip(tables, csvs):
-        yield f"{t.prefix}.csv", csv
-        yield f"{t.prefix}.svg", islice(svgs, 1)  # rendered as it is written
+    svgs = render_svgs([(list(r.index.items()), "estimation rate (bits/s)",
+                         "communications rate (bits/s)", (r.r_est, r.r_com)) for _, r in regions])
+    for (prefix, _), csv in zip(regions, csvs):
+        yield f"{prefix}.csv", csv
+        yield f"{prefix}.svg", islice(svgs, 1)  # rendered as it is written
 
 
-def _row_groups(tables: Sequence[_Table]) -> Iterator[list[_Table]]:
-    """Consecutive ``tables`` whose rows together fit ``_SWEEP_ROWS``; a
-    table that does not fit on its own is a group of one."""
+def _row_groups(
+    regions: Sequence[tuple[str, bounds.RateRegion]]
+) -> Iterator[list[tuple[str, bounds.RateRegion]]]:
+    """Consecutive ``regions`` whose rows together fit ``_SWEEP_ROWS``; a
+    region that does not fit on its own is a group of one."""
     group, rows = [], 0
-    for t in tables:
-        if group and rows + len(t.r_est) > _SWEEP_ROWS:
+    for prefix, region in regions:
+        if group and rows + len(region.r_est) > _SWEEP_ROWS:
             yield group
             group, rows = [], 0
-        group.append(t)
-        rows += len(t.r_est)
+        group.append((prefix, region))
+        rows += len(region.r_est)
     yield group
 
 
 def cmd_region(args: argparse.Namespace) -> Outcome:
     alpha_grid = waterfill.default_alpha_grid(args.alpha_points)
-    table, counters = _region("region", load_scenario(args.scenario), alpha_grid)
+    region = bounds.rate_region(derive_link_budget(load_scenario(args.scenario)), alpha_grid)
     return Outcome(
-        files=_region_files(alpha_grid, [table]),
+        files=_region_files(alpha_grid, [("region", region)]),
         parameters={"alpha_points": args.alpha_points},
-        counters=counters,
+        counters=region.counters,
     )
 
 
@@ -357,31 +340,30 @@ def cmd_sweep(args: argparse.Namespace) -> Outcome:
     alpha_grid = waterfill.default_alpha_grid(args.alpha_points)
 
     # every region is computed before any is printed
-    tables, summary_rows, counters = [], [], []
+    regions, summary_rows = [], []
     for i, (value, variant) in enumerate(zip(values, variants)):
         try:
-            table, counts = _region(f"sweep_{i:03d}_region", variant, alpha_grid)
+            region = bounds.rate_region(derive_link_budget(variant), alpha_grid)
         except ValueError as exc:
             raise ValueError(f"sweep field '{args.vary}' = {value!r}: {exc}") from None
-        tables.append(table)
-        counters.append(counts)
+        regions.append((f"sweep_{i:03d}_region", region))
         # outer's corner is (est_outer_rate, comms_outer_rate); sic is flat
-        corner, sic = table.index["outer"][1], table.index["sic"][0]
-        row = (value, table.r_est[corner], table.r_com[corner], table.r_com[sic])
+        corner, sic = region.index["outer"][1], region.index["sic"][0]
+        row = (value, region.r_est[corner], region.r_com[corner], region.r_com[sic])
         summary_rows.append([fmt_float(x) for x in row])
     summary = csv_text(
         ("value", "est_outer_rate_bps", "comms_outer_rate_bps", "sic_comms_rate_bps"),
         summary_rows,
     ).encode()
-    regions = (_region_files(alpha_grid, group) for group in _row_groups(tables))
+    files = (_region_files(alpha_grid, group) for group in _row_groups(regions))
     return Outcome(
-        files=chain(*regions, [("sweep_summary.csv", summary)]),
+        files=chain(*files, [("sweep_summary.csv", summary)]),
         parameters={
             "vary": args.vary,
             "values": values,
             "alpha_points": args.alpha_points,
         },
-        counters=counters,
+        counters=[region.counters for _, region in regions],
     )
 
 

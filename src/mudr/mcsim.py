@@ -301,20 +301,20 @@ def _trial_draws(seed: int, first: int, stop: int, draw_extra=None):
     Yields the chunk's slice of the trial axis and the ``(rows, k)`` real
     parts, imaginary parts and squared magnitudes of its coefficients
     (``_coefficients``), k = N_SAMPLES // OVERSAMPLE. Each trial draws from its
-    own generator: the k real parts, the k imaginary parts, then whatever
-    ``draw_extra(rng, row)`` draws into the caller's per-chunk arrays.
+    own generator: the k real parts, the k imaginary parts (one call of 2k
+    values), then whatever ``draw_extra(rng, row)`` draws into the
+    caller's per-chunk arrays.
     """
-    k = N_SAMPLES // OVERSAMPLE
-    re, im = np.empty((_CHUNK, k)), np.empty((_CHUNK, k))
+    parts = np.empty((_CHUNK, 2, N_SAMPLES // OVERSAMPLE))  # real, imaginary
     rngs = _trial_rngs(seed, first, stop)
     for start in range(first, stop, _CHUNK):
         rows = min(_CHUNK, stop - start)
         for row, rng in zip(range(rows), rngs):
-            rng.standard_normal(out=re[row])
-            rng.standard_normal(out=im[row])
+            rng.standard_normal(out=parts[row])
             if draw_extra is not None:
                 draw_extra(rng, row)
-        yield (slice(start, start + rows), *_coefficients(re[:rows], im[:rows], N_SAMPLES))
+        re, im = parts[:rows, 0], parts[:rows, 1]
+        yield (slice(start, start + rows), *_coefficients(re, im, N_SAMPLES))
 
 
 def _gamma_sq(f: np.ndarray, power: np.ndarray) -> np.ndarray:
@@ -377,23 +377,21 @@ def _delay_errors(
     lo, hi = center - 2 * OVERSAMPLE, center + 2 * OVERSAMPLE + 1
 
     shift = np.empty(_CHUNK)
-    noise = np.empty((2, _CHUNK, len(band)))  # real and imaginary parts
-    every_bin = np.empty(n)
+    # noise is drawn on every bin, real then imaginary parts; only the
+    # in-band part is kept
+    noise = np.empty((_CHUNK, 2, n))
 
     def draw_delay_and_noise(rng: np.random.Generator, row: int) -> None:
         shift[row] = rng.uniform(-0.5, 0.5)
-        # noise is drawn on every bin; only the in-band part is kept
-        rng.standard_normal(out=every_bin)
-        np.take(every_bin, band, out=noise[0, row])
-        rng.standard_normal(out=every_bin)
-        np.take(every_bin, band, out=noise[1, row])
+        rng.standard_normal(out=noise[row])
 
     cross = np.empty((_CHUNK, n), dtype=complex)
     for trial, cr, ci, sq in _trial_draws(seed, first, stop, draw_delay_and_noise):
         rows = len(sq)
         true_lag = center + shift[:rows]
         angle = np.outer(true_lag, phase)
-        nr, ni = freq_noise_scale * noise[:, :rows]
+        in_band = freq_noise_scale * noise[:rows, :, band]
+        nr, ni = in_band[:, 0], in_band[:, 1]
         corr = cross[:rows]
         corr.fill(0.0)
         # (c e^{j angle} + noise) conj(c), the in-band cross-spectrum

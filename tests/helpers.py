@@ -22,7 +22,7 @@ from mudr.bounds import RateRegion, crb_delay_variance
 from mudr.emit import csv_text
 from mudr.mcsim import _signed_bins
 from mudr.scenario import LinkBudget, Scenario, Target, derive_link_budget
-from mudr.waterfill import waterfill_grid
+from mudr.waterfill import WaterfillGrid, waterfill_grid
 
 # Two worker processes, where the box has two usable cores to run them: the
 # tests never start more processes than there are cores.
@@ -214,11 +214,11 @@ def chain_hull(r_est: np.ndarray, r_com: np.ndarray) -> list[tuple[float, float]
     return hull
 
 
-def region_csv_text(region: RateRegion) -> str:
-    """``region.csv`` built curve by curve, every value formatted where its
-    row is: waterfill rows keep every grid point, flagged by
-    self-consistency, and the other curves' rows print their columns."""
-    g = region.grid
+def region_csv_text(region: RateRegion, g: WaterfillGrid) -> str:
+    """``region.csv`` of ``region`` built curve by curve, every value
+    formatted where its row is: waterfill rows keep every point of the
+    grid ``g`` the region came from, flagged by self-consistency, and the
+    other curves' rows print their columns."""
 
     def rows():
         for c in region.curves:

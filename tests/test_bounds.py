@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -413,15 +415,50 @@ def test_rate_region_ignores_negligible_second_target(table2_lb, table2_scenario
     # a second target at the cross-section floor adds only rounding-level
     # estimation rate and interference to every curve and split
     grid = wf.default_alpha_grid(400)
+    two_lb = with_second_target(table2_scenario, 1e-12)
     one = bounds.rate_region(table2_lb, grid)
-    two = bounds.rate_region(with_second_target(table2_scenario, 1e-12), grid)
+    two = bounds.rate_region(two_lb, grid)
     for a, b in zip(one.curves, two.curves):
         np.testing.assert_allclose(b.r_est, a.r_est, rtol=1e-9, atol=0)
         np.testing.assert_allclose(b.r_com, a.r_com, rtol=1e-9, atol=0)
-    np.testing.assert_allclose(two.grid.r_est, one.grid.r_est, rtol=1e-9, atol=0)
+    one_splits, two_splits = wf.waterfill_grid(table2_lb, grid), wf.waterfill_grid(two_lb, grid)
+    np.testing.assert_allclose(two_splits.r_est, one_splits.r_est, rtol=1e-9, atol=0)
     np.testing.assert_allclose(
-        two.grid.r_com_total, one.grid.r_com_total, rtol=1e-9, atol=0
+        two_splits.r_com_total, one_splits.r_com_total, rtol=1e-9, atol=0
     )
+
+
+def held_arrays(value) -> list[np.ndarray]:
+    """Every array that ``value`` holds at any depth: itself, or those in
+    its dataclass fields, dict values or list and tuple items."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    elif isinstance(value, dict):
+        value = list(value.values())
+    elif not isinstance(value, (list, tuple)):
+        return []
+    return [a for v in value for a in held_arrays(v)]
+
+
+def test_rate_region_holds_only_what_is_drawn(table2_lb):
+    # the record keeps the point table, the curves' rows, a flag per split
+    # and the grid's counters; the grid's other columns go in the call
+    n = 100_000
+    alphas = wf.default_alpha_grid(n)
+    tracemalloc.start()
+    try:
+        region = bounds.rate_region(table2_lb, alphas)
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arrays = held_arrays(region)
+    # a view counts the array whose memory it keeps
+    held = sum((a if a.base is None else a.base).nbytes for a in arrays)
+    assert held <= 40 * n, held
+    assert current < 5_000_000, current
+    assert len(arrays) == 8  # r_est, r_com, five curve indices, the flags
 
 
 def test_rate_region_rejects_bad_grid(table2_lb):

@@ -486,14 +486,14 @@ def test_byte_identical_reruns(tmp_path):
 
 @pytest.mark.parametrize("case", ["table2", "two_targets", "hot_radar"])
 def test_region_files_equal_per_curve_oracle(table2_scenario, case):
-    region = region_of(table2_scenario, case)
+    region, grid = region_of(table2_scenario, case)
     cloud_points = 2 + len(region.index["waterfill"])
     if case == "hot_radar":
         assert len(region.index["hull"]) < cloud_points  # the chain's fallback
     else:
         assert len(region.index["hull"]) == cloud_points  # the fast path
     files = region_files(region)
-    assert b"".join(files["region.csv"]) == region_csv_text(region).encode()
+    assert b"".join(files["region.csv"]) == region_csv_text(region, grid).encode()
     # the SVG draws its curves from the region's point table; a table in
     # which each curve has its own rows, no point shared, gives the same bytes
     curves = region.curves
@@ -683,15 +683,22 @@ def test_validation_reports_equal_pinned_digests(tmp_path, monkeypatch):
 
 # --- region.csv blocks and worker processes ----------------------------------------
 
+#: The alpha grid of ``region_of``'s regions.
+REGION_ALPHAS = waterfill.default_alpha_grid(400)
+
+
 def region_files(region: bounds.RateRegion) -> dict:
-    """``region.csv`` and ``region.svg`` of a region as ``region`` writes
-    them: name -> the list of its blocks."""
-    table = cli._Table("region", region.r_est, region.r_com, region.index,
-                       region.grid.self_consistent)
-    return {name: list(data) for name, data in cli._region_files(region.grid.alpha, [table])}
+    """``region.csv`` and ``region.svg`` of a ``region_of`` region as
+    ``region`` writes them: name -> the list of its blocks."""
+    files = cli._region_files(REGION_ALPHAS, [("region", region)])
+    return {name: list(data) for name, data in files}
 
 
-def region_of(table2_scenario, case: str) -> bounds.RateRegion:
+def region_of(
+    table2_scenario, case: str
+) -> tuple[bounds.RateRegion, waterfill.WaterfillGrid]:
+    """The region of ``case`` over ``REGION_ALPHAS``, and the waterfill
+    grid it came from."""
     if case == "two_targets":
         lb = with_second_target(table2_scenario)
     else:
@@ -699,15 +706,15 @@ def region_of(table2_scenario, case: str) -> bounds.RateRegion:
         if case == "hot_radar":
             variant = sc.replace_scenario_field(variant, "radar_power_w", 1e5)
         lb = sc.derive_link_budget(variant)
-    return bounds.rate_region(lb, waterfill.default_alpha_grid(400))
+    return bounds.rate_region(lb, REGION_ALPHAS), waterfill.waterfill_grid(lb, REGION_ALPHAS)
 
 
 @pytest.mark.parametrize("case", ["table2", "two_targets", "hot_radar"])
 def test_region_csv_blocks_equal_one_block(table2_scenario, case, monkeypatch):
-    region = region_of(table2_scenario, case)
+    region, grid = region_of(table2_scenario, case)
     if case == "hot_radar":
         # some splits are not self-consistent, and the hull drops points
-        assert not region.grid.self_consistent.all()
+        assert not region.self_consistent.all()
         assert len(region.index["hull"]) < 2 + len(region.index["waterfill"])
     one = region_files(region)["region.csv"]  # 400 rows: one block of rows and of values
     # the header, then one block per curve: outer, sic, interpolated,
@@ -719,7 +726,7 @@ def test_region_csv_blocks_equal_one_block(table2_scenario, case, monkeypatch):
     monkeypatch.setattr(emit, "_REPR_BLOCK", 48)
     blocks = region_files(region)["region.csv"]
     assert len(blocks) > len(one)
-    assert b"".join(blocks) == b"".join(one) == region_csv_text(region).encode()
+    assert b"".join(blocks) == b"".join(one) == region_csv_text(region, grid).encode()
 
 
 def assert_two_worker_validate_exits_4(tmp_path, monkeypatch, capsys, *messages):
@@ -925,8 +932,8 @@ def test_region_csv_rows_equal_the_library(tmp_path):
     assert run("region", "--scenario", bundled_scenario_path(), "--alpha-points", 50,
                "--out", tmp_path) == 0
     lb = sc.derive_link_budget(sc.load_scenario(bundled_scenario_path()))
-    region = bounds.rate_region(lb, waterfill.default_alpha_grid(50))
-    g = region.grid
+    alphas = waterfill.default_alpha_grid(50)
+    region, g = bounds.rate_region(lb, alphas), waterfill.waterfill_grid(lb, alphas)
     want = []
     for curve in region.curves:
         if curve.label == "waterfill":
@@ -955,26 +962,25 @@ def test_sweep_derives_each_link_budget_once(tmp_path, monkeypatch):
 
 
 def test_commands_print_each_column_once(tmp_path, monkeypatch):
-    printed, tables = [], []
-    print_records, region = cli.repr_records, cli._region
+    printed, regions = [], []
+    print_records, rate_region = cli.repr_records, bounds.rate_region
 
     def recorded_print(values):
         printed.append(values)
         return print_records(values)
 
     def recorded_region(*args):
-        table, counters = region(*args)
-        tables.append(table)
-        return table, counters
+        regions.append(rate_region(*args))
+        return regions[-1]
 
     monkeypatch.setattr(cli, "repr_records", recorded_print)
-    monkeypatch.setattr(cli, "_region", recorded_region)
+    monkeypatch.setattr(bounds, "rate_region", recorded_region)
     # region: the alpha grid, then its table's two columns
     assert run("region", "--scenario", bundled_scenario_path(), "--alpha-points", 50,
                "--out", tmp_path / "region") == 0
     assert [len(v) for v in printed] == [50, 57, 57]
-    assert np.array_equal(printed[1], tables[0].r_est)
-    assert np.array_equal(printed[2], tables[0].r_com)
+    assert np.array_equal(printed[1], regions[0].r_est)
+    assert np.array_equal(printed[2], regions[0].r_com)
     # sweep: the shared grid once, then every region's column in one call
     printed.clear()
     assert run("sweep", "--scenario", bundled_scenario_path(), "--vary", "radar_power_w",

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 
 from mudr.bounds import RateCurve, RateRegion
+from mudr.waterfill import default_alpha_grid, waterfill_grid
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,7 +40,7 @@ def test_library_entry_points_run_as_documented(monkeypatch, capsys):
         assert line == f"{label} {len(rows)}"
     # every grid split has a row, and the waterfill curve is the
     # self-consistent ones
-    grid = region.grid
+    grid = waterfill_grid(namespace["lb"], default_alpha_grid(400))
     np.testing.assert_array_equal(region.r_est[region.grid_rows], grid.r_est)
     np.testing.assert_array_equal(region.r_com[region.grid_rows], grid.r_com_total)
     waterfill = region.curve("waterfill")

@@ -479,12 +479,17 @@ def assert_kernel_matches_scalar_forms(lb, n):
     alphas = wf.default_alpha_grid(n).tolist()
     want = dict(zip(KERNEL_COLUMNS, map(list, zip(*scalar_reference_rows(lb, alphas)))))
     region = bounds.rate_region(lb, alphas)
-    grid = region.grid
+    grid = wf.waterfill_grid(lb, alphas)
     for name in KERNEL_COLUMNS:
         got = getattr(grid, name).tolist()
         assert got == want[name], name  # bit for bit, flags included
     r_com = [a + b for a, b in zip(want["r_com_com"], want["r_com_mix"])]
     assert grid.r_com_total.tolist() == r_com
+    # the region keeps the grid's flags and counters, and a row per split
+    assert region.self_consistent.tolist() == want["self_consistent"]
+    assert region.counters == grid.counters()
+    assert region.r_est[region.grid_rows].tolist() == want["r_est"]
+    assert region.r_com[region.grid_rows].tolist() == r_com
     published = [
         (e, c) for e, c, ok in zip(want["r_est"], r_com, want["self_consistent"]) if ok
     ]
