@@ -209,14 +209,15 @@ def upper_convex_hull(r_est: np.ndarray, r_com: np.ndarray) -> np.ndarray:
     blocks = (index[b : b + _HULL_BLOCK + 2] for b in range(0, len(index) - 2, _HULL_BLOCK))
     if not any(_pops(r_est[rows], r_com[rows]) for rows in blocks):
         return index
-    hull: list[tuple[int, float, float]] = []
-    for i, (x, y) in enumerate(zip(r_est[index].tolist(), r_com[index].tolist())):
+    hull: list[int] = []  # positions into xs and ys
+    xs, ys = r_est[index].tolist(), r_com[index].tolist()
+    for i, (x, y) in enumerate(zip(xs, ys)):
         while len(hull) >= 2:
-            (_, x1, y1), (_, x2, y2) = hull[-2], hull[-1]
+            x1, y1, x2, y2 = xs[hull[-2]], ys[hull[-2]], xs[hull[-1]], ys[hull[-1]]
             # pop while the middle point is on or below the chord
             if (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1) >= 0:
                 hull.pop()
             else:
                 break
-        hull.append((i, x, y))
-    return index[[i for i, _, _ in hull]]
+        hull.append(i)
+    return index[hull]

@@ -1,21 +1,48 @@
-"""The README's library example runs as written against the package."""
+"""The README's library example runs as written against the package, and
+its scenario range table states the loader's ranges."""
 
 import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from mudr import scenario as sc
 from mudr.bounds import RateCurve, RateRegion
 from mudr.waterfill import default_alpha_grid, waterfill_grid
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def section(heading: str) -> str:
+    """The text of one ``##`` section of README.md."""
+    text = (ROOT / "README.md").read_text()
+    return text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def section_code(heading: str) -> list[str]:
     """The ``python`` code blocks of one ``##`` section of README.md."""
-    text = (ROOT / "README.md").read_text()
-    section = text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
-    return re.findall(r"```python\n(.*?)```", section, flags=re.DOTALL)
+    return re.findall(r"```python\n(.*?)```", section(heading), flags=re.DOTALL)
+
+
+def test_scenario_range_table_states_field_ranges():
+    # "| `a`, `b` | lo .. hi unit [(lo .. hi W)] |": a dB row gives its range
+    # in the scenario's dB unit, and the loader checks the linear value
+    to_linear = {"dBm": sc.dbm_to_watts, "dBi": sc.db_to_linear}
+    row = r"^\| (`.+`) \| (\S+) \.\. (\S+)(?: ([^|(]*?))?(?: \((\S+) \.\. (\S+) W\))? \|$"
+    rows = re.findall(row, section("Scenario files"), flags=re.MULTILINE)
+    by_source = {source: (lo, hi) for lo, hi, source in sc.FIELD_RANGES.values()}
+    stated = {}
+    for names, lo, hi, unit, lo_w, hi_w in rows:
+        convert = to_linear.get(unit, float)
+        bounds = (convert(float(lo)), convert(float(hi)))
+        if lo_w:
+            assert bounds == (float(lo_w), float(hi_w)), names
+        for name in re.findall(r"`([^`]+)`", names):
+            stated[name.removeprefix("targets[i].")] = bounds
+    assert stated.keys() == by_source.keys()
+    for source, bounds in stated.items():
+        assert bounds == pytest.approx(by_source[source], rel=1e-12), source
 
 
 def test_library_entry_points_run_as_documented(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +29,7 @@ from helpers import (
     waterfill_row,
     with_second_target,
 )
-from mudr import bounds, waterfill as wf
+from mudr import bounds, scenario as sc, waterfill as wf
 
 alphas = st.floats(min_value=1e-3, max_value=1.0 - 1e-3)
 
@@ -352,6 +353,26 @@ def test_hull_pop_at_a_block_boundary(monkeypatch, block, side):
     monkeypatch.setattr(wf, "_HULL_BLOCK", block)
     index = wf.upper_convex_hull(x, y)
     assert index.tolist() == chain_indices(x, y) == [i for i in range(12) if i != middle]
+
+
+def test_hull_chain_holds_positions_under_a_traced_peak(table2_scenario):
+    # table2 at 100 kW over 10^5 splits: the chain pops, so it runs over
+    # every self-consistent split
+    lb = sc.derive_link_budget(sc.replace_scenario_field(table2_scenario, "radar_power_w", 1e5))
+    grid = wf.waterfill_grid(lb, wf.default_alpha_grid(100000))
+    r_est, r_com = grid.r_est[grid.self_consistent], grid.r_com_total[grid.self_consistent]
+    del grid
+    tracemalloc.start()
+    try:
+        hull = wf.upper_convex_hull(r_est, r_com)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(hull) < len(np.unique(r_est))  # the chain popped
+    # The traced peak reads 11.4 MB, the two tolist() columns and a stack
+    # of positions into them, against 15.1 MB when the stack held an
+    # (i, x, y) tuple per point.
+    assert peak < 13e6, peak / 1e6
 
 
 @given(
