@@ -249,6 +249,12 @@ def sic_comms_rate(lb: LinkBudget) -> float:
     return _shannon_rate(lb, lb.bandwidth_hz, lb.comms_power_w, noise_w)
 
 
+#: Most alphas per :func:`mudr.waterfill.waterfill_grid` call of
+#: :func:`rate_region`: a block's sixteen columns take about 1 MB, whatever
+#: the grid's size, and only its rates and flags are kept.
+_REGION_BLOCK = 8192
+
+
 def rate_region(lb: LinkBudget, alpha_grid: Sequence[float]) -> RateRegion:
     """All displayed curves for one scenario, from one pass over the grid.
 
@@ -258,23 +264,33 @@ def rate_region(lb: LinkBudget, alpha_grid: Sequence[float]) -> RateRegion:
     self-consistent splits of :func:`mudr.waterfill.waterfill_grid` over
     ``alpha_grid`` and "hull" the upper convex hull of the two inner
     curves. Each curve is its rows of one point table (see
-    :class:`RateRegion`).
+    :class:`RateRegion`). The grid is checked whole, then water-filled in
+    consecutive blocks of ``_REGION_BLOCK`` splits.
     """
     from . import waterfill
 
-    grid = waterfill.waterfill_grid(lb, alpha_grid)
+    alpha = waterfill.check_alpha_grid(alpha_grid)
+    # the outer vertices, the sic points, the interpolated points, every split
+    est, com = np.empty(7 + len(alpha)), np.empty(7 + len(alpha))
+    keep = np.empty(len(alpha), dtype=bool)
+    counters = {}
+    for start in range(0, len(alpha), _REGION_BLOCK):
+        block = slice(start, start + _REGION_BLOCK)
+        grid = waterfill.waterfill_grid(lb, alpha[block])
+        rows = slice(7 + start, 7 + start + _REGION_BLOCK)
+        est[rows], com[rows], keep[block] = grid.r_est, grid.r_com_total, grid.self_consistent
+        for name, count in grid.counters().items():
+            counters[name] = counters.get(name, 0) + count
+    del alpha  # the checked copy of the grid goes before the hull is built
 
     r_est, r_com, r_sic = est_outer_rate(lb), comms_outer_rate(lb), sic_comms_rate(lb)
     check_rates("r_est", r_est)
     check_rates("r_com", (r_sic, r_com))
-    keep, counters = grid.self_consistent, grid.counters()
     if not keep.any():
         raise ValueError("no self-consistent waterfill point on the given grid; "
                          "a split alpha needs duty_factor <= 1 - alpha")
-    # the outer vertices, the sic points, the interpolated points, every split
-    est = np.concatenate(([0.0, r_est, r_est, 0.0, r_est, 0.0, r_est], grid.r_est))
-    com = np.concatenate(([r_com, r_com, 0.0, r_sic, r_sic, r_com, r_sic], grid.r_com_total))
-    del grid  # its other columns go before the hull is built
+    est[:7] = [0.0, r_est, r_est, 0.0, r_est, 0.0, r_est]
+    com[:7] = [r_com, r_com, 0.0, r_sic, r_sic, r_com, r_sic]
     index = {"outer": np.arange(0, 3), "sic": np.arange(3, 5), "interpolated": np.arange(5, 7),
              "waterfill": 7 + np.flatnonzero(keep)}
     cloud = np.concatenate((index["interpolated"], index["waterfill"]))

@@ -83,7 +83,7 @@ MAX_TRIALS = 10**7
 
 #: Largest ``len(--values) * --alpha-points`` of a sweep, which holds
 #: every region's ``RateRegion`` (some 33 bytes a grid point) before it
-#: prints any: 4 regions of 10^6 points peak near 380 MB.
+#: prints any: 4 regions of 10^6 points peak near 310 MB.
 MAX_SWEEP_POINTS = 4 * 10**6
 
 #: Rows per block of ``region.csv``: the header, then blocks of at most

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
-from typing import Callable
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 # 2019 SI exact value, J/K
@@ -38,9 +37,10 @@ class ScenarioError(ValueError):
 GAMMA_SQ_FLAT = (2.0 * math.pi) ** 2 / 12.0
 
 #: Valid closed range of every numeric Scenario and Target field in SI units,
-#: with the scenario-file field it is read from. Inside these ranges every
-#: link gain is positive and every rate formula finite, whatever the
-#: combination of values.
+#: with the scenario-file path it is read from (a Target field's within its
+#: target): the one list of numeric fields. A path ending ``_dbm`` or ``_dbi``
+#: holds dBm or dBi. Inside these ranges every link gain is positive and
+#: every rate formula finite, whatever the combination of values.
 FIELD_RANGES: dict[str, tuple[float, float, str]] = {
     "bandwidth_hz": (1.0, 1e12, "bandwidth_hz"),
     "center_freq_hz": (1e3, 1e15, "center_freq_hz"),
@@ -215,23 +215,37 @@ def _number(obj: dict, key: str, context: str = "") -> float:
     return float(value)
 
 
-def _linear(
-    obj: dict, key: str, context: str, convert: Callable[[float], float]
-) -> float:
-    """A dB-valued field in linear units; inf where the conversion overflows."""
-    db = _number(obj, key, context)
-    try:
-        return convert(db)
-    except OverflowError:
-        return math.inf
+# The conversion to linear units of a file field, by its path's last suffix.
+_TO_LINEAR = {"dbm": dbm_to_watts, "dbi": db_to_linear}
 
 
-# The keys each object of a scenario file may hold.
-_TOP_KEYS = {"bandwidth_hz", "center_freq_hz", "temperature_k", "comms", "radar",
-             "targets", "spectral_shape"}
-_COMMS_KEYS = {"range_m", "power_dbm", "antenna_gain_dbi"}
-_RADAR_KEYS = {"power_w", "antenna_gain_dbi", "duty_factor", "time_bandwidth"}
-_TARGET_KEYS = {"range_m", "cross_section_m2", "process_range_std_m"}
+def _file_keys(cls: type) -> dict[str, set[str]]:
+    """The file keys of the numeric fields of ``cls``, by their object's
+    key in the file: "" for the object ``cls`` is read from."""
+    keys: dict[str, set[str]] = {}
+    for f in fields(cls):
+        if f.name in FIELD_RANGES:
+            parent, _, key = FIELD_RANGES[f.name][2].rpartition(".")
+            keys.setdefault(parent, set()).add(key)
+    return keys
+
+
+def _numbers(cls: type, objects: dict[str, dict], context: str) -> dict[str, float]:
+    """The numeric fields of ``cls`` in field order, each read from its path
+    in ``objects`` (keyed as by :func:`_file_keys`) and in linear units, inf
+    where a dB conversion overflows; ``context`` is the field path of
+    ``objects[""]`` with a trailing dot, or "" at the top level."""
+    values = {}
+    for f in fields(cls):
+        if f.name in FIELD_RANGES:
+            parent, _, key = FIELD_RANGES[f.name][2].rpartition(".")
+            value = _number(objects[parent], key, context + (parent and f"{parent}."))
+            convert = _TO_LINEAR.get(key.rpartition("_")[2])
+            try:
+                values[f.name] = convert(value) if convert else value
+            except OverflowError:
+                values[f.name] = math.inf
+    return values
 
 
 def _object(value: object, keys: set[str], context: str) -> dict:
@@ -251,21 +265,10 @@ def _object(value: object, keys: set[str], context: str) -> dict:
 def load_scenario(path: str | Path) -> Scenario:
     """Load and validate a scenario JSON file.
 
-    Expected layout::
-
-        {
-          "bandwidth_hz": ..., "center_freq_hz": ..., "temperature_k": ...,
-          "comms": {"range_m": ..., "power_dbm": ..., "antenna_gain_dbi": ...},
-          "radar": {"power_w": ..., "antenna_gain_dbi": ...,
-                    "duty_factor": ..., "time_bandwidth": ...},
-          "targets": [{"range_m": ..., "cross_section_m2": ...,
-                       "process_range_std_m": ...}],
-          "spectral_shape": "flat"
-        }
-
-    dB-valued fields are converted to linear at load time. Unknown keys,
-    non-numbers, non-finite numbers and values outside
-    :data:`FIELD_RANGES` are rejected with their field path.
+    Each numeric field is read from its :data:`FIELD_RANGES` path; beside
+    them the file holds ``targets``, a nonempty list of target objects, and
+    ``spectral_shape``. Unknown keys, non-numbers, non-finite numbers and
+    values outside :data:`FIELD_RANGES` are rejected with their field path.
     """
     path = Path(path)
     try:
@@ -280,9 +283,11 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"could not parse {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioError(f"scenario file {path} must contain a JSON object")
-    _object(raw, _TOP_KEYS, "")
-    comms = _object(_require(raw, "comms", ""), _COMMS_KEYS, "comms.")
-    radar = _object(_require(raw, "radar", ""), _RADAR_KEYS, "radar.")
+    keys = _file_keys(Scenario)
+    nested = [key for key in keys if key]
+    objects = {"": _object(raw, keys[""] | {*nested, "targets", "spectral_shape"}, "")}
+    for key in nested:
+        objects[key] = _object(_require(raw, key, ""), keys[key], f"{key}.")
 
     shape_name = _require(raw, "spectral_shape", "")
     if str(shape_name).lower() != "flat":
@@ -293,33 +298,17 @@ def load_scenario(path: str | Path) -> Scenario:
     targets_raw = _require(raw, "targets", "")
     if not isinstance(targets_raw, list) or len(targets_raw) == 0:
         raise ScenarioError("field 'targets' must be a nonempty list")
+    target_keys = _file_keys(Target)[""]
     targets = []
     for i, raw_target in enumerate(targets_raw):
         context = f"targets[{i}]."
-        t = _object(raw_target, _TARGET_KEYS, context)
-        values = {f.name: _number(t, f.name, context) for f in fields(Target)}
+        values = _numbers(Target, {"": _object(raw_target, target_keys, context)}, context)
         try:
             targets.append(Target(**values))
         except ScenarioError as exc:
             raise ScenarioError(f"{context}{exc}") from None
 
-    return Scenario(
-        bandwidth_hz=_number(raw, "bandwidth_hz"),
-        center_freq_hz=_number(raw, "center_freq_hz"),
-        temperature_k=_number(raw, "temperature_k"),
-        comms_range_m=_number(comms, "range_m", "comms."),
-        comms_power_w=_linear(comms, "power_dbm", "comms.", dbm_to_watts),
-        comms_antenna_gain_lin=_linear(
-            comms, "antenna_gain_dbi", "comms.", db_to_linear
-        ),
-        radar_power_w=_number(radar, "power_w", "radar."),
-        radar_antenna_gain_lin=_linear(
-            radar, "antenna_gain_dbi", "radar.", db_to_linear
-        ),
-        targets=tuple(targets),
-        time_bandwidth=_number(radar, "time_bandwidth", "radar."),
-        duty_factor=_number(radar, "duty_factor", "radar."),
-    )
+    return Scenario(targets=tuple(targets), **_numbers(Scenario, objects, ""))
 
 
 def bundled_scenario_path() -> Path:
@@ -334,13 +323,11 @@ def replace_scenario_field(s: Scenario, field: str, value: float) -> Scenario:
     applied to every target. Raises ScenarioError naming ``field`` for an
     unknown field or a value outside :data:`FIELD_RANGES`.
     """
-    scenario_fields = {f.name for f in fields(Scenario)} - {"targets"}
-    target_fields = {f.name for f in fields(Target)}
-    if field not in scenario_fields | target_fields:
-        valid = ", ".join(sorted(scenario_fields | target_fields))
+    if field not in FIELD_RANGES:
+        valid = ", ".join(sorted(FIELD_RANGES))
         raise ScenarioError(f"unknown sweep field '{field}'; valid fields: {valid}")
     try:
-        if field in target_fields:
+        if field in {f.name for f in fields(Target)}:
             new_targets = tuple(replace(t, **{field: value}) for t in s.targets)
             return replace(s, targets=new_targets)
         return replace(s, **{field: value})

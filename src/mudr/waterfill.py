@@ -78,6 +78,19 @@ def dual_use_threshold_w(alpha, mu_com, mu_mix):
     return alpha / ((1.0 - alpha) * mu_mix) - 1.0 / mu_com
 
 
+def check_alpha_grid(alpha_grid: Sequence[float]) -> np.ndarray:
+    """``alpha_grid`` as a new float64 array, rejected unless its values lie
+    strictly inside (0, 1) in ascending order."""
+    alpha = np.array(alpha_grid, dtype=float)
+    outside = ~((0.0 < alpha) & (alpha < 1.0))
+    if outside.any():
+        raise ValueError("alpha grid values must lie strictly inside (0, 1), "
+                         f"got {float(alpha[outside][0])}")
+    if np.any(alpha[1:] < alpha[:-1]):
+        raise ValueError("alpha grid must be sorted ascending")
+    return alpha
+
+
 def waterfill_grid(lb: LinkBudget, alpha_grid: Sequence[float]) -> WaterfillGrid:
     """Water-fill the communications power across the two subbands for
     every split of ``alpha_grid`` at once, as arrays.
@@ -97,14 +110,7 @@ def waterfill_grid(lb: LinkBudget, alpha_grid: Sequence[float]) -> WaterfillGrid
     kappa/B_mix stays within the pulse repetition interval. Every column
     equals the scalar closed form evaluated per alpha, bit for bit.
     """
-    alpha = np.array(alpha_grid, dtype=float)
-    outside = ~((0.0 < alpha) & (alpha < 1.0))
-    if outside.any():
-        raise ValueError("alpha grid values must lie strictly inside (0, 1), "
-                         f"got {float(alpha[outside][0])}")
-    if np.any(alpha[1:] < alpha[:-1]):
-        raise ValueError("alpha grid must be sorted ascending")
-
+    alpha = check_alpha_grid(alpha_grid)
     b_com = alpha * lb.bandwidth_hz
     b_mix = lb.bandwidth_hz - b_com
     sigma_mix = int_plus_noise_variance(lb, b_mix)

@@ -461,6 +461,22 @@ def test_rate_region_holds_only_what_is_drawn(table2_lb):
     assert len(arrays) == 8  # r_est, r_com, five curve indices, the flags
 
 
+def test_rate_region_blocks_equal_one_grid(table2_lb):
+    # three waterfill blocks, the last one short: the rows, flags and
+    # counters are those of one grid over every split
+    alphas = wf.default_alpha_grid(2 * bounds._REGION_BLOCK + 5)
+    region, grid = bounds.rate_region(table2_lb, alphas), wf.waterfill_grid(table2_lb, alphas)
+    np.testing.assert_array_equal(region.r_est[region.grid_rows], grid.r_est)
+    np.testing.assert_array_equal(region.r_com[region.grid_rows], grid.r_com_total)
+    np.testing.assert_array_equal(region.self_consistent, grid.self_consistent)
+    assert region.counters == grid.counters()
+    assert region.counters["not_self_consistent"] > 0
+    # each block is sorted, the grid is not: it is checked whole
+    unsorted = np.concatenate((alphas[5 : bounds._REGION_BLOCK + 5], alphas[:5]))
+    with pytest.raises(ValueError, match="sorted ascending"):
+        bounds.rate_region(table2_lb, unsorted)
+
+
 def test_rate_region_rejects_bad_grid(table2_lb):
     with pytest.raises(ValueError):
         bounds.rate_region(table2_lb, [0.5, 0.1])
@@ -468,6 +484,8 @@ def test_rate_region_rejects_bad_grid(table2_lb):
         bounds.rate_region(table2_lb, [0.5, 1.0])
     with pytest.raises(ValueError, match="strictly inside"):
         bounds.rate_region(table2_lb, [0.0, 0.5])
+    with pytest.raises(ValueError, match="no self-consistent"):
+        bounds.rate_region(table2_lb, [])
 
 
 # --- sanity direction: enumerated mutual information stays below the bound -----

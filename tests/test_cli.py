@@ -295,6 +295,21 @@ def test_validate_crb_pass(tmp_path):
     assert report["trials"] == 600
 
 
+@pytest.mark.parametrize(
+    "isnr", [mcsim.CRB_MIN_ISNR * (1 - 1e-6), mcsim.CRB_MAX_ISNR * (1 + 1e-6)],
+    ids=["below", "above"],
+)
+def test_validate_crb_outside_isnr_window_exit_2(tmp_path, capsys, isnr):
+    # the integrated SNR scales with the time-bandwidth product
+    base = sc.load_scenario(bundled_scenario_path())
+    tb = base.time_bandwidth * isnr / mcsim.integrated_snr(sc.derive_link_budget(base))
+    scenario = write_variant(tmp_path, "edge.json", **{"radar.time_bandwidth": tb})
+    rc = run("validate", "--scenario", scenario, "--experiment", "crb",
+             "--trials", 100, "--seed", 1, "--out", tmp_path / "out")
+    assert rc == 2
+    assert "integrated SNR" in capsys.readouterr().err
+
+
 def test_validate_crb_low_isnr_exit_2(tmp_path, capsys):
     rc = run("validate", "--scenario", bundled_scenario_path(), "--experiment", "crb",
              "--trials", 100, "--seed", 1, "--out", tmp_path)

@@ -150,6 +150,28 @@ def test_crb_experiment_rejects_low_isnr():
         mcsim.crb_experiment(lb_at_isnr(5.0), 100, 0)
 
 
+@pytest.mark.parametrize(
+    "isnr", [mcsim.CRB_MIN_ISNR * (1 - 1e-6), mcsim.CRB_MAX_ISNR * (1 + 1e-6)],
+    ids=["below", "above"],
+)
+def test_crb_experiment_rejects_isnr_outside_window(isnr):
+    with pytest.raises(ExperimentPreconditionError, match="integrated SNR"):
+        mcsim.crb_experiment(lb_at_isnr(isnr), 100, 0)
+
+
+@pytest.mark.parametrize(
+    "isnr", [mcsim.CRB_MIN_ISNR * (1 + 1e-9), mcsim.CRB_MAX_ISNR * (1 - 1e-9)],
+    ids=["low_edge", "high_edge"],
+)
+def test_crb_experiment_passes_at_window_edges(isnr):
+    # 5000 trials: at 2000 the sampling spread alone fails some seeds (1.32
+    # times the floor for seed 42 at the low edge, 1.154 for seed 1 at the
+    # high edge, whose tolerance is 0.15)
+    for seed in (1, 42, 7):
+        rep = mcsim.crb_experiment(lb_at_isnr(isnr), 5000, seed)
+        assert rep.passed, (seed, rep.empirical / rep.analytic)
+
+
 def test_crb_experiment_rejects_multi_target():
     lb = make_lb(n_targets=2)
     with pytest.raises(MultiTargetError):

@@ -265,3 +265,129 @@ def test_gamma_sq_flat_value():
     assert sc.GAMMA_SQ_FLAT == pytest.approx(
         (2 * math.pi) ** 2 / 12, rel=0
     )
+
+
+# --- the loader's messages, pinned field by field ------------------------------
+
+#: Per FIELD_RANGES field: its keys in the file, a file value outside its
+#: range and the message that value gives.
+FIELD_MESSAGES = {
+    "bandwidth_hz": (("bandwidth_hz",), 0.5,
+                     "bandwidth_hz = 0.5 is outside its valid range [1, 1e+12]"),
+    "center_freq_hz": (("center_freq_hz",), 10,
+                       "center_freq_hz = 10.0 is outside its valid range [1000, 1e+15]"),
+    "temperature_k": (("temperature_k",), 0,
+                      "temperature_k = 0.0 is outside its valid range [0.001, 1e+06]"),
+    "comms_range_m": (("comms", "range_m"), 2e9,
+                      "comms_range_m (scenario field comms.range_m) = 2000000000.0 "
+                      "is outside its valid range [0.001, 1e+09]"),
+    "comms_power_w": (("comms", "power_dbm"), 130,
+                      "comms_power_w (scenario field comms.power_dbm) = 10000000000.0 "
+                      "is outside its valid range [1e-15, 1e+09]"),
+    "comms_antenna_gain_lin": (("comms", "antenna_gain_dbi"), 110,
+                               "comms_antenna_gain_lin (scenario field "
+                               "comms.antenna_gain_dbi) = 100000000000.0 "
+                               "is outside its valid range [1e-10, 1e+10]"),
+    "radar_power_w": (("radar", "power_w"), 0,
+                      "radar_power_w (scenario field radar.power_w) = 0.0 "
+                      "is outside its valid range [1e-15, 1e+09]"),
+    "radar_antenna_gain_lin": (("radar", "antenna_gain_dbi"), -110,
+                               "radar_antenna_gain_lin (scenario field "
+                               "radar.antenna_gain_dbi) = 1e-11 "
+                               "is outside its valid range [1e-10, 1e+10]"),
+    "time_bandwidth": (("radar", "time_bandwidth"), 0.5,
+                       "time_bandwidth (scenario field radar.time_bandwidth) = 0.5 "
+                       "is outside its valid range [1, 1e+12]"),
+    "duty_factor": (("radar", "duty_factor"), 2,
+                    "duty_factor (scenario field radar.duty_factor) = 2.0 "
+                    "is outside its valid range [1e-09, 1]"),
+    "range_m": (("targets", 0, "range_m"), 1e13,
+                "targets[0].range_m = 10000000000000.0 "
+                "is outside its valid range [0.001, 1e+12]"),
+    "cross_section_m2": (("targets", 0, "cross_section_m2"), 0,
+                         "targets[0].cross_section_m2 = 0.0 "
+                         "is outside its valid range [1e-12, 1e+12]"),
+    "process_range_std_m": (("targets", 0, "process_range_std_m"), -1,
+                            "targets[0].process_range_std_m = -1.0 "
+                            "is outside its valid range [0, 1e+09]"),
+}
+
+_DELETE = object()
+
+
+def _load_error(tmp_path, *changes) -> str:
+    """The message of loading table2 with each (keys, value) change made;
+    a value of ``_DELETE`` removes the key."""
+    def mutate(raw):
+        for keys, value in changes:
+            obj = raw
+            for key in keys[:-1]:
+                obj = obj[key]
+            if value is _DELETE:
+                del obj[keys[-1]]
+            else:
+                obj[keys[-1]] = value
+
+    with pytest.raises(sc.ScenarioError) as err:
+        sc.load_scenario(_write_scenario(tmp_path, mutate))
+    return str(err.value)
+
+
+def test_field_messages_cover_every_field():
+    assert FIELD_MESSAGES.keys() == sc.FIELD_RANGES.keys()
+
+
+@pytest.mark.parametrize("field", FIELD_MESSAGES)
+def test_loader_messages_name_the_file_path(tmp_path, field):
+    keys, outside, message = FIELD_MESSAGES[field]
+    path = ".".join(str(k) for k in keys).replace("targets.0.", "targets[0].")
+    assert _load_error(tmp_path, (keys, _DELETE)) == f"missing field '{path}'"
+    assert _load_error(tmp_path, (keys, "ten")) == (
+        f"field '{path}' must be a number, got 'ten'"
+    )
+    assert _load_error(tmp_path, (keys, outside)) == message
+
+
+@pytest.mark.parametrize(
+    "keys, message",
+    [
+        (("notes",), "unknown field 'notes'; valid fields: bandwidth_hz, center_freq_hz, "
+                     "comms, radar, spectral_shape, targets, temperature_k"),
+        (("comms", "gain"), "unknown field 'comms.gain'; valid fields: "
+                            "antenna_gain_dbi, power_dbm, range_m"),
+        (("radar", "powr_w"), "unknown field 'radar.powr_w'; valid fields: "
+                              "antenna_gain_dbi, duty_factor, power_w, time_bandwidth"),
+        (("targets", 0, "rcs"), "unknown field 'targets[0].rcs'; valid fields: "
+                                "cross_section_m2, process_range_std_m, range_m"),
+    ],
+    ids=["top", "comms", "radar", "target"],
+)
+def test_unknown_key_message_lists_valid_keys(tmp_path, keys, message):
+    assert _load_error(tmp_path, (keys, 5)) == message
+
+
+def _outside(field):
+    """The (keys, value) change that puts ``field`` outside its range."""
+    keys, value, _ = FIELD_MESSAGES[field]
+    return keys, value
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        # every number is read before any range is checked
+        ((_outside("bandwidth_hz"), (("radar", "power_w"), _DELETE)),
+         "missing field 'radar.power_w'"),
+        # the targets are read and checked before the other fields
+        (((("bandwidth_hz",), "ten"), _outside("process_range_std_m")),
+         FIELD_MESSAGES["process_range_std_m"][2]),
+        # ranges are checked in field order
+        ((_outside("duty_factor"), _outside("comms_power_w")),
+         FIELD_MESSAGES["comms_power_w"][2]),
+        ((_outside("time_bandwidth"), _outside("radar_antenna_gain_lin")),
+         FIELD_MESSAGES["radar_antenna_gain_lin"][2]),
+    ],
+    ids=["number_before_range", "target_first", "comms_before_radar", "gain_before_tb"],
+)
+def test_first_of_two_bad_fields_is_reported(tmp_path, changes, message):
+    assert _load_error(tmp_path, *changes) == message
