@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .scenario import GAMMA_SQ_FLAT, LinkBudget
+from .scenario import FIELD_RANGES, GAMMA_SQ_FLAT, LinkBudget
 
 
 class DegenerateLinkError(ValueError):
@@ -172,9 +172,14 @@ def crb_delay_variance(lb: LinkBudget, target_idx: int = 0) -> float:
         raise DegenerateLinkError(
             f"target {target_idx} has a^2*P_radar = 0; delay variance is unbounded"
         )
-    return lb.kt_w_per_hz / (
-        GAMMA_SQ_FLAT * lb.bandwidth_hz * lb.time_bandwidth * a_sq * lb.radar_power_w
-    )
+    return lb.kt_w_per_hz / _delay_fisher(lb, lb.bandwidth_hz, a_sq, 1.0)
+
+
+def _delay_fisher(lb: LinkBudget, bandwidth_hz, a_sq: float, scale: float):
+    """``scale`` gamma^2 bw TB a^2 P_radar, multiplied in that order: the
+    delay Fisher product of one target over bandwidth bw (a float or an
+    array of them), before the thermal density k_B T_temp divides it."""
+    return scale * GAMMA_SQ_FLAT * bandwidth_hz * lb.time_bandwidth * a_sq * lb.radar_power_w
 
 
 def _log_form_rate(lb: LinkBudget, bandwidth_hz):
@@ -182,15 +187,10 @@ def _log_form_rate(lb: LinkBudget, bandwidth_hz):
     bandwidth bw with the scenario's waveform integration TB: per target
     bw log2(1 + sigma_proc^2 gamma^2 bw TB a^2 P_radar / (k_B T_temp))
     raised to delta/TB. ``bandwidth_hz`` is a float or an array of them."""
-    tb = lb.time_bandwidth
     return sum(
         bandwidth_hz
-        * (lb.duty_factor / tb)
-        * _log2(
-            1.0
-            + proc_sq * GAMMA_SQ_FLAT * bandwidth_hz * tb * a_sq * lb.radar_power_w
-            / lb.kt_w_per_hz
-        )
+        * (lb.duty_factor / lb.time_bandwidth)
+        * _log2(1.0 + _delay_fisher(lb, bandwidth_hz, a_sq, proc_sq) / lb.kt_w_per_hz)
         for a_sq, proc_sq in zip(lb.a_sq, lb.sigma_tau_proc_sq)
     )
 
@@ -265,11 +265,16 @@ def rate_region(lb: LinkBudget, alpha_grid: Sequence[float]) -> RateRegion:
     ``alpha_grid`` and "hull" the upper convex hull of the two inner
     curves. Each curve is its rows of one point table (see
     :class:`RateRegion`). The grid is checked whole, then water-filled in
-    consecutive blocks of ``_REGION_BLOCK`` splits.
+    consecutive blocks of ``_REGION_BLOCK`` splits. A split's
+    self-consistency only tightens as alpha grows, so when the grid's
+    first split is not self-consistent, none is, and the duty factor is
+    rejected after the first block.
     """
     from . import waterfill
 
     alpha = waterfill.check_alpha_grid(alpha_grid)
+    if not len(alpha):
+        raise ValueError("no self-consistent waterfill point on an empty grid")
     # the outer vertices, the sic points, the interpolated points, every split
     est, com = np.empty(7 + len(alpha)), np.empty(7 + len(alpha))
     keep = np.empty(len(alpha), dtype=bool)
@@ -277,6 +282,11 @@ def rate_region(lb: LinkBudget, alpha_grid: Sequence[float]) -> RateRegion:
     for start in range(0, len(alpha), _REGION_BLOCK):
         block = slice(start, start + _REGION_BLOCK)
         grid = waterfill.waterfill_grid(lb, alpha[block])
+        if start == 0 and not grid.self_consistent[0]:
+            raise ValueError(
+                "no self-consistent waterfill point on the given grid: "
+                f"{FIELD_RANGES['duty_factor'][2]} = {float(lb.duty_factor)!r} is above "
+                f"{float(1.0 - alpha[0])!r}, 1 - alpha at the grid's first split")
         rows = slice(7 + start, 7 + start + _REGION_BLOCK)
         est[rows], com[rows], keep[block] = grid.r_est, grid.r_com_total, grid.self_consistent
         for name, count in grid.counters().items():
@@ -286,9 +296,6 @@ def rate_region(lb: LinkBudget, alpha_grid: Sequence[float]) -> RateRegion:
     r_est, r_com, r_sic = est_outer_rate(lb), comms_outer_rate(lb), sic_comms_rate(lb)
     check_rates("r_est", r_est)
     check_rates("r_com", (r_sic, r_com))
-    if not keep.any():
-        raise ValueError("no self-consistent waterfill point on the given grid; "
-                         "a split alpha needs duty_factor <= 1 - alpha")
     est[:7] = [0.0, r_est, r_est, 0.0, r_est, 0.0, r_est]
     com[:7] = [r_com, r_com, 0.0, r_sic, r_sic, r_com, r_sic]
     index = {"outer": np.arange(0, 3), "sic": np.arange(3, 5), "interpolated": np.arange(5, 7),

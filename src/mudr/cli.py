@@ -24,7 +24,7 @@ every SVG coordinate in one pass per axis (``emit.render_svgs``).
 ``sweep`` computes every region before it prints any, holding each as
 its ``bounds.RateRegion`` (the point table, the curves' rows, a flag per
 split and the grid's counters), and then prints consecutive regions
-together while their rows fit ``_SWEEP_ROWS``.
+together, ``_SWEEP_ROWS`` table rows' worth at a time.
 
 A command's files are printed as they are written: it returns them as
 (name, data) pairs that are made in write order, where data is bytes or
@@ -90,11 +90,12 @@ MAX_SWEEP_POINTS = 4 * 10**6
 #: this many rows, each made as it is written.
 _CSV_BLOCK = 16384
 
-#: Table rows a sweep prints together: consecutive regions are printed as
-#: one group while their rows fit, so a group's records stay near those of
-#: one region of this many rows (about 6 MB, at some 90 bytes a row), and
-#: a 400-point sweep of up to 161 values is printed in one pass. A larger
-#: region is a group of its own.
+#: Table rows a sweep prints together. Its regions share one alpha grid,
+#: so each has the same rows, and ``_SWEEP_ROWS // rows`` consecutive
+#: regions (at least one) are printed as one group: a group's records stay
+#: near those of one region of this many rows (about 6 MB, at some 90
+#: bytes a row), and a 400-point sweep of up to 161 values is printed in
+#: one pass.
 _SWEEP_ROWS = 1 << 16
 
 #: The ``self_consistent`` cells of ``region.csv``, NUL-padded to one width.
@@ -217,7 +218,8 @@ def _region_files(
 ) -> Iterator[tuple[str, Iterable[bytes]]]:
     """``<prefix>.csv`` and ``<prefix>.svg`` of each (prefix, region) over
     the one ``alpha_grid``, as (name, data) pairs in write order whose
-    text is made as it is written.
+    text is made as it is written. Every region has the same rows, so
+    ``np.split`` divides their records evenly (and raises otherwise).
 
     Every float is printed once for all of the regions, when the first
     pair is taken: the grid in one ``repr_records`` call, every region's
@@ -229,29 +231,14 @@ def _region_files(
     alpha = repr_records(alpha_grid)
     pairs = join_fields([repr_records(np.concatenate([r.r_est for _, r in regions])), b",",
                          repr_records(np.concatenate([r.r_com for _, r in regions]))])
-    ends = np.cumsum([len(r.r_est) for _, r in regions])[:-1]
-    csvs = [_region_csv(r, rows, alpha) for (_, r), rows in zip(regions, np.split(pairs, ends))]
+    csvs = [_region_csv(r, rows, alpha)
+            for (_, r), rows in zip(regions, np.split(pairs, len(regions)))]
     del alpha, pairs  # each CSV holds its rows until it has been written
     svgs = render_svgs([(list(r.index.items()), "estimation rate (bits/s)",
                          "communications rate (bits/s)", (r.r_est, r.r_com)) for _, r in regions])
     for (prefix, _), csv in zip(regions, csvs):
         yield f"{prefix}.csv", csv
         yield f"{prefix}.svg", islice(svgs, 1)  # rendered as it is written
-
-
-def _row_groups(
-    regions: Sequence[tuple[str, bounds.RateRegion]]
-) -> Iterator[list[tuple[str, bounds.RateRegion]]]:
-    """Consecutive ``regions`` whose rows together fit ``_SWEEP_ROWS``; a
-    region that does not fit on its own is a group of one."""
-    group, rows = [], 0
-    for prefix, region in regions:
-        if group and rows + len(region.r_est) > _SWEEP_ROWS:
-            yield group
-            group, rows = [], 0
-        group.append((prefix, region))
-        rows += len(region.r_est)
-    yield group
 
 
 def cmd_region(args: argparse.Namespace) -> Outcome:
@@ -355,7 +342,9 @@ def cmd_sweep(args: argparse.Namespace) -> Outcome:
         ("value", "est_outer_rate_bps", "comms_outer_rate_bps", "sic_comms_rate_bps"),
         summary_rows,
     ).encode()
-    files = (_region_files(alpha_grid, group) for group in _row_groups(regions))
+    group = max(1, _SWEEP_ROWS // len(regions[0][1].r_est))
+    files = (_region_files(alpha_grid, regions[i : i + group])
+             for i in range(0, len(regions), group))
     return Outcome(
         files=chain(*files, [("sweep_summary.csv", summary)]),
         parameters={

@@ -437,17 +437,18 @@ def render_svgs(figures: Sequence[tuple]) -> Iterator[bytes]:
     every x in one ``_fixed_records`` pass and every y in another, so each
     table point is printed once, however many curves or figures there
     are; each figure's paths gather from its own rows of those records.
+    Every figure's point table has one size, so ``np.split`` divides the
+    records evenly (and raises otherwise).
     """
     spans = [_spans(curves, points) for curves, _, _, points in figures]
     xs, ys = zip(*((_sx(x, x_span), _sy(y, y_span))
                    for (*_, (x, y)), (x_span, y_span) in zip(figures, spans)))
-    sizes = [len(x) for x in xs]
     records = _path_records(np.concatenate(xs), np.concatenate(ys))
     del xs, ys  # only the records are kept while the SVGs are rendered
-    first = 0
-    for (curves, x_label, y_label, _), span, size in zip(figures, spans, sizes):
-        yield render_curves_svg(curves, x_label, y_label, span, records[first : first + size])
-        first += size
+    for (curves, x_label, y_label, _), span, rows in zip(
+        figures, spans, np.split(records, len(figures))
+    ):
+        yield render_curves_svg(curves, x_label, y_label, span, rows)
 
 
 def render_curves_svg(

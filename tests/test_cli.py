@@ -659,6 +659,20 @@ def test_failed_sweep_writes_nothing(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+def test_region_duty_factor_fails_after_the_first_block(tmp_path, capsys, monkeypatch):
+    # no split is self-consistent once the first one is not: the region
+    # stops after one waterfill block of three, naming the field and its limit
+    filled = count_calls(monkeypatch, waterfill, "waterfill_grid")
+    scenario = write_variant(tmp_path, "duty.json", **{"radar.duty_factor": 1.0})
+    rc = run("region", "--scenario", scenario, "--alpha-points", 3 * bounds._REGION_BLOCK,
+             "--out", tmp_path / "out")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "radar.duty_factor = 1.0" in err and "0.9999" in err
+    assert filled[0] == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_dense_region_streams_its_files_under_a_traced_peak(tmp_path, monkeypatch):
     # the emitters' tables are built on first use: build them untraced
     argv = ("region", "--scenario", bundled_scenario_path(), "--alpha-points")
@@ -688,11 +702,12 @@ def test_dense_region_streams_its_files_under_a_traced_peak(tmp_path, monkeypatc
     assert peak < 22.5e6, peak / 1e6
 
 
-@pytest.mark.parametrize("budget, groups", [(cli._SWEEP_ROWS, 1), (2 * 407, 2), (407, 3)])
+@pytest.mark.parametrize("budget, groups",
+                         [(cli._SWEEP_ROWS, 1), (2 * 407, 2), (1000, 2), (407, 3)])
 def test_sweep_groups_keep_bytes(tmp_path, monkeypatch, budget, groups):
     # each region of the CI sweep has 407 table rows (7 vertex rows and 400
-    # splits): a budget of 814 rows prints its first two regions together
-    # and the third alone, one of 407 rows prints each region alone
+    # splits): a budget of 814 or 1000 rows prints its first two regions
+    # together and the third alone, one of 407 rows prints each region alone
     printed = count_calls(monkeypatch, cli, "repr_records")
     monkeypatch.setattr(cli, "_SWEEP_ROWS", budget)
     assert_ci_sweep_bytes(tmp_path / "sweep")

@@ -329,28 +329,24 @@ def arc_clouds(draw):
     return draw(st.permutations(arc + extra + below))
 
 
-@given(arc_clouds(), st.integers(1, 5))
-def test_hull_in_blocks_equals_one_block_and_chain(points, block):
+@given(arc_clouds())
+def test_hull_equals_chain(points):
     r_est, r_com = np.array(points, dtype=float).T
-    one_block = wf.upper_convex_hull(r_est, r_com)  # 16384 triples hold every cloud here
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(wf, "_HULL_BLOCK", block)
-        blocked = wf.upper_convex_hull(r_est, r_com)
-    assert blocked.tolist() == one_block.tolist() == chain_indices(r_est, r_com)
+    assert wf.upper_convex_hull(r_est, r_com).tolist() == chain_indices(r_est, r_com)
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("side", ["last_of_a_block", "first_of_the_next"])
-def test_hull_pop_at_a_block_boundary(monkeypatch, block, side):
-    # a concave arc whose only popping triple is the last one of the first
-    # block or the first one of the second: the blocks overlap by two
-    # points, so the fast path sees it and the chain drops its middle point
+def test_hull_pop_at_a_block_boundary(block, side):
+    # a concave arc whose only popping triple would be the last one of the
+    # first block, or the first one of the second, were the triples split
+    # into blocks of ``block``: the fast path tests every triple in one pass,
+    # so it sees the pop wherever it is, and the chain drops its middle point
     start = block - 1 if side == "last_of_a_block" else block
     x = np.arange(12.0)
     y = 200.0 - x * x
     middle = start + 1
     y[middle] = (y[middle - 1] + y[middle + 1]) / 2 - 1  # below its chord
-    monkeypatch.setattr(wf, "_HULL_BLOCK", block)
     index = wf.upper_convex_hull(x, y)
     assert index.tolist() == chain_indices(x, y) == [i for i in range(12) if i != middle]
 
