@@ -9,7 +9,9 @@ process-plus-estimation uncertainty and the estimation uncertainty alone,
 log2(1 + sigma_proc^2 / CRB) per pulse repetition interval. It is written
 once, in that log form: where sigma_proc^2 is small against the CRB, the
 difference of two entropies loses more digits to cancellation. Every
-communications rate is bw log2(1 + b^2 P / noise) from one helper.
+communications rate is bw log2(1 + b^2 P / noise) from one helper, and
+every rate takes log2(1 + x) from ``_log2_1p``, a ``log1p`` form that
+keeps its digits at low SNR.
 
 :func:`rate_region` returns the displayed curves as one point table
 (:class:`RateRegion`): each curve is an index array of its rows, and
@@ -18,7 +20,6 @@ this module is the one place that lays the rows out.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -32,37 +33,25 @@ class DegenerateLinkError(ValueError):
     """Radar link has zero received power; delay variance is unbounded."""
 
 
-def _elementwise(fn, *args):
-    """``fn(v, *args)`` for each element v of a float array, giving a float
-    array of its shape; a scalar goes to ``fn`` directly and gives a Python
-    float. Closed forms that take either use it for ``log2`` and squares,
-    so every array element equals the scalar formula's value bit for bit.
-
-    That takes one libm call per element: on table2's 100k-point grid,
-    numpy's ``log2`` differs from ``math.log2`` on 107 and 150 of the
-    arguments of the two Shannon rates, and ``b*b`` from ``b**2`` on 80
-    of the ``b_mix`` values. Nor would a correctly rounded numpy form do,
-    as libm is not correctly rounded: glibc 2.36 ``pow(v, 2.0)`` misrounds
-    45 of 60k log-uniform values and ``log2`` 91 of 60k uniform values in
-    [1, 4). The calls are made from C, by ``map`` over the elements with
-    the extra arguments repeated, never through a Python function per
-    element. ``fn`` raises as for a scalar (``math.log2`` of a value
-    <= 0, or an overflowing square)."""
-
-    def apply(x):
-        if not isinstance(x, np.ndarray):
-            return fn(float(x), *args)
-        # a float64 memoryview yields the elements as Python floats
-        values = memoryview(x.astype(float, copy=False).ravel())
-        mapped = map(fn, values, *map(itertools.repeat, args))
-        return np.fromiter(mapped, float, x.size).reshape(x.shape)
-
-    return apply
+_LN2 = math.log(2.0)
 
 
-_log2 = _elementwise(math.log2)
-# pow(v, 2.0) is the libm call that CPython's v**2 makes
-_square = _elementwise(pow, 2.0)
+def _log2_1p(x):
+    """log2(1 + x) as ``math.log1p(x) / _LN2``, for a float (giving a
+    Python float) or a float array (giving one of its shape). Unlike a log
+    of 1 + x, it keeps its digits for x below 2^-53. libm's ``log1p`` is
+    mapped over the elements from C (``numpy.fromiter`` over a memoryview,
+    which yields Python floats), not numpy's SIMD ``log1p``, which differs
+    from libm's on about 10k of table2's 100k mixed-band SNRs; so an array
+    equals the scalar form bit for bit. Dividing by ln 2, rather than
+    multiplying by a rounded 1 / ln 2, keeps table2's estimation rate at
+    its correctly rounded value. Raises as ``math.log1p`` for x <= -1."""
+    if not isinstance(x, np.ndarray):
+        return math.log1p(float(x)) / _LN2
+    values = memoryview(x.astype(float, copy=False).ravel())
+    logs = np.fromiter(map(math.log1p, values), float, x.size)
+    logs /= _LN2
+    return logs.reshape(x.shape)
 
 
 def check_rates(name: str, values) -> None:
@@ -147,9 +136,9 @@ def ma_pentagon(snr1: float, snr2: float) -> PentagonRegion:
     """
     if snr1 < 0 or snr2 < 0:
         raise ValueError("SNRs must be nonnegative")
-    r1_max = math.log2(1.0 + snr1)
-    r2_max = math.log2(1.0 + snr2)
-    sum_max = math.log2(1.0 + snr1 + snr2)
+    r1_max = _log2_1p(snr1)
+    r2_max = _log2_1p(snr2)
+    sum_max = _log2_1p(snr1 + snr2)
     vertex_a = (sum_max - r2_max, r2_max)
     vertex_b = (r1_max, sum_max - r1_max)
     return PentagonRegion(
@@ -186,11 +175,12 @@ def _log_form_rate(lb: LinkBudget, bandwidth_hz):
     """Estimation rate in bits/s, summed over targets, for a radar on
     bandwidth bw with the scenario's waveform integration TB: per target
     bw log2(1 + sigma_proc^2 gamma^2 bw TB a^2 P_radar / (k_B T_temp))
-    raised to delta/TB. ``bandwidth_hz`` is a float or an array of them."""
+    raised to delta/TB, the log taken by ``_log2_1p``, so a small ratio
+    keeps its digits. ``bandwidth_hz`` is a float or an array of them."""
     return sum(
         bandwidth_hz
         * (lb.duty_factor / lb.time_bandwidth)
-        * _log2(1.0 + _delay_fisher(lb, bandwidth_hz, a_sq, proc_sq) / lb.kt_w_per_hz)
+        * _log2_1p(_delay_fisher(lb, bandwidth_hz, a_sq, proc_sq) / lb.kt_w_per_hz)
         for a_sq, proc_sq in zip(lb.a_sq, lb.sigma_tau_proc_sq)
     )
 
@@ -198,7 +188,8 @@ def _log_form_rate(lb: LinkBudget, bandwidth_hz):
 def est_outer_rate(lb: LinkBudget) -> float:
     """Estimation-rate outer bound in bits/s, summed over targets: per
     target log2(1 + sigma_proc^2 / CRB) per pulse repetition interval, the
-    radar on the full band B. A target with no process jitter or no
+    radar on the full band B, in the ``log1p`` form of
+    :func:`_log_form_rate`. A target with no process jitter or no
     received power adds 0."""
     return _log_form_rate(lb, lb.bandwidth_hz)
 
@@ -210,7 +201,8 @@ def int_plus_noise_variance(lb: LinkBudget, bandwidth_hz):
     is the derivative-scale residual of the delay-process jitter, with
     mean-square power P_radar a^2 gamma^2 bw^2 sigma_proc^2 per target,
     plus thermal noise over ``bandwidth_hz``: a float, or an array of
-    them for an array result.
+    them for an array result. bw^2 is the IEEE product bw * bw, which
+    rounds alike on every SIMD path.
     """
     bw = np.asarray(bandwidth_hz, dtype=float)
     outside = ~((0 < bw) & (bw <= lb.bandwidth_hz))
@@ -219,7 +211,7 @@ def int_plus_noise_variance(lb: LinkBudget, bandwidth_hz):
             f"bandwidth_hz must lie in (0, {lb.bandwidth_hz}], "
             f"got {float(bw[outside][0])}"
         )
-    bw_sq = _square(bandwidth_hz)
+    bw_sq = bandwidth_hz * bandwidth_hz
     residual = lb.radar_power_w * sum(
         a_sq * GAMMA_SQ_FLAT * bw_sq * proc_sq
         for a_sq, proc_sq in zip(lb.a_sq, lb.sigma_tau_proc_sq)
@@ -230,7 +222,7 @@ def int_plus_noise_variance(lb: LinkBudget, bandwidth_hz):
 def _shannon_rate(lb: LinkBudget, bandwidth_hz, power_w, noise_w):
     """Communications rate bw log2(1 + b^2 P / noise) in bits/s; floats or
     arrays of them."""
-    return bandwidth_hz * _log2(1.0 + lb.b_sq * power_w / noise_w)
+    return bandwidth_hz * _log2_1p(lb.b_sq * power_w / noise_w)
 
 
 def comms_outer_rate(lb: LinkBudget) -> float:

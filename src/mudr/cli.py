@@ -72,7 +72,7 @@ from .scenario import (
 )
 
 #: Valid closed range of the ``pentagon`` SNR arguments, in dB: wide
-#: enough for any link, and narrow enough that 1 + snr1 + snr2 stays finite.
+#: enough for any link, and narrow enough that snr1 + snr2 stays finite.
 SNR_DB_RANGE = (-300.0, 300.0)
 
 #: Largest ``--alpha-points`` and ``--trials``: a 10^6-point region already

@@ -130,6 +130,11 @@ def random_lb(rng: np.random.Generator) -> LinkBudget:
     )
 
 
+def log2_1p(v: float) -> float:
+    """log2(1 + v) in the scalar form every rate uses: libm's log1p over ln 2."""
+    return math.log1p(v) / math.log(2.0)
+
+
 def estimation_entropy(variance_s2: float) -> float:
     """Differential entropy log2(pi e sigma^2) in bits (complex-Gaussian convention)."""
     if not variance_s2 > 0:

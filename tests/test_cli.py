@@ -521,40 +521,40 @@ def test_region_files_equal_per_curve_oracle(table2_scenario, case):
     )]))
 
 
-# sha256 of region.csv and region.svg as the commit before the SVG point
-# table and the byte-block writer wrote them (table2 unless a field is set)
+# sha256 of region.csv and region.svg since every rate takes its log in
+# the log1p form (table2 unless a field is set)
 REGION_DIGESTS = {
     ("table2", 1): (
-        "eea63df4287bc12694d5e65a30bd54d766028539164650364f95224cb10ec502",
+        "db491906e1be36742b86d19b1998f178a3cf0675eb08feae0210e8a24a564d13",
         "cb4afa4e7852b85403a10ba19be1970c6f05e625636c89556efbb9420080ec7e",
     ),
     ("table2", 2): (
-        "b88d5e973442906cc9869072df0b241bc14a1af8cc1d7d5ecb098ca489b60c89",
+        "68328705c0c9639037e689ee77750ee781f7e881d307e0d50fff2a5fba6666d8",
         "cb4afa4e7852b85403a10ba19be1970c6f05e625636c89556efbb9420080ec7e",
     ),
     ("table2", 7): (
-        "5743ca8a415a6f44f1d9ceb88a52df37b074886244b2f2398a42d9ff90023d6f",
+        "fc70bd183866a164c5d4ab5af7dc44023ef3fdae6c2df39443737d01bc36dc2a",
         "141c692182ccf4cf5d7170a3c8b072b911cfa2a62ff1dcb525086c9ca9166940",
     ),
     ("table2", 400): (
-        "f1b19c439ec1e7dc1cb9cc4bcb09b7bf48e2a328c0bcd6a8bf4af7c30d6e4d7e",
+        "d638c78e39d562af27d47db086e1eba1a06131470d16e8a66568ef5d529f8e34",
         "8de5b89205b72c6e22ec1315b95c07c70d0e71b124932416d4b69478799ccb55",
     ),
     ("table2", 100000): (
-        "30f56662604469d3cba094d27eb1c2a4b1ea91305321dc2507edd88b634ee71b",
+        "4853d370376c8759b28e57590cb2cca316a12348e361e9900cdd357ff54693e0",
         "6a366cd5177ee0c0f311bfa0bffc753070bd11e839a1a4e5e39e8a49632012c8",
     ),
     ("two_targets", 400): (
-        "850629db6a964e040285a294525e1a4ba02451207128ba2ed925bd279ffe1c32",
+        "dfc4a59c40c92bf1b1e7b0f4ea5f214dfdeb15df52fdab681c071d1615f41e42",
         "f057e74af0123c5ea07314dc03c185b94f5f17df8f6bda391d0e0463d40ede1c",
     ),
     ("radar_1e5_w", 400): (
-        "c8f7b730c9608b8bc10f4ceb0892f76c265351a602e0389dff7ff6eaa141124e",
+        "99dfd1c8a93629d878849a175146032eec9a85dba7f84a4083ea8d458c99f501",
         "ae8d2ae24e5f06730f718464eaf70bce6a6939baeb327dbf1daf9370b20e2efb",
     ),
     ("radar_1e-3_w", 400): (
-        "c7d567b88e27cce1e54190cbcf5e0822403361afac436a56ef3b2e0241b913a4",
-        "ea26e0873ff42e23455d340294a20d2f729e34a6b66e5aaac519521a4a50ae08",
+        "392245ce9e24eb053e892c32a1d758a30938d7275a42750cb9da77c11f779314",
+        "43660d47ecb8adddc107839ac183c6477d115971c296616e68f090f12ce304d6",
     ),
 }
 
@@ -581,13 +581,13 @@ def test_region_bytes_equal_pinned_digests(tmp_path, case, points):
 # names the scenario's path, is left out); sweep_001 is table2 at 400
 # points, so its files equal REGION_DIGESTS' ("table2", 400)
 SWEEP_DIGESTS = {
-    "sweep_000_region.csv": "c7d567b88e27cce1e54190cbcf5e0822403361afac436a56ef3b2e0241b913a4",
-    "sweep_000_region.svg": "ea26e0873ff42e23455d340294a20d2f729e34a6b66e5aaac519521a4a50ae08",
-    "sweep_001_region.csv": "f1b19c439ec1e7dc1cb9cc4bcb09b7bf48e2a328c0bcd6a8bf4af7c30d6e4d7e",
+    "sweep_000_region.csv": "392245ce9e24eb053e892c32a1d758a30938d7275a42750cb9da77c11f779314",
+    "sweep_000_region.svg": "43660d47ecb8adddc107839ac183c6477d115971c296616e68f090f12ce304d6",
+    "sweep_001_region.csv": "d638c78e39d562af27d47db086e1eba1a06131470d16e8a66568ef5d529f8e34",
     "sweep_001_region.svg": "8de5b89205b72c6e22ec1315b95c07c70d0e71b124932416d4b69478799ccb55",
-    "sweep_002_region.csv": "c8f7b730c9608b8bc10f4ceb0892f76c265351a602e0389dff7ff6eaa141124e",
+    "sweep_002_region.csv": "99dfd1c8a93629d878849a175146032eec9a85dba7f84a4083ea8d458c99f501",
     "sweep_002_region.svg": "ae8d2ae24e5f06730f718464eaf70bce6a6939baeb327dbf1daf9370b20e2efb",
-    "sweep_summary.csv": "8ef158e7ac48909afd88e2a0ca2050e46ae6ae49ff08d0834ad303fb6f7b2468",
+    "sweep_summary.csv": "15ef854514bbbcda9df2b08bb2c637e1404d982d5eec3b079dfe7b030dcf0f5a",
 }
 
 
@@ -616,7 +616,7 @@ CI_MANIFEST_DIGESTS = {
 
 # sha256 of the other files of `pentagon 10 3`
 PENTAGON_DIGESTS = {
-    "pentagon.csv": "f89303f39140edf8a2f70eea9988c0fb2b6f1ce1bb78e856cb6c5a16b874d2b0",
+    "pentagon.csv": "8e74b8f83e9daa3873b6fcee0dd6b57a4a8bb0286ae7ed34511c9e7484dc34b7",
     "pentagon.svg": "43f7ac27488f22218e7f316b0aa0741dad9b7dec177c77deeab3b3b07484b7cb",
 }
 

@@ -25,6 +25,7 @@ from helpers import (
     WF2_R_EST_05,
     brute_force_total_comms_rate,
     chain_hull,
+    log2_1p,
     random_lb,
     waterfill_row,
     with_second_target,
@@ -465,7 +466,7 @@ def scalar_reference_rows(lb, alphas):
     for alpha in alphas:
         b_com = alpha * bw
         b_mix = bw - b_com
-        residual = lb.radar_power_w * (a_sq * gamma_sq * b_mix**2 * proc_sq)
+        residual = lb.radar_power_w * (a_sq * gamma_sq * (b_mix * b_mix) * proc_sq)
         sigma_mix = residual + kt * b_mix
         mu_com = b_sq / (kt * b_com)
         mu_mix = b_sq / sigma_mix
@@ -482,10 +483,10 @@ def scalar_reference_rows(lb, alphas):
             beta = 1.0
         p_com_com = beta * p
         p_com_mix = (1.0 - beta) * p
-        r_com_com = b_com * math.log2(1.0 + p_com_com * b_sq / (kt * b_com))
-        r_com_mix = b_mix * math.log2(1.0 + b_sq * p_com_mix / sigma_mix)
+        r_com_com = b_com * log2_1p(p_com_com * b_sq / (kt * b_com))
+        r_com_mix = b_mix * log2_1p(b_sq * p_com_mix / sigma_mix)
         snr = proc_sq * gamma_sq * b_mix * kappa * a_sq * lb.radar_power_w / kt
-        r_est = b_mix * (lb.duty_factor / kappa) * math.log2(1.0 + snr)
+        r_est = b_mix * (lb.duty_factor / kappa) * log2_1p(snr)
         ok = kappa * lb.duty_factor <= lb.time_bandwidth * (1.0 - alpha)
         rows.append((alpha, b_com, b_mix, sigma_mix, mu_com, mu_mix, nu, beta,
                      clamped, p_com_com, p_com_mix, r_com_com, r_com_mix, r_est, ok))
