@@ -99,9 +99,9 @@ class RateRegion:
     counters: dict[str, int]
 
     @property
-    def grid_rows(self) -> np.ndarray:
+    def grid_rows(self) -> slice:
         """The table rows of the grid's splits, one per alpha, in grid order."""
-        return np.arange(len(self.r_est) - len(self.self_consistent), len(self.r_est))
+        return slice(len(self.r_est) - len(self.self_consistent), len(self.r_est))
 
     def curve(self, label: str) -> RateCurve:
         """The curve ``label`` as its own columns, gathered from the table."""

@@ -7,7 +7,7 @@ Randomized commands default to seed 0 and say so, so every published
 artifact is reproducible from its manifest.
 
 The Monte Carlo kernels split their trials over forked worker processes
-(``mudr.workers``); no flag or environment variable sets the count, and
+(``mcsim._split_trials``); no flag or environment variable sets the count, and
 the report bytes do not depend on it. ``region.csv`` and ``region.svg``
 are written in this process from the region's one point table
 (``bounds.RateRegion``), whose row layout only ``bounds`` knows: each
@@ -50,7 +50,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import __version__, bounds, mcsim, waterfill, workers
+from . import __version__, bounds, mcsim, waterfill
 from .emit import (
     atomic_write_text,
     csv_text,
@@ -62,7 +62,7 @@ from .emit import (
     repr_records,
     write_manifest,
 )
-from .mcsim import ExperimentPreconditionError
+from .mcsim import ExperimentPreconditionError, WorkerError
 from .scenario import (
     check_range,
     db_to_linear,
@@ -199,7 +199,7 @@ def _region_csv(
     ``_CSV_BLOCK``.
     """
     yield (",".join(REGION_CSV_HEADER) + "\n").encode()
-    grid = pairs[len(pairs) - len(alpha) :]
+    grid = pairs[region.grid_rows]
     for label, index in region.index.items():
         if label == "waterfill":  # every split, with its alpha and flag
             for first in range(0, len(alpha), _CSV_BLOCK):
@@ -389,7 +389,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # includes ScenarioError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except workers.WorkerError as exc:
+    except WorkerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

@@ -268,8 +268,8 @@ def _digits(v: np.ndarray, positional: np.ndarray):
         v_hi = split - (split - v)
         v_lo = v - v_hi
         lo = ((v_hi * p_hi - hi) + v_hi * p_lo + v_lo * p_hi) + v_lo * p_lo
-        # a sweep prints all its regions' values as one block: free each
-        # temporary once it is used, which halves the block's peak memory
+        # free each temporary once it is used: this lowers the peak memory
+        # of every ``_REPR_BLOCK``-value block that repr_records prints
         del split, v_hi, v_lo, p_hi, p_lo
         r, rl = np.rint(hi), np.rint(lo)
         d, e2 = hi - r, lo - rl

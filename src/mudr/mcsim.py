@@ -45,8 +45,8 @@ complex products and ``abs`` differently on each SIMD level.
 
 Trials also run across processes. A kernel splits its trials into one
 contiguous range per usable core (``trial_workers``), on ``_CHUNK``
-boundaries, through ``mudr.workers``. The calling process runs the first
-range and an ``os.fork``ed child each other one. The trial-indexed
+boundaries (``_split_trials``). The calling process runs the first range
+and an ``os.fork``ed child each other one. The trial-indexed
 float64 array lives in an anonymous shared mapping made before the first
 fork, so each child writes its range straight into the array the caller
 reduces, as if the caller had run every trial itself. A range's streams
@@ -60,11 +60,15 @@ import functools
 import math
 import mmap
 import operator
+import os
+import signal
+import threading
+import traceback
+import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import workers
 from .bounds import crb_delay_variance, int_plus_noise_variance
 from .scenario import GAMMA_SQ_FLAT, LinkBudget
 
@@ -75,6 +79,11 @@ class ExperimentPreconditionError(ValueError):
 
 class MultiTargetError(ValueError):
     """Experiment tests a single-target claim; the link budget has more."""
+
+
+class WorkerError(RuntimeError):
+    """A forked Monte Carlo worker failed or could not be started; the
+    message names its trial range."""
 
 
 def _require_single_target(lb: LinkBudget, what: str) -> None:
@@ -228,10 +237,18 @@ def _trial_rngs(seed: int, first: int, stop: int):
 
 
 def trial_workers(trials: int) -> int:
-    """Processes the Monte Carlo kernels split ``trials`` trials across
-    (``workers.count``): one per usable core, and at most one per
-    ``_SEED_BLOCK`` trials."""
-    return workers.count(trials, _SEED_BLOCK)
+    """Processes the Monte Carlo kernels split ``trials`` trials across:
+    one per usable core, and at most one per ``_SEED_BLOCK`` trials, so a
+    fork never costs more than it saves. 1 where ``os.fork`` or
+    ``os.sched_getaffinity`` is missing, and while another Python thread
+    is alive: a forked child would deadlock on any lock that thread holds."""
+    if (
+        not hasattr(os, "fork")
+        or not hasattr(os, "sched_getaffinity")
+        or threading.active_count() > 1
+    ):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), trials // _SEED_BLOCK))
 
 
 def _split_trials(body, trials: int) -> np.ndarray:
@@ -240,17 +257,63 @@ def _split_trials(body, trials: int) -> np.ndarray:
     ``out[first:stop]``.
 
     The trials are split into ``trial_workers(trials)`` contiguous ranges
-    on ``_CHUNK`` boundaries (``workers.split``). ``out`` is an anonymous
-    shared mapping (``mmap`` refuses length 0), so the parent and each
-    forked child write their ranges into the same array. Raises
-    ``workers.WorkerError`` naming the range of a child that failed; no
-    child outlives the call.
+    on ``_CHUNK`` boundaries: this process runs the first, a forked child
+    each other one. ``out`` is an anonymous shared mapping (``mmap``
+    refuses length 0) made before the first fork, so every process writes
+    its range into the same array. Raises ``WorkerError`` naming the range
+    of a child that failed or could not be started, after every child has
+    exited, so the caller never reads a range a child left unwritten. On
+    an error in this process every child is killed first; no child
+    outlives the call.
     """
     if trials < 0:
         raise ValueError(f"trials must be non-negative; got {trials}")
     out = np.frombuffer(mmap.mmap(-1, max(8 * trials, 1)), np.float64, trials)
-    bounds = workers.edges(trials, trial_workers(trials), _CHUNK)
-    workers.split(lambda first, stop: body(first, stop, out), bounds, "Monte Carlo trials")
+    n = trial_workers(trials)
+    bounds = [trials * i // n // _CHUNK * _CHUNK for i in range(n)] + [trials]
+    children: dict[int, tuple[int, int]] = {}  # pid -> first, stop
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on a fork while other threads run. No other
+            # Python thread is alive where trial_workers allows a fork, so
+            # those are numpy's BLAS threads, and the children never call BLAS.
+            warnings.filterwarnings(
+                "ignore", r".*use of fork\(\) may lead to deadlocks", DeprecationWarning
+            )
+            for first, stop in zip(bounds[1:-1], bounds[2:]):
+                try:
+                    pid = os.fork()
+                except OSError as exc:  # out of processes
+                    raise WorkerError(
+                        f"Monte Carlo trials [{first}, {stop}) could not start a "
+                        f"worker process ({exc})"
+                    ) from exc
+                if pid == 0:
+                    # the child never returns into the caller's stack
+                    code = 1
+                    try:
+                        body(first, stop, out)
+                        code = 0
+                    except BaseException:
+                        traceback.print_exc()
+                        raise
+                    finally:
+                        os._exit(code)
+                children[pid] = (first, stop)
+        body(bounds[0], bounds[1], out)
+    except BaseException:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        codes = {pid: os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in children}
+    for pid, code in codes.items():
+        if code != 0:
+            first, stop = children[pid]
+            raise WorkerError(
+                f"Monte Carlo trials [{first}, {stop}) failed in worker process "
+                f"{pid} (exit code {code})"
+            )
     return out
 
 

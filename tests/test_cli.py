@@ -30,7 +30,7 @@ from helpers import (
     with_second_target,
 )
 import mudr
-from mudr import bounds, cli, emit, mcsim, scenario as sc, waterfill, workers
+from mudr import bounds, cli, emit, mcsim, scenario as sc, waterfill
 from mudr.emit import render_svgs
 from mudr.scenario import bundled_scenario_path
 
@@ -829,7 +829,8 @@ def test_killed_worker_exits_4_without_manifest(tmp_path, monkeypatch, capsys):
         real_gamma(seed, first, stop, out)
 
     monkeypatch.setattr(mcsim, "_gamma_sqs", killed_gamma)
-    _, first, stop = workers.edges(2 * mcsim._SEED_BLOCK + 17, 2, mcsim._CHUNK)
+    stop = 2 * mcsim._SEED_BLOCK + 17
+    first = stop // 2 // mcsim._CHUNK * mcsim._CHUNK
     assert_two_worker_validate_exits_4(
         tmp_path, monkeypatch, capsys, f"[{first}, {stop})", "exit code -9"
     )
@@ -856,15 +857,17 @@ def test_split_kills_started_workers_when_a_fork_fails(monkeypatch):
             raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
         return real_fork()
 
-    def work(first, stop):
+    def body(first, stop, out):
         if os.getpid() != parent:
             time.sleep(60)  # ends in time only if the parent kills the child
-        return b""
 
+    monkeypatch.setattr(mcsim, "trial_workers", lambda trials: 3)
     monkeypatch.setattr(os, "fork", second_fork_fails)
     began = time.monotonic()
-    with pytest.raises(workers.WorkerError, match=re.escape("ranges [2, 3) could not start")):
-        workers.split(work, [0, 1, 2, 3], "ranges")
+    chunk = mcsim._CHUNK
+    with pytest.raises(mcsim.WorkerError,
+                       match=re.escape(f"[{2 * chunk}, {3 * chunk}) could not start")):
+        mcsim._split_trials(body, 3 * chunk)
     assert time.monotonic() - began < 30
     assert forks == [parent, parent]
     assert_no_child_left()

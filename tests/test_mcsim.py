@@ -478,6 +478,24 @@ def test_no_fork_while_another_thread_is_alive(monkeypatch):
     assert len(measured) == trials and np.isfinite(measured).all()
 
 
+@pytest.mark.parametrize("name", ["fork", "sched_getaffinity"])
+def test_one_worker_where_the_platform_lacks_fork_or_affinity(name, monkeypatch):
+    # macOS has no os.sched_getaffinity: the trials then run in this process
+    trials = 2 * mcsim._SEED_BLOCK + 17
+    with monkeypatch.context() as one_process:
+        one_process.setattr(mcsim, "trial_workers", lambda trials: 1)
+        one = mcsim.gamma_sq_trials(trials, 3)
+
+    def no_fork():
+        raise AssertionError("forked where the platform lacks os." + name)
+
+    monkeypatch.delattr(os, name)
+    if hasattr(os, "fork"):
+        monkeypatch.setattr(os, "fork", no_fork)
+    assert mcsim.trial_workers(trials) == 1
+    assert np.array_equal(mcsim.gamma_sq_trials(trials, 3), one)
+
+
 # --- one result on every SIMD path ---------------------------------------------------
 
 # numpy's baseline SIMD path on x86, as the CI workflow selects it
