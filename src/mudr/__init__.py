@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .bounds import (
     DegenerateLinkError,
     PentagonRegion,
-    RateCurve,
     RateRegion,
     comms_outer_rate,
     crb_delay_variance,
@@ -24,7 +23,6 @@ from .bounds import (
 from .mcsim import (
     ExperimentPreconditionError,
     McReport,
-    MultiTargetError,
     crb_experiment,
     gamma_experiment,
     generate_waveform,

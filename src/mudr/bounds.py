@@ -64,20 +64,6 @@ def check_rates(name: str, values) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class RateCurve:
-    """Labeled polyline in bits/s: vertex ``i`` is (``r_est[i]``,
-    ``r_com[i]``), two float64 columns of one nonzero length."""
-
-    label: str
-    r_est: np.ndarray
-    r_com: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not 0 < len(self.r_est) == len(self.r_com):
-            raise ValueError("a rate curve needs two nonempty columns of one length")
-
-
-@dataclass(frozen=True, eq=False)
 class RateRegion:
     """The displayed curves of one scenario as one point table, with what
     its files need of the waterfill grid they came from: one
@@ -90,6 +76,8 @@ class RateRegion:
     maps each curve's label to the int array of its rows, in CSV and SVG
     order: the waterfill curve is the self-consistent splits' rows, and
     the hull's rows are picked from the interpolated and waterfill rows.
+    Curve ``label``'s vertices are ``r_est[index[label]]`` and
+    ``r_com[index[label]]``.
     """
 
     r_est: np.ndarray
@@ -102,16 +90,6 @@ class RateRegion:
     def grid_rows(self) -> slice:
         """The table rows of the grid's splits, one per alpha, in grid order."""
         return slice(len(self.r_est) - len(self.self_consistent), len(self.r_est))
-
-    def curve(self, label: str) -> RateCurve:
-        """The curve ``label`` as its own columns, gathered from the table."""
-        rows = self.index[label]
-        return RateCurve(label, self.r_est[rows], self.r_com[rows])
-
-    @property
-    def curves(self) -> tuple[RateCurve, ...]:
-        """The five curves in CSV and SVG order."""
-        return tuple(map(self.curve, self.index))
 
 
 @dataclass(frozen=True)

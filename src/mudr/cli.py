@@ -6,6 +6,11 @@ write failure, 4 a worker process failed or could not be started.
 Randomized commands default to seed 0 and say so, so every published
 artifact is reproducible from its manifest.
 
+Each subparser sets its ``cmd_*`` function as ``args.run``; ``main`` first
+checks the command's numeric arguments against ``ARG_RANGES`` (NaN
+included). A refused experiment (``mcsim.ExperimentPreconditionError``, a
+multi-target one too) exits 2 with "precondition not met:".
+
 The Monte Carlo kernels split their trials over forked worker processes
 (``mcsim._split_trials``); no flag or environment variable sets the count, and
 the report bytes do not depend on it. ``region.csv`` and ``region.svg``
@@ -41,6 +46,7 @@ when the command has them; it and the ``validate`` report
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -80,6 +86,17 @@ SNR_DB_RANGE = (-300.0, 300.0)
 #: numpy instead of failing here with the flag named.
 MAX_ALPHA_POINTS = 10**6
 MAX_TRIALS = 10**7
+
+#: The numeric arguments ``main`` checks before it runs a command: each
+#: ``args`` attribute with its displayed name and valid closed range. A
+#: command skips those it does not take, and ``--seed`` when it is not given.
+ARG_RANGES = {
+    "alpha_points": ("--alpha-points", 1, MAX_ALPHA_POINTS),
+    "trials": ("--trials", 1, MAX_TRIALS),
+    "seed": ("--seed", 0, math.inf),
+    "snr1_db": ("snr1_db", *SNR_DB_RANGE),
+    "snr2_db": ("snr2_db", *SNR_DB_RANGE),
+}
 
 #: Largest ``len(--values) * --alpha-points`` of a sweep, which holds
 #: every region's ``RateRegion`` (some 33 bytes a grid point) before it
@@ -133,6 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_region.add_argument("--scenario", required=True, help="scenario JSON path")
     p_region.add_argument("--alpha-points", **alpha_points_kwargs)
     p_region.add_argument("--out", **out_kwargs)
+    p_region.set_defaults(run=cmd_region)
 
     p_pent = sub.add_parser(
         "pentagon", help="two-user multiple-access pentagon from SNRs in dB"
@@ -141,6 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pent.add_argument("snr1_db", type=float, help=snr_help)
     p_pent.add_argument("snr2_db", type=float, help=snr_help)
     p_pent.add_argument("--out", **out_kwargs)
+    p_pent.set_defaults(run=cmd_pentagon)
 
     p_val = sub.add_parser("validate", help="run a seeded Monte Carlo validation")
     p_val.add_argument("--scenario", required=True, help="scenario JSON path")
@@ -155,6 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_val.add_argument("--seed", type=int, default=None)
     p_val.add_argument("--out", **out_kwargs)
+    p_val.set_defaults(run=cmd_validate)
 
     p_sweep = sub.add_parser("sweep", help="sweep one scenario field over values")
     p_sweep.add_argument("--scenario", required=True, help="scenario JSON path")
@@ -164,6 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--alpha-points", **alpha_points_kwargs)
     p_sweep.add_argument("--out", **out_kwargs)
+    p_sweep.set_defaults(run=cmd_sweep)
 
     return parser
 
@@ -252,8 +273,6 @@ def cmd_region(args: argparse.Namespace) -> Outcome:
 
 
 def cmd_pentagon(args: argparse.Namespace) -> Outcome:
-    for name in ("snr1_db", "snr2_db"):
-        check_range(name, getattr(args, name), *SNR_DB_RANGE)
     region = bounds.ma_pentagon(db_to_linear(args.snr1_db), db_to_linear(args.snr2_db))
 
     (a1, a2), (b1, b2) = region.vertex_a, region.vertex_b
@@ -356,33 +375,17 @@ def cmd_sweep(args: argparse.Namespace) -> Outcome:
     )
 
 
-COMMANDS = {
-    "region": cmd_region,
-    "pentagon": cmd_pentagon,
-    "validate": cmd_validate,
-    "sweep": cmd_sweep,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    """Run one command: map its errors to exit codes, write its files as
-    they are made, and write the manifest, built here, last."""
+    """Run one command: check its numbers against :data:`ARG_RANGES`, run
+    the ``cmd_*`` function its subparser set as ``run``, map its errors to
+    exit codes, write its files as they are made, and write the manifest,
+    built here, last."""
     args = build_parser().parse_args(argv)
     try:
-        for flag, least, most in (
-            ("alpha_points", 1, MAX_ALPHA_POINTS),
-            ("trials", 1, MAX_TRIALS),
-            ("seed", 0, None),
-        ):
-            value = getattr(args, flag, None)
-            if value is None:
-                continue
-            name = f"--{flag.replace('_', '-')}"
-            if value < least:
-                raise ValueError(f"{name} must be at least {least}")
-            if most is not None and value > most:
-                raise ValueError(f"{name} must be at most {most}")
-        outcome = COMMANDS[args.command](args)
+        for attr, (name, least, most) in ARG_RANGES.items():
+            if getattr(args, attr, None) is not None:
+                check_range(name, getattr(args, attr), least, most)
+        outcome = args.run(args)
     except ExperimentPreconditionError as exc:
         print(f"precondition not met: {exc}", file=sys.stderr)
         return 2

@@ -77,10 +77,6 @@ class ExperimentPreconditionError(ValueError):
     """Scenario falls outside the regime the analytic claim covers."""
 
 
-class MultiTargetError(ValueError):
-    """Experiment tests a single-target claim; the link budget has more."""
-
-
 class WorkerError(RuntimeError):
     """A forked Monte Carlo worker failed or could not be started; the
     message names its trial range."""
@@ -88,7 +84,7 @@ class WorkerError(RuntimeError):
 
 def _require_single_target(lb: LinkBudget, what: str) -> None:
     if lb.n_targets != 1:
-        raise MultiTargetError(
+        raise ExperimentPreconditionError(
             f"{what} is defined for a single target; got {lb.n_targets}"
         )
 

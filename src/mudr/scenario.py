@@ -248,11 +248,29 @@ def _numbers(cls: type, objects: dict[str, dict], context: str) -> dict[str, flo
     return values
 
 
+class _JsonObject(dict):
+    """A JSON object of a scenario file; ``repeated`` is the first key the
+    file gives it twice, whose last value alone the dict keeps."""
+
+    repeated: str | None = None
+
+
+def _json_object(pairs: list[tuple[str, object]]) -> _JsonObject:
+    obj = _JsonObject(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        obj.repeated = next(key for key in obj if keys.count(key) > 1)
+    return obj
+
+
 def _object(value: object, keys: set[str], context: str) -> dict:
-    """``value`` as a JSON object holding no key outside ``keys``; ``context``
-    is its field path with a trailing dot, or "" at the top level."""
+    """``value`` as a JSON object holding no key outside ``keys`` and none
+    twice; ``context`` is its field path with a trailing dot, or "" at the
+    top level."""
     if not isinstance(value, dict):
         raise ScenarioError(f"field '{context.rstrip('.')}' must be an object")
+    if value.repeated is not None:
+        raise ScenarioError(f"field '{context}{value.repeated}' is given more than once")
     for key in value:
         if key not in keys:
             valid = ", ".join(sorted(keys))
@@ -267,8 +285,9 @@ def load_scenario(path: str | Path) -> Scenario:
 
     Each numeric field is read from its :data:`FIELD_RANGES` path; beside
     them the file holds ``targets``, a nonempty list of target objects, and
-    ``spectral_shape``. Unknown keys, non-numbers, non-finite numbers and
-    values outside :data:`FIELD_RANGES` are rejected with their field path.
+    ``spectral_shape``. Unknown or repeated keys, non-numbers, non-finite
+    numbers and values outside :data:`FIELD_RANGES` are rejected with their
+    field path.
     """
     path = Path(path)
     try:
@@ -278,7 +297,7 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"could not read {path}: {reason}") from exc
     try:
         # an integer beyond the float range parses as inf
-        raw = json.loads(text, parse_int=float)
+        raw = json.loads(text, parse_int=float, object_pairs_hook=_json_object)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"could not parse {path}: {exc}") from exc
     if not isinstance(raw, dict):

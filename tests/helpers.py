@@ -219,6 +219,13 @@ def chain_hull(r_est: np.ndarray, r_com: np.ndarray) -> list[tuple[float, float]
     return hull
 
 
+def curve(region: RateRegion, label: str) -> tuple[np.ndarray, np.ndarray]:
+    """The (r_est, r_com) columns of curve ``label``: its rows of the
+    region's point table, vertex ``i`` at (``r_est[i]``, ``r_com[i]``)."""
+    rows = region.index[label]
+    return region.r_est[rows], region.r_com[rows]
+
+
 def region_csv_text(region: RateRegion, g: WaterfillGrid) -> str:
     """``region.csv`` of ``region`` built curve by curve, every value
     formatted where its row is: waterfill rows keep every point of the
@@ -226,20 +233,20 @@ def region_csv_text(region: RateRegion, g: WaterfillGrid) -> str:
     other curves' rows print their columns."""
 
     def rows():
-        for c in region.curves:
-            if c.label == "waterfill":
+        for label in region.index:
+            if label == "waterfill":
                 alpha, r_est, r_com = g.alpha, g.r_est, g.r_com_total
                 ok = g.self_consistent
             else:
-                alpha, r_est, r_com = np.full(len(c.r_est), np.nan), c.r_est, c.r_com
-                ok = np.ones(len(c.r_est), dtype=bool)
+                r_est, r_com = curve(region, label)
+                alpha, ok = np.full(len(r_est), np.nan), np.ones(len(r_est), dtype=bool)
             for a, e, r, flag in zip(
                 map(repr, alpha.tolist()),
                 map(repr, r_est.tolist()),
                 map(repr, r_com.tolist()),
                 ok.tolist(),
             ):
-                yield [c.label, a, e, r, "true" if flag else "false"]
+                yield [label, a, e, r, "true" if flag else "false"]
 
     return csv_text(cli.REGION_CSV_HEADER, rows())
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from helpers import (
     brute_force_total_comms_rate,
+    curve,
     entropy_form_est_rate,
     make_lb,
     measured_gamma_sq,
@@ -30,8 +31,8 @@ def report(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num}: {detail}"
 
 
-def hull_value_at(curve, x):
-    xs, ys = curve.r_est.tolist(), curve.r_com.tolist()
+def hull_value_at(hull, x):
+    xs, ys = (column.tolist() for column in hull)
     for i in range(len(xs) - 1):
         if xs[i] <= x <= xs[i + 1]:
             if xs[i + 1] == xs[i]:
@@ -54,14 +55,16 @@ def test_criterion_01_region_curves(tmp_path, table2_lb):
     sic = bounds.sic_comms_rate(table2_lb)
     outer = bounds.comms_outer_rate(table2_lb)
 
-    interpolated, split = region.curve("interpolated"), region.curve("waterfill")
-    (e0, e1), (c0, c1) = interpolated.r_est, interpolated.r_com
+    interpolated, split = curve(region, "interpolated"), curve(region, "waterfill")
+    (e0, e1), (c0, c1) = interpolated
     slope = (c1 - c0) / (e1 - e0)
-    exceeds = bool(any(split.r_com > c0 + slope * split.r_est))
+    split_est, split_com = split
+    exceeds = bool(any(split_com > c0 + slope * split_est))
+    hull = curve(region, "hull")
     dominated = all(
-        hull_value_at(region.curve("hull"), r_est) >= r_com - 1e-9
-        for c in (interpolated, split)
-        for r_est, r_com in zip(c.r_est.tolist(), c.r_com.tolist())
+        hull_value_at(hull, r_est) >= r_com - 1e-9
+        for est_column, com_column in (interpolated, split)
+        for r_est, r_com in zip(est_column.tolist(), com_column.tolist())
     )
     ok = elapsed < 5.0 and sic < outer and exceeds and dominated
     report(

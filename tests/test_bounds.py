@@ -15,6 +15,7 @@ from helpers import (
     TABLE2_EST_RATE_BPS,
     TABLE2_INT_PLUS_NOISE_W,
     TABLE2_SIC_RATE_BPS,
+    curve,
     entropy_form_est_rate,
     estimation_entropy,
     log2_1p,
@@ -158,11 +159,6 @@ def test_pentagon_rejects_negative():
 def test_check_rates_rejects(value):
     with pytest.raises(ValueError, match="finite and nonnegative"):
         bounds.check_rates("r_est", np.array([1.0, value]))
-
-
-def test_rate_curve_needs_columns_of_one_length():
-    with pytest.raises(ValueError, match="one length"):
-        bounds.RateCurve("outer", np.zeros(3), np.zeros(2))
 
 
 # --- delay-variance floor and estimation entropy ------------------------------
@@ -350,24 +346,24 @@ def test_sic_equals_outer_iff_quiet(table2_lb):
 
 
 def test_interpolated_endpoints(table2_lb):
-    curve = bounds.rate_region(table2_lb, [0.5]).curve("interpolated")
-    assert curve.r_est[0] == 0.0
-    assert curve.r_com[0] == pytest.approx(TABLE2_COMMS_OUTER_BPS, rel=1e-12)
-    assert curve.r_est[1] == pytest.approx(TABLE2_EST_RATE_BPS, rel=1e-12)
-    assert curve.r_com[1] == pytest.approx(TABLE2_SIC_RATE_BPS, rel=1e-12)
-    assert curve.r_com[0] >= curve.r_com[1]
+    r_est, r_com = curve(bounds.rate_region(table2_lb, [0.5]), "interpolated")
+    assert r_est[0] == 0.0
+    assert r_com[0] == pytest.approx(TABLE2_COMMS_OUTER_BPS, rel=1e-12)
+    assert r_est[1] == pytest.approx(TABLE2_EST_RATE_BPS, rel=1e-12)
+    assert r_com[1] == pytest.approx(TABLE2_SIC_RATE_BPS, rel=1e-12)
+    assert r_com[0] >= r_com[1]
 
 
 def test_interpolated_degenerate_radar(table2_lb):
     quiet = replace(table2_lb, sigma_tau_proc_sq=(0.0,))
-    curve = bounds.rate_region(quiet, [0.5]).curve("interpolated")
-    assert curve.r_est[0] == curve.r_est[1] == 0.0
-    assert curve.r_com[0] == pytest.approx(curve.r_com[1], rel=1e-12)
+    r_est, r_com = curve(bounds.rate_region(quiet, [0.5]), "interpolated")
+    assert r_est[0] == r_est[1] == 0.0
+    assert r_com[0] == pytest.approx(r_com[1], rel=1e-12)
 
 
 def test_rate_region_curve_inventory(table2_lb):
     region = bounds.rate_region(table2_lb, [0.1, 0.5, 0.9])
-    assert [c.label for c in region.curves] == [
+    assert list(region.index) == [
         "outer",
         "sic",
         "interpolated",
@@ -377,8 +373,8 @@ def test_rate_region_curve_inventory(table2_lb):
 
 
 def test_rate_region_hull_concave(table2_lb):
-    hull = bounds.rate_region(table2_lb, np.linspace(0.01, 0.99, 100)).curve("hull")
-    x, y = hull.r_est.tolist(), hull.r_com.tolist()
+    r_est, r_com = curve(bounds.rate_region(table2_lb, np.linspace(0.01, 0.99, 100)), "hull")
+    x, y = r_est.tolist(), r_com.tolist()
     slopes = [
         (y[i + 1] - y[i]) / (x[i + 1] - x[i])
         for i in range(len(x) - 1)
@@ -389,14 +385,14 @@ def test_rate_region_hull_concave(table2_lb):
 
 def test_rate_region_waterfill_beats_interpolation(table2_lb):
     region = bounds.rate_region(table2_lb, np.linspace(0.01, 0.99, 200))
-    interpolated, split = region.curve("interpolated"), region.curve("waterfill")
-    (e0, e1), (c0, c1) = interpolated.r_est, interpolated.r_com
+    (e0, e1), (c0, c1) = curve(region, "interpolated")
     slope = (c1 - c0) / (e1 - e0)
 
     def interp(r_est):
         return c0 + slope * r_est
 
-    assert any(split.r_com > interp(split.r_est))
+    split_est, split_com = curve(region, "waterfill")
+    assert any(split_com > interp(split_est))
 
 
 def test_rate_region_ignores_negligible_second_target(table2_lb, table2_scenario):
@@ -406,9 +402,9 @@ def test_rate_region_ignores_negligible_second_target(table2_lb, table2_scenario
     two_lb = with_second_target(table2_scenario, 1e-12)
     one = bounds.rate_region(table2_lb, grid)
     two = bounds.rate_region(two_lb, grid)
-    for a, b in zip(one.curves, two.curves):
-        np.testing.assert_allclose(b.r_est, a.r_est, rtol=1e-9, atol=0)
-        np.testing.assert_allclose(b.r_com, a.r_com, rtol=1e-9, atol=0)
+    for label in one.index:
+        for a, b in zip(curve(one, label), curve(two, label)):
+            np.testing.assert_allclose(b, a, rtol=1e-9, atol=0)
     one_splits, two_splits = wf.waterfill_grid(table2_lb, grid), wf.waterfill_grid(two_lb, grid)
     np.testing.assert_allclose(two_splits.r_est, one_splits.r_est, rtol=1e-9, atol=0)
     np.testing.assert_allclose(

@@ -136,7 +136,8 @@ def test_two_target_region_and_sweep_sum_over_targets(tmp_path, capsys):
         rc = run("validate", "--scenario", scenario, "--experiment", experiment,
                  "--trials", 10, "--seed", 0, "--out", tmp_path / "validate")
         assert rc == 2
-        assert "single target; got 2" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("precondition not met: ") and "single target; got 2" in err
 
 
 def test_region_invalid_scenario_exit_2(tmp_path, capsys):
@@ -163,6 +164,12 @@ def test_region_invalid_scenario_exit_2(tmp_path, capsys):
                  "--out", tmp_path / "out")
         assert rc == 2
         assert named in capsys.readouterr().err
+    # a key given twice fails, not read as its last value
+    twice = tmp_path / "twice.json"
+    twice.write_text(bundled_scenario_path().read_text().replace(
+        '"power_w": 1000,', '"power_w": 1e9, "power_w": 1000,'))
+    assert run("region", "--scenario", twice, "--alpha-points", 5, "--out", tmp_path / "out") == 2
+    assert "radar.power_w' is given more than once" in capsys.readouterr().err
     for points in (0, cli.MAX_ALPHA_POINTS + 1):
         rc = run("region", "--scenario", bundled_scenario_path(), "--alpha-points",
                  points, "--out", tmp_path / "out")
@@ -511,13 +518,14 @@ def test_region_files_equal_per_curve_oracle(table2_scenario, case):
     assert b"".join(files["region.csv"]) == region_csv_text(region, grid).encode()
     # the SVG draws its curves from the region's point table; a table in
     # which each curve has its own rows, no point shared, gives the same bytes
-    curves = region.curves
-    ends = np.cumsum([len(c.r_est) for c in curves])
+    sizes = [len(rows) for rows in region.index.values()]
+    own_rows = np.concatenate(list(region.index.values()))
     assert files["region.svg"] == list(render_svgs([(
-        [(c.label, np.arange(end - len(c.r_est), end)) for c, end in zip(curves, ends)],
+        [(label, np.arange(end - size, end))
+         for label, size, end in zip(region.index, sizes, np.cumsum(sizes))],
         "estimation rate (bits/s)",
         "communications rate (bits/s)",
-        (np.concatenate([c.r_est for c in curves]), np.concatenate([c.r_com for c in curves])),
+        (region.r_est[own_rows], region.r_com[own_rows]),
     )]))
 
 
@@ -994,13 +1002,13 @@ def test_region_csv_rows_equal_the_library(tmp_path):
     alphas = waterfill.default_alpha_grid(50)
     region, g = bounds.rate_region(lb, alphas), waterfill.waterfill_grid(lb, alphas)
     want = []
-    for curve in region.curves:
-        if curve.label == "waterfill":
+    for label, rows in region.index.items():
+        if label == "waterfill":
             want += zip(["waterfill"] * len(g.alpha), g.alpha.tolist(), g.r_est.tolist(),
                         g.r_com_total.tolist(), g.self_consistent.tolist())
         else:
-            want += [(curve.label, None, r_est, r_com, True)
-                     for r_est, r_com in zip(curve.r_est.tolist(), curve.r_com.tolist())]
+            want += [(label, None, r_est, r_com, True) for r_est, r_com in
+                     zip(region.r_est[rows].tolist(), region.r_com[rows].tolist())]
     # each CSV number parses back to the library's float exactly
     got = [
         (r["curve_label"],

@@ -24,7 +24,7 @@ from helpers import (
     needs_two_cores,
 )
 from mudr import mcsim
-from mudr.mcsim import ExperimentPreconditionError, MultiTargetError
+from mudr.mcsim import ExperimentPreconditionError
 
 
 def lb_at_isnr(isnr: float):
@@ -174,7 +174,7 @@ def test_crb_experiment_passes_at_window_edges(isnr):
 
 def test_crb_experiment_rejects_multi_target():
     lb = make_lb(n_targets=2)
-    with pytest.raises(MultiTargetError):
+    with pytest.raises(ExperimentPreconditionError, match="single target; got 2"):
         mcsim.crb_experiment(lb, 100, 0)
 
 
@@ -303,7 +303,7 @@ def test_residual_experiment_rejects_wide_jitter():
 
 
 def test_residual_experiment_rejects_multi_target():
-    with pytest.raises(MultiTargetError, match="single target; got 2"):
+    with pytest.raises(ExperimentPreconditionError, match="single target; got 2"):
         mcsim.residual_experiment(make_lb(n_targets=2), 100, 0)
 
 

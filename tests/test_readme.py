@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mudr import scenario as sc
-from mudr.bounds import RateCurve, RateRegion
+from mudr.bounds import RateRegion
 from mudr.waterfill import default_alpha_grid, waterfill_grid
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -56,19 +56,16 @@ def test_library_entry_points_run_as_documented(monkeypatch, capsys):
     assert isinstance(region, RateRegion)
     labels = ["outer", "sic", "interpolated", "waterfill", "hull"]
     assert list(region.index) == labels
-    assert [c.label for c in region.curves] == labels
     printed = capsys.readouterr().out.splitlines()
     for label, line in zip(labels, printed, strict=True):
-        curve = region.curve(label)
-        assert isinstance(curve, RateCurve) and curve.label == label
-        rows = region.index[label]
-        np.testing.assert_array_equal(curve.r_est, region.r_est[rows])
-        np.testing.assert_array_equal(curve.r_com, region.r_com[rows])
-        assert line == f"{label} {len(rows)}"
+        assert line == f"{label} {len(region.index[label])}"
+    hull = region.index["hull"]
+    np.testing.assert_array_equal(namespace["hull_est"], region.r_est[hull])
+    np.testing.assert_array_equal(namespace["hull_com"], region.r_com[hull])
     # every grid split has a row, and the waterfill curve is the
     # self-consistent ones
     grid = waterfill_grid(namespace["lb"], default_alpha_grid(400))
     np.testing.assert_array_equal(region.r_est[region.grid_rows], grid.r_est)
     np.testing.assert_array_equal(region.r_com[region.grid_rows], grid.r_com_total)
-    waterfill = region.curve("waterfill")
-    np.testing.assert_array_equal(waterfill.r_est, grid.r_est[grid.self_consistent])
+    waterfill = region.index["waterfill"]
+    np.testing.assert_array_equal(region.r_est[waterfill], grid.r_est[grid.self_consistent])

@@ -60,12 +60,12 @@ def test_region_invariants_over_the_scenario_box(scenario):
     inner = np.concatenate((region.index["interpolated"], region.index["waterfill"]))
     assert (region.r_est[inner] <= outer_est * (1 + REL)).all()
     assert (region.r_com[inner] <= outer_com * (1 + REL)).all()
-    assert region.curve("sic").r_com[0] <= outer_com
+    assert region.r_com[region.index["sic"][0]] <= outer_com
     # r_est is B_mix log2(1 + c B_mix), and B_mix shrinks as alpha grows
     assert (np.diff(region.r_est[region.grid_rows]) <= 0).all()
     # the hull is sorted by r_est, so np.interp reads its polyline
-    hull = region.curve("hull")
-    on_hull = np.interp(region.r_est[inner], hull.r_est, hull.r_com)
+    hull = region.index["hull"]
+    on_hull = np.interp(region.r_est[inner], region.r_est[hull], region.r_com[hull])
     assert (region.r_com[inner] <= on_hull + REL * outer_com).all()
 
 
@@ -83,7 +83,7 @@ def test_low_snr_waterfill_stays_under_the_comms_outer_rate(table2_scenario):
     # full-band SNR 9.2e-15: log2(1.0 + x) read 6.567e-8 bit/s, below the
     # water-filled 6.668e-8
     region = low_snr_region(table2_scenario, comms_power_w=1e-15)
-    assert region.curve("waterfill").r_com.max() <= region.r_com[0]
+    assert region.r_com[region.index["waterfill"]].max() <= region.r_com[0]
 
 
 def test_comms_outer_rate_below_2_to_the_minus_53_is_positive(table2_scenario):
@@ -94,7 +94,7 @@ def test_comms_outer_rate_below_2_to_the_minus_53_is_positive(table2_scenario):
     assert outer > 0
     # every rate is linear in its SNR here, so the waterfill's sum of two
     # subband rates meets the outer rate to rounding
-    assert 0 < region.curve("waterfill").r_com.max() <= outer * (1 + REL)
+    assert 0 < region.r_com[region.index["waterfill"]].max() <= outer * (1 + REL)
 
 
 def test_pentagon_at_the_lowest_snr_keeps_its_digits():

@@ -229,6 +229,25 @@ def test_unknown_key_rejected(tmp_path, keys, path):
         sc.load_scenario(_write_scenario(tmp_path, mutate))
 
 
+@pytest.mark.parametrize(
+    "given, twice, path",
+    [
+        ('"bandwidth_hz": 5e6,', '"bandwidth_hz": 1e9, "bandwidth_hz": 5e6,', "bandwidth_hz"),
+        ('"power_w": 1000,', '"power_w": 1000, "power_w": 1000,', "radar.power_w"),
+        ('"range_m": 100e3,', '"range_m": 1e3, "range_m": 100e3,', "targets[0].range_m"),
+        ('"targets": [', '"targets": [], "targets": [', "targets"),
+    ],
+    ids=["bandwidth_hz", "radar.power_w", "targets[0].range_m", "targets"],
+)
+def test_repeated_key_rejected(tmp_path, given, twice, path):
+    # json.loads alone keeps a repeated key's last value, valid or not
+    text = sc.bundled_scenario_path().read_text()
+    assert text.count(given) == 1
+    (tmp_path / "scenario.json").write_text(text.replace(given, twice))
+    with pytest.raises(sc.ScenarioError, match=re.escape(f"field '{path}' is given more than once")):
+        sc.load_scenario(tmp_path / "scenario.json")
+
+
 def test_target_must_be_object(tmp_path):
     path = _write_scenario(tmp_path, lambda r: r.update(targets=[5]))
     with pytest.raises(sc.ScenarioError, match=re.escape("targets[0]")):

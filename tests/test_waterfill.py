@@ -25,6 +25,7 @@ from helpers import (
     WF2_R_EST_05,
     brute_force_total_comms_rate,
     chain_hull,
+    curve,
     log2_1p,
     random_lb,
     waterfill_row,
@@ -190,16 +191,15 @@ def test_waterfill_curve_filters_inconsistent_points(table2_lb):
     grid = [0.5, 0.9, 0.995]
     points = wf.waterfill_grid(table2_lb, grid)
     assert points.self_consistent.tolist() == [True, True, False]
-    curve = bounds.rate_region(table2_lb, grid).curve("waterfill")
-    assert len(curve.r_est) == 2
+    assert len(bounds.rate_region(table2_lb, grid).index["waterfill"]) == 2
 
 
 def test_waterfill_singleton_grid(table2_lb):
-    curve = bounds.rate_region(table2_lb, [0.5]).curve("waterfill")
+    r_est, r_com = curve(bounds.rate_region(table2_lb, [0.5]), "waterfill")
     p = waterfill_row(table2_lb, 0.5)
-    assert len(curve.r_est) == 1
-    assert curve.r_est[0] == p.r_est
-    assert curve.r_com[0] == p.r_com_total
+    assert len(r_est) == 1
+    assert r_est[0] == p.r_est
+    assert r_com[0] == p.r_com_total
 
 
 def test_waterfill_grid_validation(table2_lb):
@@ -339,10 +339,11 @@ def test_hull_equals_chain(points):
 @pytest.mark.parametrize("block", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("side", ["last_of_a_block", "first_of_the_next"])
 def test_hull_pop_at_a_block_boundary(block, side):
-    # a concave arc whose only popping triple would be the last one of the
-    # first block, or the first one of the second, were the triples split
-    # into blocks of ``block``: the fast path tests every triple in one pass,
-    # so it sees the pop wherever it is, and the chain drops its middle point
+    # a concave 12-point arc whose only popping triple would be the last one
+    # of the first block, or the first one of the second, were the triples
+    # split into blocks of ``block``: the fast path tests every triple in one
+    # pass, so it sees the pop wherever it is, and the chain drops its middle
+    # point alone
     start = block - 1 if side == "last_of_a_block" else block
     x = np.arange(12.0)
     y = 200.0 - x * x
@@ -411,10 +412,10 @@ def _hull_value_at(hull, x):
 
 def _contributors(lb, grid):
     """The interpolated and waterfill points of ``grid`` as one cloud."""
-    curve = bounds.rate_region(lb, grid).curve("waterfill")
-    interp = bounds.rate_region(lb, [0.5]).curve("interpolated")
-    r_est = np.concatenate((interp.r_est, curve.r_est))
-    r_com = np.concatenate((interp.r_com, curve.r_com))
+    interp_est, interp_com = curve(bounds.rate_region(lb, [0.5]), "interpolated")
+    split_est, split_com = curve(bounds.rate_region(lb, grid), "waterfill")
+    r_est = np.concatenate((interp_est, split_est))
+    r_com = np.concatenate((interp_com, split_com))
     return list(zip(r_est.tolist(), r_com.tolist()))
 
 
@@ -511,19 +512,19 @@ def assert_kernel_matches_scalar_forms(lb, n):
     published = [
         (e, c) for e, c, ok in zip(want["r_est"], r_com, want["self_consistent"]) if ok
     ]
-    waterfill = region.curve("waterfill")
-    assert list(zip(waterfill.r_est.tolist(), waterfill.r_com.tolist())) == published
-    interpolated = region.curve("interpolated")
-    cloud_est = np.concatenate((interpolated.r_est, [e for e, _ in published]))
-    cloud_com = np.concatenate((interpolated.r_com, [c for _, c in published]))
+    split_est, split_com = curve(region, "waterfill")
+    assert list(zip(split_est.tolist(), split_com.tolist())) == published
+    interp_est, interp_com = curve(region, "interpolated")
+    cloud_est = np.concatenate((interp_est, [e for e, _ in published]))
+    cloud_com = np.concatenate((interp_com, [c for _, c in published]))
     index = wf.upper_convex_hull(cloud_est, cloud_com)
     # the hull's rows are the chain's cloud indices, mapped to table rows
     cloud_rows = np.concatenate((region.index["interpolated"], region.index["waterfill"]))
     assert region.index["hull"].tolist() == cloud_rows[index].tolist()
-    hull_curve = region.curve("hull")
-    assert hull_curve.r_est.tolist() == cloud_est[index].tolist()
-    assert hull_curve.r_com.tolist() == cloud_com[index].tolist()
-    hull = list(zip(hull_curve.r_est.tolist(), hull_curve.r_com.tolist()))
+    hull_est, hull_com = curve(region, "hull")
+    assert hull_est.tolist() == cloud_est[index].tolist()
+    assert hull_com.tolist() == cloud_com[index].tolist()
+    hull = list(zip(hull_est.tolist(), hull_com.tolist()))
     assert hull == chain_hull(cloud_est, cloud_com)
 
 
@@ -562,7 +563,7 @@ def test_scalar_views_return_python_floats(table2_lb):
     # CSV and SVG bytes are the reprs of these: every curve is two float64
     # columns whose tolist() coordinates are Python floats, the hull included
     region = bounds.rate_region(table2_lb, [0.25, 0.5, 0.995])
-    for curve in region.curves:
-        assert curve.r_est.dtype == curve.r_com.dtype == np.float64, curve.label
-        coords = curve.r_est.tolist() + curve.r_com.tolist()
-        assert all(type(v) is float for v in coords), curve.label
+    for label in region.index:
+        r_est, r_com = curve(region, label)
+        assert r_est.dtype == r_com.dtype == np.float64, label
+        assert all(type(v) is float for v in r_est.tolist() + r_com.tolist()), label
