@@ -13,30 +13,14 @@ multi-target one too) exits 2 with "precondition not met:".
 
 The Monte Carlo kernels split their trials over forked worker processes
 (``mcsim._split_trials``); no flag or environment variable sets the count, and
-the report bytes do not depend on it. ``region.csv`` and ``region.svg``
-are written in this process from the region's one point table
-(``bounds.RateRegion``), whose row layout only ``bounds`` knows: each
-curve is its rows, and ``emit.repr_records`` prints the table's floats in
-numpy, each value's text proven equal to ``repr`` (Clinger's fast path at
-15 digits, an exact Dekker product and the rounding interval at 16 and
-17), and every value it cannot prove by ``repr`` itself.
-
-``region`` and ``sweep`` write their region files through one function,
-``_region_files``, which prints each float once across the regions it is
-given: the shared alpha grid once, every region's estimation rates in
-one ``repr_records`` call and every communications rate in another, and
-every SVG coordinate in one pass per axis (``emit.render_svgs``).
-``sweep`` computes every region before it prints any, holding each as
-its ``bounds.RateRegion`` (the point table, the curves' rows, a flag per
-split and the grid's counters), and then prints consecutive regions
-together, ``_SWEEP_ROWS`` table rows' worth at a time.
+the report bytes do not depend on it. ``region`` and ``sweep`` get their
+region files from ``emit.region_files``; ``sweep`` computes every region
+before it prints any.
 
 A command's files are printed as they are written: it returns them as
 (name, data) pairs that are made in write order, where data is bytes or
 an iterable of byte blocks, and ``main`` writes each pair before it takes
-the next, then writes the manifest last. So ``region.csv`` goes to disk
-block by block, each SVG is rendered at its write, and the records a
-file is printed from go once the last file that reads them is written.
+the next, then writes the manifest last.
 
 ``main`` builds the manifest dict in its key order, ``counters`` only
 when the command has them; it and the ``validate`` report
@@ -50,9 +34,9 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -61,11 +45,9 @@ from .emit import (
     atomic_write_text,
     csv_text,
     fmt_float,
-    join_fields,
     json_bytes,
-    records_bytes,
+    region_files,
     render_svgs,
-    repr_records,
     write_manifest,
 )
 from .mcsim import ExperimentPreconditionError, WorkerError
@@ -102,29 +84,6 @@ ARG_RANGES = {
 #: every region's ``RateRegion`` (some 33 bytes a grid point) before it
 #: prints any: 4 regions of 10^6 points peak near 310 MB.
 MAX_SWEEP_POINTS = 4 * 10**6
-
-#: Rows per block of ``region.csv``: the header, then blocks of at most
-#: this many rows, each made as it is written.
-_CSV_BLOCK = 16384
-
-#: Table rows a sweep prints together. Its regions share one alpha grid,
-#: so each has the same rows, and ``_SWEEP_ROWS // rows`` consecutive
-#: regions (at least one) are printed as one group: a group's records stay
-#: near those of one region of this many rows (about 6 MB, at some 90
-#: bytes a row), and a 400-point sweep of up to 161 values is printed in
-#: one pass.
-_SWEEP_ROWS = 1 << 16
-
-#: The ``self_consistent`` cells of ``region.csv``, NUL-padded to one width.
-_FLAG_FIELDS = np.frombuffer(b"false" b"true\0", np.uint8).reshape(2, 5)
-
-REGION_CSV_HEADER = (
-    "curve_label",
-    "alpha_or_nan",
-    "r_est_bps",
-    "r_com_bps",
-    "self_consistent",
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -206,67 +165,11 @@ class Outcome:
     passed: bool = True
 
 
-def _region_csv(
-    region: bounds.RateRegion, pairs: np.ndarray, alpha: np.ndarray
-) -> Iterator[bytes]:
-    """CSV text as byte blocks, each made when the writer asks for it: one
-    row per curve vertex; waterfill rows keep every grid point, flagged by
-    self-consistency.
-
-    ``pairs`` holds one "r_est,r_com" record per table row. The waterfill
-    rows take one for every grid row, with the grid's ``alpha`` records;
-    every other curve's rows read ``label,nan,r_est,r_com,true``, gathered
-    by its index. Each curve's rows come in blocks of at most
-    ``_CSV_BLOCK``.
-    """
-    yield (",".join(REGION_CSV_HEADER) + "\n").encode()
-    grid = pairs[region.grid_rows]
-    for label, index in region.index.items():
-        if label == "waterfill":  # every split, with its alpha and flag
-            for first in range(0, len(alpha), _CSV_BLOCK):
-                rows = slice(first, first + _CSV_BLOCK)
-                flags = np.take(_FLAG_FIELDS, region.self_consistent[rows].view(np.uint8), axis=0)
-                yield records_bytes(join_fields(
-                    [b"waterfill,", alpha[rows], b",", grid[rows], b",", flags, b"\n"]))
-            continue
-        for first in range(0, len(index), _CSV_BLOCK):
-            points = np.take(pairs, index[first : first + _CSV_BLOCK], axis=0)
-            yield records_bytes(join_fields([f"{label},nan,".encode(), points, b",true\n"]))
-
-
-def _region_files(
-    alpha_grid: np.ndarray, regions: Sequence[tuple[str, bounds.RateRegion]]
-) -> Iterator[tuple[str, Iterable[bytes]]]:
-    """``<prefix>.csv`` and ``<prefix>.svg`` of each (prefix, region) over
-    the one ``alpha_grid``, as (name, data) pairs in write order whose
-    text is made as it is written. Every region has the same rows, so
-    ``np.split`` divides their records evenly (and raises otherwise).
-
-    Every float is printed once for all of the regions, when the first
-    pair is taken: the grid in one ``repr_records`` call, every region's
-    r_est in a second and every r_com in a third; the SVG coordinates by
-    ``render_svgs`` when the first SVG is written. Each region's files
-    gather from its own rows of those records, and the records go once the
-    last CSV, or SVG, that reads them is written.
-    """
-    alpha = repr_records(alpha_grid)
-    pairs = join_fields([repr_records(np.concatenate([r.r_est for _, r in regions])), b",",
-                         repr_records(np.concatenate([r.r_com for _, r in regions]))])
-    csvs = [_region_csv(r, rows, alpha)
-            for (_, r), rows in zip(regions, np.split(pairs, len(regions)))]
-    del alpha, pairs  # each CSV holds its rows until it has been written
-    svgs = render_svgs([(list(r.index.items()), "estimation rate (bits/s)",
-                         "communications rate (bits/s)", (r.r_est, r.r_com)) for _, r in regions])
-    for (prefix, _), csv in zip(regions, csvs):
-        yield f"{prefix}.csv", csv
-        yield f"{prefix}.svg", islice(svgs, 1)  # rendered as it is written
-
-
 def cmd_region(args: argparse.Namespace) -> Outcome:
     alpha_grid = waterfill.default_alpha_grid(args.alpha_points)
     region = bounds.rate_region(derive_link_budget(load_scenario(args.scenario)), alpha_grid)
     return Outcome(
-        files=_region_files(alpha_grid, [("region", region)]),
+        files=region_files(alpha_grid, [("region", region)]),
         parameters={"alpha_points": args.alpha_points},
         counters=region.counters,
     )
@@ -361,11 +264,8 @@ def cmd_sweep(args: argparse.Namespace) -> Outcome:
         ("value", "est_outer_rate_bps", "comms_outer_rate_bps", "sic_comms_rate_bps"),
         summary_rows,
     ).encode()
-    group = max(1, _SWEEP_ROWS // len(regions[0][1].r_est))
-    files = (_region_files(alpha_grid, regions[i : i + group])
-             for i in range(0, len(regions), group))
     return Outcome(
-        files=chain(*files, [("sweep_summary.csv", summary)]),
+        files=chain(region_files(alpha_grid, regions), [("sweep_summary.csv", summary)]),
         parameters={
             "vary": args.vary,
             "values": values,

@@ -11,8 +11,9 @@ into it, so a point that several curves pass through (the region's hull
 and the waterfill and interpolated curves it picks from) is scaled and
 printed once. A command prints each float once across the figures and
 regions it prints together: ``render_svgs`` prints the scaled points of
-all its figures in one pass per axis, and the CLI gives ``repr_records``
-the columns of those regions at once. That is right
+all its figures in one pass per axis, and ``region_files``, which
+writes the region files of ``region`` and ``sweep``, gives
+``repr_records`` the columns of those regions at once. That is right
 because a value's text never depends on the other values of its column.
 
 Both the SVG coordinates and the CSV floats are printed into NUL-padded
@@ -39,10 +40,36 @@ from __future__ import annotations
 import functools
 import json
 import os
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+
+from .bounds import RateRegion
+
+#: Rows per block of ``region.csv``: the header, then blocks of at most
+#: this many rows, each made as it is written.
+_CSV_BLOCK = 16384
+
+#: Table rows ``region_files`` prints together. Its regions share one alpha
+#: grid, so each has the same rows, and ``_SWEEP_ROWS // rows`` consecutive
+#: regions (at least one) are printed as one group: a group's records stay
+#: near those of one region of this many rows (about 6 MB, at some 90
+#: bytes a row), and a 400-point sweep of up to 161 values is printed in
+#: one pass.
+_SWEEP_ROWS = 1 << 16
+
+#: The ``self_consistent`` cells of ``region.csv``, NUL-padded to one width.
+_FLAG_FIELDS = np.frombuffer(b"false" b"true\0", np.uint8).reshape(2, 5)
+
+REGION_CSV_HEADER = (
+    "curve_label",
+    "alpha_or_nan",
+    "r_est_bps",
+    "r_com_bps",
+    "self_consistent",
+)
 
 _PALETTE = (
     "#c62828",  # red
@@ -522,3 +549,63 @@ def render_curves_svg(
         ]
     out.append(b"\n</svg>\n")
     return b"".join(out)
+
+
+def _region_csv(region: RateRegion, pairs: np.ndarray, alpha: np.ndarray) -> Iterator[bytes]:
+    """CSV text as byte blocks, each made when the writer asks for it: one
+    row per curve vertex; waterfill rows keep every grid point, flagged by
+    self-consistency.
+
+    ``pairs`` holds one "r_est,r_com" record per table row. The waterfill
+    rows take one for every grid row, with the grid's ``alpha`` records;
+    every other curve's rows read ``label,nan,r_est,r_com,true``, gathered
+    by its index. Each curve's rows come in blocks of at most
+    ``_CSV_BLOCK``.
+    """
+    yield (",".join(REGION_CSV_HEADER) + "\n").encode()
+    grid = pairs[region.grid_rows]
+    for label, index in region.index.items():
+        if label == "waterfill":  # every split, with its alpha and flag
+            for first in range(0, len(alpha), _CSV_BLOCK):
+                rows = slice(first, first + _CSV_BLOCK)
+                flags = np.take(_FLAG_FIELDS, region.self_consistent[rows].view(np.uint8), axis=0)
+                yield records_bytes(join_fields(
+                    [b"waterfill,", alpha[rows], b",", grid[rows], b",", flags, b"\n"]))
+            continue
+        for first in range(0, len(index), _CSV_BLOCK):
+            points = np.take(pairs, index[first : first + _CSV_BLOCK], axis=0)
+            yield records_bytes(join_fields([f"{label},nan,".encode(), points, b",true\n"]))
+
+
+def region_files(
+    alpha_grid: np.ndarray, regions: Sequence[tuple[str, RateRegion]]
+) -> Iterator[tuple[str, Iterable[bytes]]]:
+    """``<prefix>.csv`` and ``<prefix>.svg`` of each (prefix, region) over
+    the one ``alpha_grid``, as (name, data) pairs in write order whose
+    text is made as it is written: the files of ``region`` and ``sweep``.
+
+    Every region has the same rows, so the regions are printed in groups
+    of ``_SWEEP_ROWS // rows`` (at least one), and ``np.split`` divides a
+    group's records evenly (and raises otherwise). Every float is printed
+    once for all of a group, when its first pair is taken: the grid in one
+    ``repr_records`` call, every region's r_est in a second and every
+    r_com in a third; the SVG coordinates by ``render_svgs`` when the
+    group's first SVG is written. Each region's files gather from its own
+    rows of those records, and the records go once the last CSV, or SVG,
+    that reads them is written.
+    """
+    size = max(1, _SWEEP_ROWS // len(regions[0][1].r_est))
+    for start in range(0, len(regions), size):
+        group = regions[start : start + size]
+        alpha = repr_records(alpha_grid)
+        pairs = join_fields([repr_records(np.concatenate([r.r_est for _, r in group])), b",",
+                             repr_records(np.concatenate([r.r_com for _, r in group]))])
+        csvs = [_region_csv(r, rows, alpha)
+                for (_, r), rows in zip(group, np.split(pairs, len(group)))]
+        del alpha, pairs  # each CSV holds its rows until it has been written
+        svgs = render_svgs([(list(r.index.items()), "estimation rate (bits/s)",
+                             "communications rate (bits/s)", (r.r_est, r.r_com)) for _, r in group])
+        for (prefix, _), csv in zip(group, csvs):
+            yield f"{prefix}.csv", csv
+            yield f"{prefix}.svg", islice(svgs, 1)  # rendered as it is written
+        del csvs, svgs  # the group's SVG records go before the next group is printed

@@ -385,9 +385,9 @@ def _gamma_sq(f: np.ndarray, power: np.ndarray) -> np.ndarray:
 
 
 def _parabolic_peaks(corr: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Signed lag in samples of each row's ``|corr|`` peak inside [lo, hi),
+    """Lag in samples of each row's ``|corr|`` peak inside [lo, hi),
     refined to sub-sample precision with a three-point parabolic fit."""
-    window = corr[:, np.arange(lo - 1, hi + 1) % corr.shape[1]]
+    window = corr[:, lo - 1 : hi + 1]
     mag = np.hypot(window.real, window.imag)
     i = np.argmax(mag[:, 1:-1], axis=1) + 1
     rows = np.arange(len(mag))

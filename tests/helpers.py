@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mudr import cli
+from mudr import emit
 from mudr.bounds import RateRegion, crb_delay_variance
 from mudr.emit import csv_text
 from mudr.mcsim import _signed_bins
@@ -248,7 +248,7 @@ def region_csv_text(region: RateRegion, g: WaterfillGrid) -> str:
             ):
                 yield [label, a, e, r, "true" if flag else "false"]
 
-    return csv_text(cli.REGION_CSV_HEADER, rows())
+    return csv_text(emit.REGION_CSV_HEADER, rows())
 
 
 # --- time-domain reference path of the Monte Carlo kernels ----------------------

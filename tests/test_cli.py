@@ -202,7 +202,7 @@ def test_write_failure_while_streaming_exits_3_without_temp(tmp_path, monkeypatc
     # the files are made as they are written: a failure in the middle of
     # region.csv's blocks, or at the rename of region.svg after region.csv
     # is on disk, still exits 3, leaves no temp file and writes no manifest
-    records_bytes, calls = cli.records_bytes, []
+    records_bytes, calls = emit.records_bytes, []
 
     def disk_full_at_the_second_block(records):
         calls.append(1)
@@ -212,7 +212,7 @@ def test_write_failure_while_streaming_exits_3_without_temp(tmp_path, monkeypatc
 
     argv = ("region", "--scenario", bundled_scenario_path(), "--alpha-points", 40)
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "records_bytes", disk_full_at_the_second_block)
+        patch.setattr(emit, "records_bytes", disk_full_at_the_second_block)
         assert run(*argv, "--out", tmp_path / "csv") == 3
     assert list((tmp_path / "csv").iterdir()) == []
     (tmp_path / "svg" / "region.svg").mkdir(parents=True)
@@ -399,6 +399,18 @@ def test_sweep_radar_power_monotone(tmp_path):
     for i in range(3):
         assert (out / f"sweep_{i:03d}_region.csv").exists()
         assert (out / f"sweep_{i:03d}_region.svg").exists()
+
+
+def test_sweep_of_the_scenario_value_writes_the_region_files(tmp_path):
+    # table2's own radar power: both commands print one region through
+    # emit.region_files, so its files are the same bytes under both names
+    assert run("region", "--scenario", bundled_scenario_path(), "--alpha-points", 400,
+               "--out", tmp_path / "region") == 0
+    assert run("sweep", "--scenario", bundled_scenario_path(), "--vary", "radar_power_w",
+               "--values", "1000.0", "--alpha-points", 400, "--out", tmp_path / "sweep") == 0
+    for suffix in ("csv", "svg"):
+        region = (tmp_path / "region" / f"region.{suffix}").read_bytes()
+        assert (tmp_path / "sweep" / f"sweep_000_region.{suffix}").read_bytes() == region
 
 
 def test_sweep_zero_process_std_sic_equals_outer(tmp_path):
@@ -711,13 +723,13 @@ def test_dense_region_streams_its_files_under_a_traced_peak(tmp_path, monkeypatc
 
 
 @pytest.mark.parametrize("budget, groups",
-                         [(cli._SWEEP_ROWS, 1), (2 * 407, 2), (1000, 2), (407, 3)])
+                         [(emit._SWEEP_ROWS, 1), (2 * 407, 2), (1000, 2), (407, 3)])
 def test_sweep_groups_keep_bytes(tmp_path, monkeypatch, budget, groups):
     # each region of the CI sweep has 407 table rows (7 vertex rows and 400
     # splits): a budget of 814 or 1000 rows prints its first two regions
     # together and the third alone, one of 407 rows prints each region alone
-    printed = count_calls(monkeypatch, cli, "repr_records")
-    monkeypatch.setattr(cli, "_SWEEP_ROWS", budget)
+    printed = count_calls(monkeypatch, emit, "repr_records")
+    monkeypatch.setattr(emit, "_SWEEP_ROWS", budget)
     assert_ci_sweep_bytes(tmp_path / "sweep")
     assert printed[0] == 3 * groups  # the alpha grid, r_est and r_com per group
 
@@ -754,7 +766,7 @@ REGION_ALPHAS = waterfill.default_alpha_grid(400)
 def region_files(region: bounds.RateRegion) -> dict:
     """``region.csv`` and ``region.svg`` of a ``region_of`` region as
     ``region`` writes them: name -> the list of its blocks."""
-    files = cli._region_files(REGION_ALPHAS, [("region", region)])
+    files = emit.region_files(REGION_ALPHAS, [("region", region)])
     return {name: list(data) for name, data in files}
 
 
@@ -786,7 +798,7 @@ def test_region_csv_blocks_equal_one_block(table2_scenario, case, monkeypatch):
     assert len(one) == 6
     # blocks of 64 rows and 48 values: blocks that span decades, and hull
     # rows gathered across blocks
-    monkeypatch.setattr(cli, "_CSV_BLOCK", 64)
+    monkeypatch.setattr(emit, "_CSV_BLOCK", 64)
     monkeypatch.setattr(emit, "_REPR_BLOCK", 48)
     blocks = region_files(region)["region.csv"]
     assert len(blocks) > len(one)
@@ -1030,7 +1042,7 @@ def test_sweep_derives_each_link_budget_once(tmp_path, monkeypatch):
 
 def test_commands_print_each_column_once(tmp_path, monkeypatch):
     printed, regions = [], []
-    print_records, rate_region = cli.repr_records, bounds.rate_region
+    print_records, rate_region = emit.repr_records, bounds.rate_region
 
     def recorded_print(values):
         printed.append(values)
@@ -1040,7 +1052,7 @@ def test_commands_print_each_column_once(tmp_path, monkeypatch):
         regions.append(rate_region(*args))
         return regions[-1]
 
-    monkeypatch.setattr(cli, "repr_records", recorded_print)
+    monkeypatch.setattr(emit, "repr_records", recorded_print)
     monkeypatch.setattr(bounds, "rate_region", recorded_region)
     # region: the alpha grid, then its table's two columns
     assert run("region", "--scenario", bundled_scenario_path(), "--alpha-points", 50,
